@@ -69,7 +69,13 @@ class ParsedConfig:
     run: RunSettings
     recursion: RecursionSettings
     warnings: list[str]
-    digest: str
+    doc: dict
+
+    @property
+    def digest(self) -> str:
+        """Hash of the JSON document, run overrides included."""
+        blob = json.dumps(self.doc, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
     def experiment(self) -> ExperimentConfig:
         if self.memory is None:
@@ -204,10 +210,7 @@ def parse_config(path, default_task: str | None = None) -> ParsedConfig:
     if task in ("simulate", "herding") and memory is None:
         raise ConfigError(f"{p}: task {task!r} needs a 'memory' section")
 
-    digest = hashlib.sha256(
-        json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()[:12]
-    return ParsedConfig(task, model, channel, memory, run, recursion, captured, digest)
+    return ParsedConfig(task, model, channel, memory, run, recursion, captured, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +218,8 @@ def parse_config(path, default_task: str | None = None) -> ParsedConfig:
 
 
 def _apply_run_overrides(cfg: ParsedConfig, ns) -> ParsedConfig:
+    """Apply --seed, --trials and --nodes to the run settings and to the
+    document's run section, so the config hash names the config that ran."""
     kw = {}
     if getattr(ns, "seed", None) is not None:
         kw["seed"] = ns.seed
@@ -224,6 +229,7 @@ def _apply_run_overrides(cfg: ParsedConfig, ns) -> ParsedConfig:
         kw["stages"] = ns.nodes
     if kw:
         cfg.run = replace(cfg.run, **kw)
+        cfg.doc = dict(cfg.doc, run={**cfg.doc.get("run", {}), **kw})
     return cfg
 
 
@@ -233,6 +239,7 @@ def _meta(cfg: ParsedConfig) -> dict:
 
 def _task_simulate(cfg: ParsedConfig, out: Path, threads: int) -> list[str]:
     series = estimate_error_series(cfg.experiment(), threads=threads)
+    meta = dict(_meta(cfg), clamp_events=series.meta["clamp_events"])
     write_series_csv(
         out / "series.csv",
         {
@@ -243,7 +250,7 @@ def _task_simulate(cfg: ParsedConfig, out: Path, threads: int) -> list[str]:
             "p0_type1_hat": series.extra["p0_type1_hat"],
             "p1_type2_hat": series.extra["p1_type2_hat"],
         },
-        _meta(cfg),
+        meta,
     )
     return ["series.csv"]
 

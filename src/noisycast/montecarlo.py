@@ -1,25 +1,40 @@
 """Trial-parallel Monte Carlo for decision chains over faulty broadcasts.
 
-Reproducibility contract: every trial owns a counter-based random stream
-derived from (seed, phase, hypothesis, trial_index), and inside a trial the
-draw order is fixed (all private beliefs first, then the channel uniforms).
-Any subset of trials therefore replays bit for bit in any order, estimates
-aggregate integer error counts, and results are identical whatever the block
-size or thread count.  run_trial and the batched kernels share the same
-stage-step arithmetic, so a replayed trial matches its batched twin exactly.
+One skeleton runs every strategy.  It advances a block of trials of both
+hypotheses in lockstep, one stage at a time, and keeps the bookkeeping
+(error counts on the grid, each trial's last erring stage, clamp events) in
+one place.  At stage k every trial takes two uniforms, u for its private
+signal and v for the channel, and the node decides 1 when u > F_h(cut).
+F_h = belief_model.cdf(model, h, .) is P(decide 0 | hypothesis h) at the
+node's cutoff: this inverse-cdf coupling has the law of `belief > cut`, and
+no belief is ever drawn.  Strategies differ only in how the cutoff is found
+and how the broadcast is absorbed; each is a step function of the skeleton:
 
-Strategy dispatch mirrors what later nodes can actually compute:
-
-* flip channel, full memory: the shared public belief is a scalar recursion,
-  advanced with update_public_belief;
+* flip channel, full memory: the shared public belief is a scalar recursion
+  per trial, advanced by public_belief_step from the same two cdf values the
+  decision used;
 * bounded memory (flip or erasure): per-state cutoff tables from the exact
   window recursion, which is the strategy's own oracle;
-* erasure channel, unbounded memory: nearest-unerased evidence with decision
-  marginals calibrated in a separate pass (its own rng phase), node k using
-  batch frequencies of earlier stages only.
+* erasure channel, unbounded memory: nearest-unerased evidence, coded as
+  2 * stage + value with codes 0 and 1 meaning none.  A (2, 2K + 2) table
+  holds P(decide 0 | hypothesis, evidence).  A calibration pass on the same
+  skeleton, in its own rng phase, fills the columns of stage k from the batch
+  decision frequencies at stage k, so node k uses frequencies of earlier
+  stages only.
 
-A flip channel with power or sporadic memory has no supported strategy and
-is rejected up front.
+Random stream.  The key of (seed, phase, hypothesis) is
+SeedSequence(seed, spawn_key=(phase, hypothesis)).generate_state(2, uint64).
+Trial t at stage k takes outputs 2 * (t % 2) (u) and 2 * (t % 2) + 1 (v) of
+Philox(key=key, counter=[t // 2, k, phase, hypothesis]).  Any (trial, stage)
+draw is thus made on its own, and a block of trials is one draw per stage
+and hypothesis.  Counts are integer sums, so estimates are bit-identical
+whatever the block size or thread count.  A job is a block of at most
+_BLOCK_TRIALS trials per hypothesis; `threads` matters only when there is
+more than one block.  run_trial replays one trial through the same skeleton,
+so it matches its batched twin exactly.
+
+Memory is O(trials per block), not O(trials x stages).  A flip channel with
+power or sporadic memory has no supported strategy and is rejected up front.
 """
 
 from __future__ import annotations
@@ -27,24 +42,34 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .analysis import SeriesResult, default_grid
-from .belief_model import BeliefModel, sample
+from .belief_model import BeliefModel, cdf
 from .channels import Channel, ErasureSchedule, FlipSchedule, erasure_levels, flip_probs
 from .exact_dp import MAX_CAPACITY, exact_error_series
-from .strategy import BELIEF_CEIL, BELIEF_FLOOR, belief_cutoff_from_public, update_public_belief
+from .strategy import (
+    BELIEF_CEIL,
+    BELIEF_FLOOR,
+    conditional_decision_probs,
+    public_belief_step,
+    tandem_posterior,
+)
 from .topology import MemorySchedule, memory_size
 
 _PHASE_MEASURE = 0
 _PHASE_CALIBRATE = 1
 _PHASE_AUX = 2
 
-_BLOCK_BUDGET = 1 << 22  # floats per drawn matrix per block
+_BLOCK_TRIALS = 1 << 15  # trials per hypothesis in one job
+_TABLE_BUDGET = 1 << 25  # float64 values in one set of window cutoff tables (256 MiB)
 _CI_Z = 1.96
+
+# row h of every (2, m) trial array holds the trials of hypothesis h
+_IS_H1 = np.array([[False], [True]])
 
 
 @dataclass(frozen=True)
@@ -73,8 +98,16 @@ class ExperimentConfig:
                 )
         elif not isinstance(self.channel, ErasureSchedule):
             raise ValueError(f"channel must be a FlipSchedule or ErasureSchedule, got {self.channel!r}")
-        if self.memory.family == "bounded" and self.memory.capacity > MAX_CAPACITY:
-            raise ValueError(f"bounded memory is capped at capacity {MAX_CAPACITY} for exact cutoffs")
+        if self.memory.family == "bounded":
+            if self.memory.capacity > MAX_CAPACITY:
+                raise ValueError(f"bounded memory is capped at capacity {MAX_CAPACITY} for exact cutoffs")
+            alphabet = 2 if isinstance(self.channel, FlipSchedule) else 3
+            if alphabet**self.memory.capacity * self.stages > _TABLE_BUDGET:
+                raise ValueError(
+                    f"window cutoff tables ({alphabet}**{self.memory.capacity} states x {self.stages} stages) "
+                    f"would exceed the memory budget of {_TABLE_BUDGET} float64 values; "
+                    "reduce capacity or stages"
+                )
         if self._needs_calibration():
             if self.calibration_trials < 50:
                 raise ValueError(f"calibration needs at least 50 trials, got {self.calibration_trials!r}")
@@ -108,20 +141,9 @@ def _trial_rng(seed: int, phase: int, hypothesis: int, trial: int) -> np.random.
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _draw_block(config: ExperimentConfig, phase: int, hypothesis: int, lo: int, hi: int):
-    """Private beliefs and channel uniforms for trials lo..hi-1, one row each."""
-    k_stages = config.stages
-    beliefs = np.empty((hi - lo, k_stages))
-    chan = np.empty((hi - lo, k_stages))
-    for i, t in enumerate(range(lo, hi)):
-        g = _trial_rng(config.seed, phase, hypothesis, t)
-        beliefs[i] = sample(config.model, hypothesis, g, size=k_stages)
-        chan[i] = g.random(k_stages)
-    return beliefs, chan
-
-
-def _block_size(stages: int) -> int:
-    return max(256, min(8192, _BLOCK_BUDGET // max(stages, 1)))
+@lru_cache(maxsize=64)
+def _stream_key(seed: int, phase: int, hypothesis: int) -> np.ndarray:
+    return np.random.SeedSequence(seed, spawn_key=(phase, hypothesis)).generate_state(2, np.uint64)
 
 
 def _grid_slots(grid: np.ndarray, stages: int) -> np.ndarray:
@@ -130,123 +152,144 @@ def _grid_slots(grid: np.ndarray, stages: int) -> np.ndarray:
     return slot
 
 
-def _run_flip_full(config, hypothesis, lo, hi, slot, n_slots, collect, ctx):
-    del ctx
-    k_stages = config.stages
-    model = config.model
-    qs = flip_probs(config.channel, np.arange(1, k_stages + 1))
-    beliefs, chan = _draw_block(config, _PHASE_MEASURE, hypothesis, lo, hi)
+def _run_block(config: ExperimentConfig, phase: int, lo: int, hi: int, step, slot=None, collect=False):
+    """Advance trials lo..hi-1 of both hypotheses in lockstep through every
+    stage.  step(k, u, v) returns the (2, m) decisions of stage k and either
+    None or the mask of public beliefs clamped by the stage.
+
+    Returns the per-hypothesis error counts on the grid slots (none without
+    a slot map), each trial's last erring stage (0 when none),
+    per-hypothesis clamp totals, and with collect=True the (2, m, stages)
+    decision paths.
+    """
     m = hi - lo
-    b = np.full(m, model.prior_1)
-    counts = np.zeros(n_slots, dtype=np.int64)
-    last = np.zeros(m, dtype=np.int64)
-    clamp = np.zeros(m, dtype=np.int64)
-    dec = np.zeros((m, k_stages), dtype=np.int8) if collect else None
-    for k in range(1, k_stages + 1):
-        cut = belief_cutoff_from_public(b, model)
-        d = beliefs[:, k - 1] > cut
+    first = lo // 2
+    off = lo - 2 * first
+    streams = []
+    for h in (0, 1):
+        bits = np.random.Philox(key=_stream_key(config.seed, phase, h))
+        streams.append((bits, bits.state, np.random.Generator(bits)))
+    # row r of buf[h] is trial 2 * first + r: its u in column 0, its v in column 1
+    buf = np.empty((2, 2 * ((hi + 1) // 2 - first), 2))
+    u = buf[:, off:off + m, 0]
+    v = buf[:, off:off + m, 1]
+    counts = np.zeros((2, 0 if slot is None else int(slot.max()) + 1), dtype=np.int64)
+    last = np.zeros((2, m), dtype=np.int64)
+    clamps = np.zeros(2, dtype=np.int64)
+    dec = np.zeros((2, m, config.stages), dtype=np.int8) if collect else None
+    for k in range(1, config.stages + 1):
+        for h, (bits, state, gen) in enumerate(streams):
+            # the state of Philox(key=key, counter=[first, k, phase, h]), set
+            # in place because building a bit generator costs more than the
+            # draw; the emptied buffer makes the next output come from the counter
+            state["state"]["counter"] = np.array([first, k, phase, h], dtype=np.uint64)
+            state["buffer_pos"] = 4
+            bits.state = state
+            gen.random(out=buf[h])
+        d, clamped = step(k, u, v)
         if collect:
-            dec[:, k - 1] = d
-        wrong = d if hypothesis == 0 else ~d
-        s = slot[k]
-        if s >= 0:
-            counts[s] += int(np.count_nonzero(wrong))
+            dec[:, :, k - 1] = d
+        wrong = d != _IS_H1
+        if slot is not None and slot[k] >= 0:
+            counts[:, slot[k]] = np.count_nonzero(wrong, axis=1)
         last[wrong] = k
-        observed = d != (chan[:, k - 1] < qs[k - 1])
-        b = update_public_belief(b, float(qs[k - 1]), observed, model)
-        clamp += (b <= BELIEF_FLOOR) | (b >= BELIEF_CEIL)
-    return counts, last, clamp, dec
+        if clamped is not None:
+            clamps += np.count_nonzero(clamped, axis=1)
+    return counts, last, clamps, dec
 
 
-def _scan_step(k, beliefs_col, chan_col, ev_stage, ev_val, marginals, mem, lv0, lv1, model):
-    """One stage of the nearest-unerased rule.  Shared by measurement and
-    calibration so both passes run identical arithmetic."""
-    has = (ev_stage > 0) & (ev_stage >= k - mem)
-    m0 = marginals[0][ev_stage]
-    m1 = marginals[1][ev_stage]
-    l1 = np.where(ev_val, m1, 1.0 - m1)
-    l0 = np.where(ev_val, m0, 1.0 - m0)
-    prior = model.prior_1
-    post = np.where(has, l1 * prior / (l1 * prior + l0 * (1.0 - prior)), prior)
-    cut = belief_cutoff_from_public(post, model)
-    d = beliefs_col > cut
-    lv = np.where(d, lv1, lv0)
-    keep = chan_col >= lv
-    new_stage = np.where(keep, k, ev_stage)
-    new_val = np.where(keep, d, ev_val)
-    return d, new_stage, new_val
-
-
-def _run_scan(config, hypothesis, lo, hi, slot, n_slots, collect, ctx):
-    marginals = ctx
-    k_stages = config.stages
+def _flip_full_step(config: ExperimentConfig, m: int):
     model = config.model
-    lv0s, lv1s = erasure_levels(config.channel, np.arange(1, k_stages + 1))
-    beliefs, chan = _draw_block(config, _PHASE_MEASURE, hypothesis, lo, hi)
-    m = hi - lo
-    counts = np.zeros(n_slots, dtype=np.int64)
-    last = np.zeros(m, dtype=np.int64)
-    clamp = np.zeros(m, dtype=np.int64)
-    dec = np.zeros((m, k_stages), dtype=np.int8) if collect else None
-    ev_stage = np.zeros(m, dtype=np.int64)
-    ev_val = np.zeros(m, dtype=bool)
-    for k in range(1, k_stages + 1):
-        mem = memory_size(config.memory, k)
-        d, ev_stage, ev_val = _scan_step(
-            k, beliefs[:, k - 1], chan[:, k - 1], ev_stage, ev_val,
-            marginals, mem, lv0s[k - 1], lv1s[k - 1], model,
-        )
-        if collect:
-            dec[:, k - 1] = d
-        wrong = d if hypothesis == 0 else ~d
-        s = slot[k]
-        if s >= 0:
-            counts[s] += int(np.count_nonzero(wrong))
-        last[wrong] = k
-    return counts, last, clamp, dec
+    qs = flip_probs(config.channel, np.arange(1, config.stages + 1))
+    b = np.full((2, m), model.prior_1)
+
+    def step(k, u, v):
+        nonlocal b
+        f0, f1 = conditional_decision_probs(b, model)
+        d = u > np.where(_IS_H1, f1, f0)
+        q = float(qs[k - 1])
+        b = public_belief_step(b, q, d != (v < q), f0, f1)
+        return d, (b <= BELIEF_FLOOR) | (b >= BELIEF_CEIL)
+
+    return step
 
 
-def _run_window(config, hypothesis, lo, hi, slot, n_slots, collect, ctx):
-    tables = ctx
-    k_stages = config.stages
-    channel = config.channel
-    flip = isinstance(channel, FlipSchedule)
+def _window_step(tables, config: ExperimentConfig, m: int):
+    model = config.model
+    flip = isinstance(config.channel, FlipSchedule)
     a_size = 2 if flip else 3
+    ks = np.arange(1, config.stages + 1)
     if flip:
-        qs = flip_probs(channel, np.arange(1, k_stages + 1))
+        qs = flip_probs(config.channel, ks)
     else:
-        lv0s, lv1s = erasure_levels(channel, np.arange(1, k_stages + 1))
-    beliefs, chan = _draw_block(config, _PHASE_MEASURE, hypothesis, lo, hi)
-    m = hi - lo
-    counts = np.zeros(n_slots, dtype=np.int64)
-    last = np.zeros(m, dtype=np.int64)
-    clamp = np.zeros(m, dtype=np.int64)
-    dec = np.zeros((m, k_stages), dtype=np.int8) if collect else None
-    state = np.zeros(m, dtype=np.int64)
-    wlen = 0
+        lv0s, lv1s = erasure_levels(config.channel, ks)
     cap = config.memory.capacity
-    for k in range(1, k_stages + 1):
+    state = np.zeros((2, m), dtype=np.int64)
+    wlen = 0
+
+    def step(k, u, v):
+        nonlocal state, wlen
         tau = tables[k - 1][state]
-        d = beliefs[:, k - 1] > tau
-        if collect:
-            dec[:, k - 1] = d
-        wrong = d if hypothesis == 0 else ~d
-        s = slot[k]
-        if s >= 0:
-            counts[s] += int(np.count_nonzero(wrong))
-        last[wrong] = k
+        d = u > np.stack([cdf(model, 0, tau[0]), cdf(model, 1, tau[1])])
         if flip:
-            symbol = (d != (chan[:, k - 1] < qs[k - 1])).astype(np.int64)
+            symbol = (d != (v < qs[k - 1])).astype(np.int64)
         else:
             lv = np.where(d, lv1s[k - 1], lv0s[k - 1])
-            symbol = np.where(chan[:, k - 1] < lv, 2, d.astype(np.int64))
+            symbol = np.where(v < lv, 2, d.astype(np.int64))
         new_len = min(cap, k)
         if new_len == wlen + 1:
             state = symbol + a_size * state
         else:
             state = symbol + a_size * (state % a_size ** (wlen - 1))
         wlen = new_len
-    return counts, last, clamp, dec
+        return d, None
+
+    return step
+
+
+def _scan_step(table, config: ExperimentConfig, m: int):
+    lv0s, lv1s = erasure_levels(config.channel, np.arange(1, config.stages + 1))
+    ev = np.zeros((2, m), dtype=np.int64)
+    flat = table.ravel()
+    row = np.array([[0], [table.shape[1]]])
+
+    def step(k, u, v):
+        nonlocal ev
+        code = np.where(ev >= 2 * (k - memory_size(config.memory, k)), ev, 0)
+        d = u > flat[row + code]
+        lv = np.where(d, lv1s[k - 1], lv0s[k - 1])
+        ev = np.where(v >= lv, 2 * k + d, ev)
+        return d, None
+
+    return step
+
+
+def _decide0_columns(model: BeliefModel, posteriors) -> np.ndarray:
+    """P(decide 0 | h) at each public belief: rows h = 0, 1."""
+    return np.stack(conditional_decision_probs(np.asarray(posteriors), model))
+
+
+@lru_cache(maxsize=8)
+def _scan_table_cached(calibration: ExperimentConfig) -> np.ndarray:
+    """The scan strategy's table, built by running it on the calibration
+    trials: after stage k, columns 2k and 2k + 1 take the decision
+    frequencies of stage k, clipped half a trial away from 0 and 1."""
+    model = calibration.model
+    table = np.empty((2, 2 * calibration.stages + 2))
+    table[:, :2] = _decide0_columns(model, [model.prior_1] * 2)
+    scan = _scan_step(table, calibration, calibration.trials)
+    floor = 0.5 / calibration.trials
+
+    def step(k, u, v):
+        d, _ = scan(k, u, v)
+        marginals = np.clip(d.mean(axis=1), floor, 1.0 - floor)
+        posteriors = [tandem_posterior(value, marginals, None, model.prior_1) for value in (0, 1)]
+        table[:, 2 * k:2 * k + 2] = _decide0_columns(model, posteriors)
+        return d, None
+
+    _run_block(calibration, _PHASE_CALIBRATE, 0, calibration.trials, step)
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=8)
@@ -257,78 +300,36 @@ def _cutoff_tables_cached(model, channel, capacity, stages):
     return tuple(tables)
 
 
-@lru_cache(maxsize=8)
-def _marginals_cached(model, channel, memory, stages, seed, n_cal):
-    """Decision marginals P(decide 1 | hypothesis) per stage, estimated by
-    running the nearest-unerased rule on calibration trials: stage k always
-    uses the batch frequencies of stages before k, built online."""
-    lv0s, lv1s = erasure_levels(channel, np.arange(1, stages + 1))
-    marginals = np.full((2, stages + 1), 0.5)
-    floor = 0.5 / n_cal
-    batches = {}
-    for h in (0, 1):
-        beliefs = np.empty((n_cal, stages))
-        chan = np.empty((n_cal, stages))
-        for t in range(n_cal):
-            g = _trial_rng(seed, _PHASE_CALIBRATE, h, t)
-            beliefs[t] = sample(model, h, g, size=stages)
-            chan[t] = g.random(stages)
-        batches[h] = (beliefs, chan, np.zeros(n_cal, dtype=np.int64), np.zeros(n_cal, dtype=bool))
-    for k in range(1, stages + 1):
-        mem = memory_size(memory, k)
-        for h in (0, 1):
-            beliefs, chan, ev_stage, ev_val = batches[h]
-            d, new_stage, new_val = _scan_step(
-                k, beliefs[:, k - 1], chan[:, k - 1], ev_stage, ev_val,
-                marginals, mem, lv0s[k - 1], lv1s[k - 1], model,
-            )
-            marginals[h, k] = float(np.clip(d.mean(), floor, 1.0 - floor))
-            batches[h] = (beliefs, chan, new_stage, new_val)
-    marginals.flags.writeable = False
-    return marginals
-
-
-def _kernel_for(config: ExperimentConfig):
+def _step_for(config: ExperimentConfig):
+    """Step factory of the config's strategy: (config, m) -> step."""
     if config.memory.family == "bounded":
-        ctx = _cutoff_tables_cached(config.model, config.channel, config.memory.capacity, config.stages)
-        return _run_window, ctx
+        tables = _cutoff_tables_cached(config.model, config.channel, config.memory.capacity, config.stages)
+        return partial(_window_step, tables)
     if isinstance(config.channel, FlipSchedule):
-        return _run_flip_full, None
-    ctx = _marginals_cached(
-        config.model, config.channel, config.memory, config.stages, config.seed, config.calibration_trials
-    )
-    return _run_scan, ctx
+        return _flip_full_step
+    calibration = replace(config, trials=config.calibration_trials, grid=None)
+    return partial(_scan_step, _scan_table_cached(calibration))
 
 
-def _collect_blocks(config: ExperimentConfig, slot, n_slots, threads: int):
-    """Run every (hypothesis, block) job; gather per-hypothesis counts and
-    the per-trial last-error vectors in trial order."""
-    kernel, ctx = _kernel_for(config)
-    bs = _block_size(config.stages)
-    jobs = [
-        (hyp, lo, min(lo + bs, config.trials))
-        for hyp in (0, 1)
-        for lo in range(0, config.trials, bs)
-    ]
+def _collect_blocks(config: ExperimentConfig, slot, threads: int):
+    """Run every block job; gather per-hypothesis counts and clamp totals and
+    the (2, trials) last erring stages, row h for hypothesis h, in trial order."""
+    make_step = _step_for(config)
+    jobs = [(lo, min(lo + _BLOCK_TRIALS, config.trials)) for lo in range(0, config.trials, _BLOCK_TRIALS)]
 
     def run(job):
-        hyp, lo, hi = job
-        counts, last, clamp, _ = kernel(config, hyp, lo, hi, slot, n_slots, False, ctx)
-        return hyp, counts, last, clamp
+        lo, hi = job
+        counts, last, clamps, _ = _run_block(config, _PHASE_MEASURE, lo, hi, make_step(config, hi - lo), slot)
+        return counts, last, clamps
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
+    if threads > 1 and len(jobs) > 1:
+        with ThreadPoolExecutor(max_workers=min(threads, len(jobs))) as ex:
             results = list(ex.map(run, jobs))
     else:
         results = [run(j) for j in jobs]
-    counts = np.zeros((2, n_slots), dtype=np.int64)
-    lasts = {0: [], 1: []}
-    clamps = np.zeros(2, dtype=np.int64)
-    for hyp, c, last, clamp in results:
-        counts[hyp] += c
-        lasts[hyp].append(last)
-        clamps[hyp] += int(clamp.sum())
-    return counts, (np.concatenate(lasts[0]), np.concatenate(lasts[1])), clamps
+    counts = sum(r[0] for r in results)
+    clamps = sum(r[2] for r in results)
+    return counts, np.concatenate([r[1] for r in results], axis=1), clamps
 
 
 def estimate_error_series(config: ExperimentConfig, threads: int = 1) -> SeriesResult:
@@ -337,7 +338,7 @@ def estimate_error_series(config: ExperimentConfig, threads: int = 1) -> SeriesR
     counts.  Byte-identical for fixed (config, seed) whatever `threads` is."""
     grid = np.asarray(config.grid if config.grid is not None else default_grid(config.stages), dtype=np.int64)
     slot = _grid_slots(grid, config.stages)
-    counts, _, clamps = _collect_blocks(config, slot, grid.size, threads)
+    counts, _, clamps = _collect_blocks(config, slot, threads)
     n = config.trials
     p0 = counts[0] / n
     p1 = counts[1] / n
@@ -394,8 +395,7 @@ def herding_stats(config: ExperimentConfig, k0_fraction: float = 0.5, threads: i
     """
     if not 0.0 < k0_fraction < 1.0:
         raise ValueError(f"k0_fraction must lie in (0, 1), got {k0_fraction!r}")
-    slot = np.full(config.stages + 1, -1, dtype=np.int64)
-    _, lasts, _ = _collect_blocks(config, slot, 1, threads)
+    _, lasts, _ = _collect_blocks(config, None, threads)
     k0 = int(math.floor(k0_fraction * config.stages))
     rows = []
     for h in (0, 1):
@@ -412,10 +412,9 @@ def run_trial(config: ExperimentConfig, trial_index: int, hypothesis: int) -> Tr
         raise ValueError(f"hypothesis must be 0 or 1, got {hypothesis!r}")
     if trial_index < 0:
         raise ValueError(f"trial_index must be >= 0, got {trial_index!r}")
-    kernel, ctx = _kernel_for(config)
-    slot = np.full(config.stages + 1, -1, dtype=np.int64)
-    _, last, clamp, dec = kernel(config, hypothesis, trial_index, trial_index + 1, slot, 1, True, ctx)
-    return TrialRecord(dec[0], int(last[0]), int(clamp[0]))
+    step = _step_for(config)(config, 1)
+    _, last, clamps, dec = _run_block(config, _PHASE_MEASURE, trial_index, trial_index + 1, step, collect=True)
+    return TrialRecord(dec[hypothesis, 0], int(last[hypothesis, 0]), int(clamps[hypothesis]))
 
 
 @dataclass(frozen=True)

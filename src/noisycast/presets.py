@@ -109,6 +109,10 @@ def _mc_columns(series: SeriesResult) -> dict:
     return _series_columns(series, "pe_hat", ("ci_low", "ci_high", "p0_type1_hat", "p1_type2_hat"))
 
 
+def _mc_info(series: SeriesResult) -> dict:
+    return {key: series.meta[key] for key in ("seed", "config_hash", "clamp_events")}
+
+
 def _apply_mc(config: ExperimentConfig, ov: Overrides) -> ExperimentConfig:
     kw = {}
     if ov.seed is not None:
@@ -212,7 +216,7 @@ def _preset_mc_vs_exact(out: Path, ov: Overrides):
         "producer": "exact", "config_hash": mc.meta["config_hash"], "seed": config.seed,
     })
     checks = [_check("three_sigma_coverage", coverage, 0.95, ">=")]
-    return checks, ["series.csv", "exact.csv"], {"seed": config.seed, "config_hash": mc.meta["config_hash"]}
+    return checks, ["series.csv", "exact.csv"], _mc_info(mc)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +240,7 @@ def _preset_thm_flip_learning(out: Path, ov: Overrides):
         _check("error_drops_fivefold", series.value_at(late), series.value_at(early) / 5.0, "<"),
         _check("ci_disjoint", series.extra_at("ci_high", late), series.extra_at("ci_low", early), "<"),
     ]
-    return checks, ["series.csv"], {"seed": config.seed, "config_hash": series.meta["config_hash"]}
+    return checks, ["series.csv"], _mc_info(series)
 
 
 def _preset_thm_erasure_unbounded(out: Path, ov: Overrides):
@@ -260,7 +264,7 @@ def _preset_thm_erasure_unbounded(out: Path, ov: Overrides):
         # Carlo, so the fitted exponent is recorded, not asserted
         _check("fitted_decay_exponent", fit.slope, None, "==", informational=True),
     ]
-    return checks, ["series.csv"], {"seed": config.seed, "config_hash": series.meta["config_hash"]}
+    return checks, ["series.csv"], _mc_info(series)
 
 
 def _preset_thm_erasure_to_one(out: Path, ov: Overrides):

@@ -89,24 +89,34 @@ def clamp_belief(belief):
     return np.clip(belief, BELIEF_FLOOR, BELIEF_CEIL)
 
 
-def update_public_belief(public_belief, flip_probability: float, observed, model: BeliefModel):
+def public_belief_step(public_belief, flip_probability: float, observed, dec0_h0, dec0_h1):
     """One Bayes step from an observed, possibly flipped, broadcast bit.
 
-    public_belief and observed may be arrays of matching shape; the flip
-    probability is the single rate of the stage being absorbed.  The result
-    is clamped to [BELIEF_FLOOR, BELIEF_CEIL].
+    dec0_h0 and dec0_h1 are P(decide 0 | hypothesis) at the cutoff the
+    public belief sets, the same two cdf values a simulated node decides
+    with, so a caller that has them pays for no second cdf evaluation.
+    public_belief, observed and both probabilities may be arrays of matching
+    shape; the flip probability is the single rate of the stage being
+    absorbed.  The result is clamped to [BELIEF_FLOOR, BELIEF_CEIL].
     """
     q = float(flip_probability)
     if not 0.0 <= q <= 0.5:
         raise ValueError(f"flip probability must lie in [0, 1/2], got {flip_probability!r}")
     b = np.asarray(public_belief, dtype=float)
-    dec0_h0, dec0_h1 = conditional_decision_probs(b, model)
     w = 1.0 - 2.0 * q
     is0 = np.asarray(observed) == 0
     like1 = np.where(is0, q + w * dec0_h1, q + w * (1.0 - dec0_h1))
     like0 = np.where(is0, q + w * dec0_h0, q + w * (1.0 - dec0_h0))
     num = like1 * b
     return clamp_belief(num / (num + like0 * (1.0 - b)))
+
+
+def update_public_belief(public_belief, flip_probability: float, observed, model: BeliefModel):
+    """public_belief_step with the decision probabilities computed from the
+    model at the public belief's own cutoff."""
+    b = np.asarray(public_belief, dtype=float)
+    dec0_h0, dec0_h1 = conditional_decision_probs(b, model)
+    return public_belief_step(b, flip_probability, observed, dec0_h0, dec0_h1)
 
 
 def tandem_posterior(observed: int, sender_marginals, erasure_level, prior_belief: float) -> float:

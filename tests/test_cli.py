@@ -98,7 +98,25 @@ class TestConfigRuns:
         cols, meta = read_series_csv(out / "series.csv")
         assert list(cols) == ["k", "pe_hat", "ci_low", "ci_high", "p0_type1_hat", "p1_type2_hat"]
         assert meta["producer"] == "simulate"
+        assert meta["clamp_events"].isdigit()
         assert np.all(cols["ci_low"] <= cols["pe_hat"])
+
+    def test_run_overrides_are_hashed(self, tmp_path):
+        cfg = _write_config(
+            tmp_path / "c.json",
+            task="simulate",
+            channel={"kind": "flip", "q": 0.1},
+            memory={"family": "full"},
+            run={"stages": 20, "trials": 100, "seed": 4},
+        )
+        hashes = {}
+        for name, trials in (("a", "200"), ("b", "400"), ("c", "200")):
+            out = tmp_path / name
+            assert main(["simulate", "--config", str(cfg), "--out", str(out), "--trials", trials]) == 0
+            hashes[name] = read_series_csv(out / "series.csv")[1]["config_hash"]
+        assert hashes["a"] != hashes["b"]
+        assert hashes["a"] == hashes["c"]
+        assert hashes["a"] != parse_config(cfg).digest
 
     def test_simulate_thread_invariance(self, tmp_path):
         cfg = _write_config(

@@ -86,6 +86,26 @@ class TestConfigValidation:
                 calibration_trials=2000,
             )
 
+    def test_window_table_budget(self):
+        erasure = ErasureSchedule("constant", level=0.3)
+        with pytest.raises(ValueError, match="budget"):  # 3**12 states x 2000 stages: 8.5 GB of cutoffs
+            ExperimentConfig(
+                model=MODEL,
+                channel=erasure,
+                memory=MemorySchedule("bounded", capacity=12),
+                stages=2000,
+                trials=10,
+                seed=0,
+            )
+        ExperimentConfig(  # 3**9 states x 500 stages: 79 MB
+            model=MODEL,
+            channel=erasure,
+            memory=MemorySchedule("bounded", capacity=9),
+            stages=500,
+            trials=10,
+            seed=0,
+        )
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             _flip_full(grid=(5, 2))
@@ -122,8 +142,9 @@ class TestConfigValidation:
 
 
 class TestDeterminism:
-    def test_thread_count_invisible(self):
+    def test_thread_count_invisible(self, monkeypatch):
         one = estimate_error_series(_flip_full(), threads=1)
+        monkeypatch.setattr(mc, "_BLOCK_TRIALS", 100)  # six blocks, so four threads share them
         four = estimate_error_series(_flip_full(), threads=4)
         np.testing.assert_array_equal(one.values, four.values)
         np.testing.assert_array_equal(one.extra["err0"], four.extra["err0"])
@@ -131,17 +152,19 @@ class TestDeterminism:
 
     def test_block_size_invisible(self, monkeypatch):
         whole = estimate_error_series(_flip_full())
-        monkeypatch.setattr(mc, "_BLOCK_BUDGET", 1 << 8)  # forces 256-trial blocks
+        monkeypatch.setattr(mc, "_BLOCK_TRIALS", 37)  # odd blocks: half of them start at an odd trial
         split = estimate_error_series(_flip_full())
         np.testing.assert_array_equal(whole.values, split.values)
         np.testing.assert_array_equal(whole.extra["err0"], split.extra["err0"])
+        np.testing.assert_array_equal(whole.extra["err1"], split.extra["err1"])
+        assert whole.meta["clamp_events"] == split.meta["clamp_events"]
 
     def test_rerun_identical(self):
         a = estimate_error_series(_flip_full())
         b = estimate_error_series(_flip_full())
         np.testing.assert_array_equal(a.values, b.values)
 
-    def test_calibrated_scan_thread_invariant(self):
+    def test_calibrated_scan_thread_invariant(self, monkeypatch):
         config = ExperimentConfig(
             model=MODEL,
             channel=ErasureSchedule("constant", level=0.9),
@@ -152,6 +175,7 @@ class TestDeterminism:
             calibration_trials=100,
         )
         one = estimate_error_series(config, threads=1)
+        monkeypatch.setattr(mc, "_BLOCK_TRIALS", 75)  # six blocks, so four threads share them
         four = estimate_error_series(config, threads=4)
         np.testing.assert_array_equal(one.values, four.values)
         assert np.all((one.values >= 0.0) & (one.values <= 1.0))
@@ -224,6 +248,34 @@ class TestAgainstExact:
         gaps = np.abs(est.values - exact.values) / sigma
         assert (gaps <= 3.0).mean() >= 0.95
         assert gaps.max() <= 5.0
+
+    @pytest.mark.parametrize("memory", [MemorySchedule("full"), MemorySchedule("bounded", capacity=2)])
+    def test_beta_one_within_five_sigma(self, memory):
+        """beta = 1 has a polynomial cdf, so this checks the decision
+        u > F_h(cut) away from the beta = 0 closed form.  Up to stage C + 1 a
+        window of capacity C sees the whole history, so full memory follows
+        the exact C = 3 series there.  Each stage misses 5 sigma with probability 5.7e-7 under the
+        normal approximation; over the four stages the false-failure rate is
+        below 2.3e-6."""
+        model = BeliefModel(1.0)
+        channel = FlipSchedule("constant", q=0.2)
+        stages, trials = 4, 20_000
+        window = memory if memory.family == "bounded" else MemorySchedule("bounded", capacity=3)
+        exact = exact_error_series(model, channel, window, stages)
+        config = ExperimentConfig(
+            model=model,
+            channel=channel,
+            memory=memory,
+            stages=stages,
+            trials=trials,
+            seed=17,
+            grid=tuple(range(1, stages + 1)),
+        )
+        est = estimate_error_series(config)
+        p0 = exact.extra["p0_type1"]
+        p1 = exact.extra["p1_type2"]
+        sigma = np.sqrt(0.25 * p0 * (1 - p0) / trials + 0.25 * p1 * (1 - p1) / trials)
+        assert np.all(np.abs(est.values - exact.values) <= 5.0 * sigma)
 
     def test_chain_success_within_noise(self):
         est = estimate_chain_success(0.5, 10, 20_000, seed=5)

@@ -84,6 +84,10 @@ class TestRunPreset:
         assert short != long
         assert long.splitlines()[-1].startswith("40000,")
 
+    def test_monte_carlo_verdict_records_clamp_events(self, tmp_path):
+        verdict = run_preset("thm_flip_learning", tmp_path, Overrides(trials=200, stages=30))
+        assert isinstance(verdict["clamp_events"], int) and verdict["clamp_events"] >= 0
+
     def test_overrides_defaults(self):
         ov = Overrides()
         assert (ov.seed, ov.trials, ov.stages, ov.threads) == (None, None, None, 1)
