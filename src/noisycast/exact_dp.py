@@ -5,7 +5,10 @@ base A (A = 2 for flips, 3 with the erasure symbol) with digit 0 the newest
 symbol.  The pair of window distributions conditional on each hypothesis is
 pushed forward one stage at a time; the deciding node's cutoffs are computed
 from those same distributions, so the recursion reproduces exactly the
-strategy the simulated nodes follow and serves as their oracle.  Window
+strategy the simulated nodes follow and serves as their oracle.
+window_stages hands each node's errors and its table of P(decide 0 |
+hypothesis, window state) to exact_error_series and the Monte Carlo window
+kernel one stage at a time, so memory is O(alphabet**capacity).  Window
 capacity is capped at 12 symbols (3**12 states is where exactness stops
 being cheap).
 
@@ -43,9 +46,11 @@ class WindowDistribution:
 
 @dataclass
 class StageErrors:
+    """decide0[h, s] is P(decide 0 | hypothesis h, window state s)."""
+
     type1: float
     type2: float
-    cutoffs: np.ndarray
+    decide0: np.ndarray
 
 
 def initial_window(alphabet: int, capacity: int) -> WindowDistribution:
@@ -85,46 +90,53 @@ def evolve_window(
     """Decide at `stage` against the current window, then absorb the broadcast.
 
     Returns the window distribution node stage + 1 will see, together with
-    the deciding node's exact error probabilities and cutoff table.
+    the deciding node's exact error probabilities and decision table.
     """
     a_size = dist.alphabet
     tau = _cutoffs(dist.mass0, dist.mass1, likelihood_threshold(rule, model), model.prior_1)
-    dec0_h0 = cdf(model, 0, tau)
-    dec0_h1 = cdf(model, 1, tau)
-    type1 = float(dist.mass0 @ (1.0 - dec0_h0))
-    type2 = float(dist.mass1 @ dec0_h1)
+    dec0 = np.stack([cdf(model, 0, tau), cdf(model, 1, tau)])
+    type1 = float(dist.mass0 @ (1.0 - dec0[0]))
+    type2 = float(dist.mass1 @ dec0[1])
 
+    # sym[h, v, s]: mass of window state s under h times P(broadcast v | h, s)
+    sym = np.empty((2, a_size, tau.size))
     if isinstance(channel, FlipSchedule):
         q = flip_prob(channel, stage)
-        w = 1.0 - 2.0 * q
-        sym_h0 = [q + w * dec0_h0, 1.0 - q - w * dec0_h0]
-        sym_h1 = [q + w * dec0_h1, 1.0 - q - w * dec0_h1]
+        wd = (1.0 - 2.0 * q) * dec0
+        np.add(q, wd, out=sym[:, 0])
+        np.subtract(1.0 - q, wd, out=sym[:, 1])
     else:
         lv0, lv1 = _erasure_levels_at(channel, stage)
-        sym_h0 = [(1.0 - lv0) * dec0_h0, (1.0 - lv1) * (1.0 - dec0_h0), lv0 * dec0_h0 + lv1 * (1.0 - dec0_h0)]
-        sym_h1 = [(1.0 - lv0) * dec0_h1, (1.0 - lv1) * (1.0 - dec0_h1), lv0 * dec0_h1 + lv1 * (1.0 - dec0_h1)]
+        dec1 = 1.0 - dec0
+        np.multiply(1.0 - lv0, dec0, out=sym[:, 0])
+        np.multiply(1.0 - lv1, dec1, out=sym[:, 1])
+        np.add(lv0 * dec0, lv1 * dec1, out=sym[:, 2])
+    sym *= np.stack([dist.mass0, dist.mass1])[:, None, :]
 
     new_len = min(dist.capacity, stage)
-    if new_len == dist.length + 1:
-        new0 = np.empty((dist.mass0.size, a_size))
-        new1 = np.empty((dist.mass1.size, a_size))
-        for v in range(a_size):
-            new0[:, v] = dist.mass0 * sym_h0[v]
-            new1[:, v] = dist.mass1 * sym_h1[v]
-    elif new_len == dist.length:
+    if new_len == dist.length:
         # at capacity: drop the oldest symbol (top digit), push the new one
-        kept = a_size ** (dist.length - 1)
-        new0 = np.empty((kept, a_size))
-        new1 = np.empty((kept, a_size))
-        for v in range(a_size):
-            new0[:, v] = (dist.mass0 * sym_h0[v]).reshape(a_size, kept).sum(axis=0)
-            new1[:, v] = (dist.mass1 * sym_h1[v]).reshape(a_size, kept).sum(axis=0)
-    else:
+        sym = sym.reshape(2, a_size, a_size, -1).sum(axis=2)
+    elif new_len != dist.length + 1:
         raise ValueError(f"window of length {dist.length} cannot evolve to length {new_len}")
-    # raveling (states, A) lands symbol v of state s at index A*s + v, the
-    # base-A encoding with the new symbol as digit 0
-    new_dist = WindowDistribution(a_size, dist.capacity, new_len, new0.ravel(), new1.ravel())
-    return new_dist, StageErrors(type1, type2, tau)
+    # symbol v of kept state s lands at A*s + v: the new symbol is digit 0
+    new = sym.transpose(0, 2, 1).reshape(2, -1)
+    new_dist = WindowDistribution(a_size, dist.capacity, new_len, new[0], new[1])
+    return new_dist, StageErrors(type1, type2, dec0)
+
+
+def window_stages(
+    model: BeliefModel, channel: Channel, capacity: int, stages: int, rule: ThresholdRule = MAP_RULE
+):
+    """Yield the StageErrors of nodes 1..stages, one stage at a time.
+
+    Only the current window distribution and decision table are live, so
+    memory is O(alphabet**capacity) however many stages run.
+    """
+    dist = initial_window(window_alphabet(channel), capacity)
+    for k in range(1, stages + 1):
+        dist, errs = evolve_window(dist, k, model, channel, rule)
+        yield errs
 
 
 def exact_error_series(
@@ -133,39 +145,29 @@ def exact_error_series(
     memory: MemorySchedule,
     stages: int,
     rule: ThresholdRule = MAP_RULE,
-    collect_cutoffs: bool = False,
-):
+) -> SeriesResult:
     """Exact error probability of every node 1..stages under bounded memory.
 
     Returns a SeriesResult over all stages with extra columns p0_type1 and
-    p1_type2; with collect_cutoffs=True also returns the list of per-stage
-    cutoff tables, indexed by the node's window state.
+    p1_type2.
     """
     if memory.family != "bounded":
         raise ValueError(f"exact recursion needs bounded memory, got family {memory.family!r}")
     if stages < 1:
         raise ValueError(f"stages must be >= 1, got {stages!r}")
-    dist = initial_window(window_alphabet(channel), memory.capacity)
     pe = np.empty(stages)
     t1 = np.empty(stages)
     t2 = np.empty(stages)
-    tables: list[np.ndarray] = []
-    for k in range(1, stages + 1):
-        dist, errs = evolve_window(dist, k, model, channel, rule)
-        t1[k - 1] = errs.type1
-        t2[k - 1] = errs.type2
-        pe[k - 1] = model.prior_0 * errs.type1 + model.prior_1 * errs.type2
-        if collect_cutoffs:
-            tables.append(errs.cutoffs)
-    series = SeriesResult(
+    for i, errs in enumerate(window_stages(model, channel, memory.capacity, stages, rule)):
+        t1[i] = errs.type1
+        t2[i] = errs.type2
+        pe[i] = model.prior_0 * errs.type1 + model.prior_1 * errs.type2
+    return SeriesResult(
         np.arange(1, stages + 1),
         pe,
         meta={"producer": "exact", "capacity": memory.capacity},
         extra={"p0_type1": t1, "p1_type2": t2},
     )
-    if collect_cutoffs:
-        return series, tables
-    return series
 
 
 @dataclass

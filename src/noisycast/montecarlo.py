@@ -13,8 +13,9 @@ and how the broadcast is absorbed; each is a step function of the skeleton:
 * flip channel, full memory: the shared public belief is a scalar recursion
   per trial, advanced by public_belief_step from the same two cdf values the
   decision used;
-* bounded memory (flip or erasure): per-state cutoff tables from the exact
-  window recursion, which is the strategy's own oracle;
+* bounded memory (flip or erasure): the exact window recursion, the
+  strategy's own oracle, runs in lockstep and yields each stage's table of
+  P(decide 0 | hypothesis, window state), so no cdf is evaluated per trial;
 * erasure channel, unbounded memory: nearest-unerased evidence, coded as
   2 * stage + value with codes 0 and 1 meaning none.  A (2, 2K + 2) table
   holds P(decide 0 | hypothesis, evidence).  A calibration pass on the same
@@ -33,8 +34,10 @@ _BLOCK_TRIALS trials per hypothesis; `threads` matters only when there is
 more than one block.  run_trial replays one trial through the same skeleton,
 so it matches its batched twin exactly.
 
-Memory is O(trials per block), not O(trials x stages).  A flip channel with
-power or sporadic memory has no supported strategy and is rejected up front.
+Memory is O(trials per block), not O(trials x stages); a bounded window
+adds O(alphabet**capacity) per block job, which drives its own recursion.
+A flip channel with power or sporadic memory has no supported strategy and
+is rejected up front.
 """
 
 from __future__ import annotations
@@ -48,9 +51,9 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .analysis import SeriesResult, default_grid
-from .belief_model import BeliefModel, cdf
+from .belief_model import BeliefModel
 from .channels import Channel, ErasureSchedule, FlipSchedule, erasure_levels, flip_probs
-from .exact_dp import MAX_CAPACITY, exact_error_series
+from .exact_dp import MAX_CAPACITY, window_stages
 from .strategy import (
     BELIEF_CEIL,
     BELIEF_FLOOR,
@@ -65,7 +68,7 @@ _PHASE_CALIBRATE = 1
 _PHASE_AUX = 2
 
 _BLOCK_TRIALS = 1 << 15  # trials per hypothesis in one job
-_TABLE_BUDGET = 1 << 25  # float64 values in one set of window cutoff tables (256 MiB)
+_CALIBRATION_BUDGET = 1 << 20  # calibration trials: one block, about 140 B per trial at peak
 _CI_Z = 1.96
 
 # row h of every (2, m) trial array holds the trials of hypothesis h
@@ -101,20 +104,12 @@ class ExperimentConfig:
         if self.memory.family == "bounded":
             if self.memory.capacity > MAX_CAPACITY:
                 raise ValueError(f"bounded memory is capped at capacity {MAX_CAPACITY} for exact cutoffs")
-            alphabet = 2 if isinstance(self.channel, FlipSchedule) else 3
-            if alphabet**self.memory.capacity * self.stages > _TABLE_BUDGET:
-                raise ValueError(
-                    f"window cutoff tables ({alphabet}**{self.memory.capacity} states x {self.stages} stages) "
-                    f"would exceed the memory budget of {_TABLE_BUDGET} float64 values; "
-                    "reduce capacity or stages"
-                )
         if self._needs_calibration():
             if self.calibration_trials < 50:
                 raise ValueError(f"calibration needs at least 50 trials, got {self.calibration_trials!r}")
-            if self.calibration_trials * self.stages > 1 << 24:
+            if self.calibration_trials > _CALIBRATION_BUDGET:
                 raise ValueError(
-                    "calibration matrices would exceed the memory budget; "
-                    "reduce calibration_trials or stages"
+                    f"calibration_trials={self.calibration_trials} exceeds the one-block budget of {_CALIBRATION_BUDGET}"
                 )
         if self.grid is not None:
             g = np.asarray(self.grid, dtype=np.int64)
@@ -214,8 +209,9 @@ def _flip_full_step(config: ExperimentConfig, m: int):
     return step
 
 
-def _window_step(tables, config: ExperimentConfig, m: int):
-    model = config.model
+def _window_step(config: ExperimentConfig, m: int):
+    # this block's own exact recursion, one stage's table live at a time
+    tables = window_stages(config.model, config.channel, config.memory.capacity, config.stages)
     flip = isinstance(config.channel, FlipSchedule)
     a_size = 2 if flip else 3
     ks = np.arange(1, config.stages + 1)
@@ -229,8 +225,8 @@ def _window_step(tables, config: ExperimentConfig, m: int):
 
     def step(k, u, v):
         nonlocal state, wlen
-        tau = tables[k - 1][state]
-        d = u > np.stack([cdf(model, 0, tau[0]), cdf(model, 1, tau[1])])
+        dec0 = next(tables).decide0
+        d = u > dec0.ravel()[state + _IS_H1 * dec0.shape[1]]  # row h of dec0 for hypothesis h
         if flip:
             symbol = (d != (v < qs[k - 1])).astype(np.int64)
         else:
@@ -292,19 +288,10 @@ def _scan_table_cached(calibration: ExperimentConfig) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=8)
-def _cutoff_tables_cached(model, channel, capacity, stages):
-    _, tables = exact_error_series(
-        model, channel, MemorySchedule("bounded", capacity=capacity), stages, collect_cutoffs=True
-    )
-    return tuple(tables)
-
-
 def _step_for(config: ExperimentConfig):
     """Step factory of the config's strategy: (config, m) -> step."""
     if config.memory.family == "bounded":
-        tables = _cutoff_tables_cached(config.model, config.channel, config.memory.capacity, config.stages)
-        return partial(_window_step, tables)
+        return _window_step
     if isinstance(config.channel, FlipSchedule):
         return _flip_full_step
     calibration = replace(config, trials=config.calibration_trials, grid=None)

@@ -100,6 +100,26 @@ class TestCdfGeneral:
                 cdf(model, 1, r), special.betainc(beta + 2, beta + 1, r), atol=1e-12
             )
 
+    @pytest.mark.parametrize("hypothesis", [0, 1])
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0, 3.0])
+    def test_integer_beta_bit_identical_to_plain_binomial_sum(self, beta, hypothesis):
+        """The shortcut terms must round exactly as the plain sum does,
+        because the exact recursion and the Monte Carlo decisions are
+        compared bit for bit."""
+
+        def plain_sum(model, h, r):
+            a, b = (model.beta + 1.0, model.beta + 2.0) if h == 0 else (model.beta + 2.0, model.beta + 1.0)
+            n = int(a + b) - 1
+            out = np.zeros_like(r)
+            for j in range(int(a), n + 1):
+                out = out + math.comb(n, j) * r**j * (1.0 - r) ** (n - j)
+            return out
+
+        model = BeliefModel(beta)
+        r = np.concatenate([[0.0, 1.0, 1e-300, 1.0 - 1e-16], np.random.default_rng(4).random(10_000)])
+        assert np.array_equal(cdf(model, hypothesis, r), plain_sum(model, hypothesis, r))
+        assert cdf(model, hypothesis, 0.3) == plain_sum(model, hypothesis, np.asarray(0.3))
+
     @given(r=_unit, beta=st.sampled_from([0.0, 1.0, 2.0, 0.5]))
     def test_symmetry(self, r, beta):
         """f1 is f0 mirrored, so G0(r) + G1(1 - r) = 1."""

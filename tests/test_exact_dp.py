@@ -6,6 +6,9 @@ decision, and broadcast laws are written out longhand.  Everything it shares
 with the production code is the model definition, so agreement to float
 precision checks the packed-state bookkeeping end to end.
 
+_loop_evolve keeps the window step written symbol by symbol; the fused
+step must match it bit for bit, decision tables included.
+
 Two stage-2 values are frozen from hand calculation: 0.2275 for a unity
 window behind a 0.2 flip channel, and 0.20625 for a two-slot window behind
 a 0.3 erasure channel.
@@ -19,17 +22,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from noisycast.belief_model import BeliefModel
-from noisycast.channels import ErasureSchedule, FlipSchedule
+from noisycast.belief_model import BeliefModel, cdf
+from noisycast.channels import ErasureSchedule, FlipSchedule, _erasure_levels_at, flip_prob
 from noisycast.exact_dp import (
     MAX_CAPACITY,
+    WindowDistribution,
+    _cutoffs,
     exact_error_series,
     evolve_window,
     initial_window,
     martingale_check,
     window_alphabet,
+    window_stages,
 )
-from noisycast.strategy import ThresholdRule
+from noisycast.strategy import MAP_RULE, ThresholdRule, likelihood_threshold
 from noisycast.topology import MemorySchedule
 
 
@@ -78,6 +84,66 @@ def _oracle_series(stages, capacity, channel, prior_1=Fraction(1, 2)):
         states = {w: (a, b) for w, (a, b) in nxt.items()}
         rows.append((t1, t2, prior_0 * t1 + prior_1 * t2))
     return rows
+
+
+def _loop_evolve(dist, stage, model, channel, rule):
+    """The window step written symbol by symbol: the reference that the
+    fused step must match bit for bit.  Returns the next window, the two
+    error probabilities and the (2, states) decision table."""
+    a_size = dist.alphabet
+    tau = _cutoffs(dist.mass0, dist.mass1, likelihood_threshold(rule, model), model.prior_1)
+    dec0_h0 = cdf(model, 0, tau)
+    dec0_h1 = cdf(model, 1, tau)
+    type1 = float(dist.mass0 @ (1.0 - dec0_h0))
+    type2 = float(dist.mass1 @ dec0_h1)
+    if isinstance(channel, FlipSchedule):
+        q = flip_prob(channel, stage)
+        w = 1.0 - 2.0 * q
+        sym_h0 = [q + w * dec0_h0, 1.0 - q - w * dec0_h0]
+        sym_h1 = [q + w * dec0_h1, 1.0 - q - w * dec0_h1]
+    else:
+        lv0, lv1 = _erasure_levels_at(channel, stage)
+        sym_h0 = [(1.0 - lv0) * dec0_h0, (1.0 - lv1) * (1.0 - dec0_h0), lv0 * dec0_h0 + lv1 * (1.0 - dec0_h0)]
+        sym_h1 = [(1.0 - lv0) * dec0_h1, (1.0 - lv1) * (1.0 - dec0_h1), lv0 * dec0_h1 + lv1 * (1.0 - dec0_h1)]
+    new_len = min(dist.capacity, stage)
+    if new_len == dist.length + 1:
+        new0 = np.empty((dist.mass0.size, a_size))
+        new1 = np.empty((dist.mass1.size, a_size))
+        for v in range(a_size):
+            new0[:, v] = dist.mass0 * sym_h0[v]
+            new1[:, v] = dist.mass1 * sym_h1[v]
+    else:
+        kept = a_size ** (dist.length - 1)
+        new0 = np.empty((kept, a_size))
+        new1 = np.empty((kept, a_size))
+        for v in range(a_size):
+            new0[:, v] = (dist.mass0 * sym_h0[v]).reshape(a_size, kept).sum(axis=0)
+            new1[:, v] = (dist.mass1 * sym_h1[v]).reshape(a_size, kept).sum(axis=0)
+    new_dist = WindowDistribution(a_size, dist.capacity, new_len, new0.ravel(), new1.ravel())
+    return new_dist, type1, type2, np.stack([dec0_h0, dec0_h1])
+
+
+class TestFusedStepMatchesLoop:
+    @pytest.mark.parametrize("rule", [MAP_RULE, ThresholdRule("fixed", threshold=1.7)], ids=["map", "fixed"])
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "channel",
+        [FlipSchedule("constant", q=0.2), ErasureSchedule("constant", level=0.2, level_one=0.6)],
+        ids=["flip", "erasure"],
+    )
+    def test_bit_identical(self, channel, capacity, rule):
+        model = BeliefModel(0.0, prior_1=0.3)
+        stages = 30
+        series = exact_error_series(model, channel, MemorySchedule("bounded", capacity=capacity), stages, rule)
+        dist = initial_window(window_alphabet(channel), capacity)
+        t1 = np.empty(stages)
+        t2 = np.empty(stages)
+        for k, errs in enumerate(window_stages(model, channel, capacity, stages, rule), start=1):
+            dist, t1[k - 1], t2[k - 1], table = _loop_evolve(dist, k, model, channel, rule)
+            assert np.array_equal(errs.decide0, table)
+        assert np.array_equal(series.extra["p0_type1"], t1)
+        assert np.array_equal(series.extra["p1_type2"], t2)
+        assert np.array_equal(series.values, model.prior_0 * t1 + model.prior_1 * t2)
 
 
 class TestFrozenValues:
@@ -206,19 +272,18 @@ class TestWindowMechanics:
             assert dist.mass0.size == 3**dist.length
 
     def test_cutoff_tables(self):
-        series, tables = exact_error_series(
-            BeliefModel(0.0),
-            FlipSchedule("constant", q=0.2),
-            MemorySchedule("bounded", capacity=2),
-            stages=5,
-            collect_cutoffs=True,
-        )
-        assert len(tables) == 5
-        assert tables[0].shape == (1,)
-        assert tables[0][0] == pytest.approx(0.5)
-        assert tables[2].shape == (4,)
-        for tab in tables:
-            assert np.all((tab >= 0.0) & (tab <= 1.0))
+        model = BeliefModel(0.0)
+        channel = FlipSchedule("constant", q=0.2)
+        per_stage = list(window_stages(model, channel, 2, 5))
+        series = exact_error_series(model, channel, MemorySchedule("bounded", capacity=2), 5)
+        assert len(per_stage) == 5
+        assert [e.decide0.shape for e in per_stage] == [(2, 1), (2, 2), (2, 4), (2, 4), (2, 4)]
+        # the first node sees nothing: cutoff 1/2, so P(decide 0) is 3/4 under 0 and 1/4 under 1
+        np.testing.assert_allclose(per_stage[0].decide0[:, 0], [0.75, 0.25], atol=1e-15)
+        for e in per_stage:
+            assert np.all((e.decide0 >= 0.0) & (e.decide0 <= 1.0))
+        np.testing.assert_array_equal([e.type1 for e in per_stage], series.extra["p0_type1"])
+        np.testing.assert_array_equal([e.type2 for e in per_stage], series.extra["p1_type2"])
 
     def test_requires_bounded_memory(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,8 @@ binomial noise, and results are bit-identical however the work is split.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,33 +77,29 @@ class TestConfigValidation:
             )
 
     def test_calibration_budget(self):
-        with pytest.raises(ValueError, match="budget"):
-            ExperimentConfig(
+        def config(stages, calibration_trials):
+            return ExperimentConfig(
                 model=MODEL,
                 channel=ErasureSchedule("constant", level=0.5),
                 memory=MemorySchedule("full"),
-                stages=20_000,
+                stages=stages,
                 trials=10,
                 seed=0,
-                calibration_trials=2000,
+                calibration_trials=calibration_trials,
             )
 
+        config(100_000, 2000)  # calibration memory does not grow with stages
+        with pytest.raises(ValueError, match="budget"):
+            config(10, 2**20 + 1)
+
     def test_window_table_budget(self):
-        erasure = ErasureSchedule("constant", level=0.3)
-        with pytest.raises(ValueError, match="budget"):  # 3**12 states x 2000 stages: 8.5 GB of cutoffs
-            ExperimentConfig(
-                model=MODEL,
-                channel=erasure,
-                memory=MemorySchedule("bounded", capacity=12),
-                stages=2000,
-                trials=10,
-                seed=0,
-            )
-        ExperimentConfig(  # 3**9 states x 500 stages: 79 MB
+        # one decision table is live at a time, so the largest window is
+        # accepted whatever the stage count (constructed only, not run)
+        ExperimentConfig(
             model=MODEL,
-            channel=erasure,
-            memory=MemorySchedule("bounded", capacity=9),
-            stages=500,
+            channel=ErasureSchedule("constant", level=0.3),
+            memory=MemorySchedule("bounded", capacity=12),
+            stages=2000,
             trials=10,
             seed=0,
         )
@@ -190,6 +188,56 @@ class TestDeterminism:
             wrong = dec == 1 if hyp == 0 else dec == 0
             assert wrong[:, 4].sum() == series.extra[col][0]
             assert wrong[:, 19].sum() == series.extra[col][1]
+
+    @pytest.mark.parametrize(
+        "channel,capacity",
+        [(ErasureSchedule("constant", level=0.2, level_one=0.6), 3), (FlipSchedule("constant", q=0.15), 2)],
+        ids=["erasure", "flip"],
+    )
+    def test_window_invariant_to_blocks_threads_and_replay(self, monkeypatch, channel, capacity):
+        """Every block and every replay drives its own exact recursion, so
+        the decision tables must come out the same in each."""
+        config = ExperimentConfig(
+            model=BeliefModel(1.0, prior_1=0.3),
+            channel=channel,
+            memory=MemorySchedule("bounded", capacity=capacity),
+            stages=30,
+            trials=150,
+            seed=13,
+            grid=(3, 17, 30),
+        )
+        whole = estimate_error_series(config)
+        monkeypatch.setattr(mc, "_BLOCK_TRIALS", 37)  # five blocks, half of them at an odd trial
+        split = estimate_error_series(config, threads=4)
+        for col in ("err0", "err1"):
+            np.testing.assert_array_equal(whole.extra[col], split.extra[col])
+        np.testing.assert_array_equal(whole.values, split.values)
+        for hyp, col in ((0, "err0"), (1, "err1")):
+            dec = np.stack([run_trial(config, t, hyp).decisions for t in range(config.trials)])
+            wrong = dec != hyp
+            np.testing.assert_array_equal(wrong[:, np.asarray(config.grid) - 1].sum(axis=0), whole.extra[col])
+
+    def test_window_memory_does_not_grow_with_stages(self):
+        """3**10 states: a table per stage would make the 80-stage peak
+        about four times the 20-stage one."""
+
+        def peak(stages):
+            config = ExperimentConfig(
+                model=MODEL,
+                channel=ErasureSchedule("constant", level=0.3),
+                memory=MemorySchedule("bounded", capacity=10),
+                stages=stages,
+                trials=50,
+                seed=1,
+            )
+            tracemalloc.start()
+            try:
+                estimate_error_series(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(80) <= 1.25 * peak(20)
 
     @pytest.mark.parametrize(
         "channel,memory,calibration",
