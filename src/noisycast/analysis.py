@@ -161,6 +161,15 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
+def _column_cells(a: np.ndarray) -> list:
+    """_format_cell over a column, in one pass for integer, float and bool dtypes."""
+    if a.dtype.kind in "iu":
+        return list(map(str, a.tolist()))
+    if a.dtype.kind in "fb":
+        return list(map(repr, a.astype(float).tolist()))
+    return [_format_cell(v) for v in a]
+
+
 def write_series_csv(path, columns: dict, meta: dict) -> None:
     """Write columns (name -> 1-d array, first column the stage axis) with a
     single leading comment line of key=value pairs.  Output is byte-stable:
@@ -176,8 +185,7 @@ def write_series_csv(path, columns: dict, meta: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("# " + " ".join(f"{k}={meta[k]}" for k in sorted(meta)) + "\n")
         fh.write(",".join(names) + "\n")
-        for i in range(length):
-            fh.write(",".join(_format_cell(a[i]) for a in arrays) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*map(_column_cells, arrays)))
 
 
 def read_series_csv(path) -> tuple[dict, dict]:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .analysis import (
     SeriesResult,
+    default_grid,
     fit_power,
     fit_power_of_log,
     fit_reciprocal_log,
@@ -35,7 +36,15 @@ from .montecarlo import (
     estimate_error_series,
     herding_stats,
 )
-from .recursions import iterate_recursion, lemma3_sandwich, lemma4_classify, rate_recursion, type1_lower_bound
+from .recursions import (
+    _classify_limit,
+    _limit_checkpoints,
+    iterate_recursion,
+    lemma3_sandwich,
+    lemma4_classify,
+    rate_recursion,
+    type1_lower_bound,
+)
 from .topology import MemorySchedule, backward_search_depth, chain_success_probability
 
 
@@ -405,10 +414,14 @@ def _preset_thm7_plateau(out: Path, ov: Overrides):
     model = BeliefModel(0.0)
     sched = FlipSchedule("log_power", p=2.0)
     spec = rate_recursion(model, sched, initial=0.3)
-    cls = lemma4_classify(spec, stages, tol=5e-3)
-    series = iterate_recursion(spec, stages)
+    # one pass serves both the lemma4 checkpoints and the default-grid series
+    tol = 5e-3
+    cps, grid = _limit_checkpoints(stages, tol), default_grid(stages)
+    run = iterate_recursion(spec, stages, grid=np.union1d(grid, cps))
+    cls = _classify_limit(cps, run.values[np.isin(run.stages, cps)], spec.initial, tol)
+    on_grid = np.isin(run.stages, grid)
     h = _hash_payload({"family": "log_power", "p": 2.0, "stages": stages})
-    write_series_csv(out / "series.csv", {"k": series.stages, "b_k": series.values},
+    write_series_csv(out / "series.csv", {"k": run.stages[on_grid], "b_k": run.values[on_grid]},
                      {"producer": "recursion", "config_hash": h, "seed": 0})
     checks = [
         _check("label", cls.label, "positive_limit", "=="),
@@ -542,8 +555,6 @@ def _lemma4_common(out: Path, ov: Overrides, *, kind, expected):
 
 
 def _prop1_series(schedule: MemorySchedule, stages: int) -> SeriesResult:
-    from .analysis import default_grid
-
     grid = default_grid(stages)
     vals = np.asarray([backward_search_depth(schedule, int(k)) for k in grid], dtype=float)
     return SeriesResult(grid, vals, meta={"producer": "depth"})

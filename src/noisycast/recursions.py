@@ -19,7 +19,7 @@ from .analysis import SeriesResult, default_grid
 from .belief_model import BeliefModel, tail_constants
 from .channels import FlipSchedule, target_informativeness
 
-_CHUNK = 1 << 20
+_CHUNK = 1 << 15  # stages per chunk: recursion memory is O(chunk + grid) at any stage count
 
 
 class StepSizeError(ValueError):
@@ -52,77 +52,77 @@ class RecursionSpec:
             raise ValueError("delta must be a float or a callable on stage arrays")
 
 
-def _delta_chunk(delta, ks: np.ndarray) -> np.ndarray:
-    if callable(delta):
-        vals = np.asarray(delta(ks), dtype=float)
-        if vals.shape != ks.shape:
-            vals = np.broadcast_to(vals, ks.shape).astype(float)
+def _chunks(delta, last: int):
+    """(lo, hi, deltas of stages lo..hi) over stages 1..last, _CHUNK at a time."""
+    for lo in range(1, last + 1, _CHUNK):
+        hi = min(lo + _CHUNK - 1, last)
+        ks = np.arange(lo, hi + 1, dtype=np.int64)
+        darr = np.broadcast_to(np.asarray(delta(ks) if callable(delta) else delta, dtype=float), ks.shape)
+        if (darr < 0.0).any() or not np.isfinite(darr).all():
+            raise ValueError("delta must be finite and nonnegative at every stage")
+        yield lo, hi, darr
+
+
+def _advance(c: float, n: int, ds, k0: int, trail: list | None = None) -> float:
+    """Step c_{k0} to c_{k0 + len(ds)} with ds[i] the delta of stage k0 + i, appending each
+    new iterate to trail, a list [c], if one is given.  c - step rounds to <= 0 exactly when
+    step >= c.  c*c and c*c*c are twice as fast as c ** (n + 1), hence three bodies."""
+    keep, c0 = trail is not None, c
+    if n == 1:
+        for d in ds:
+            c -= d * c * c
+            if c <= 0.0:
+                break
+            if keep:
+                trail.append(c)
+    elif n == 2:
+        for d in ds:
+            c -= d * c * c * c
+            if c <= 0.0:
+                break
+            if keep:
+                trail.append(c)
     else:
-        vals = np.full(ks.shape, float(delta))
-    if (vals < 0.0).any() or not np.isfinite(vals).all():
-        raise ValueError("delta must be finite and nonnegative at every stage")
-    return vals
+        for d in ds:
+            c -= d * c ** (n + 1)
+            if c <= 0.0:
+                break
+            if keep:
+                trail.append(c)
+    if c > 0.0:
+        return c
+    if not keep:
+        # the rare failing path: replay with a trail, which counts the good steps
+        _advance(c0, n, ds, k0, [c0])
+    raise StepSizeError(k0 + len(trail) - 1, c)
 
 
 def iterate_recursion(spec: RecursionSpec, stages: int, grid=None) -> SeriesResult:
     """Run the recursion to c_stages, recording values on the grid."""
     if stages < 1:
         raise ValueError(f"stages must be >= 1, got {stages!r}")
-    grid_arr = np.asarray(default_grid(stages) if grid is None else grid, dtype=np.int64)
-    if grid_arr[0] < 1 or grid_arr[-1] > stages or (np.diff(grid_arr) <= 0).any():
+    raw = np.asarray(default_grid(stages) if grid is None else grid)
+    integral = raw.dtype.kind in "iu" or (raw.dtype.kind == "f" and np.isfinite(raw).all() and (raw % 1 == 0).all())
+    if raw.ndim != 1 or raw.size == 0 or not integral:
+        raise ValueError(f"grid must be a non-empty 1-d array of integer stages, got {raw.dtype} {raw.shape}")
+    if raw[0] < 1 or raw[-1] > stages or (np.diff(raw) <= 0).any():
         raise ValueError("grid must be strictly increasing inside [1, stages]")
-    targets = [int(g) for g in grid_arr]
-    vals = np.empty(len(targets))
-    gi = 0
-    c = float(spec.initial)
-    if targets[0] == 1:
-        vals[0] = c
-        gi = 1
-    next_rec = targets[gi] if gi < len(targets) else 0
-    n = spec.exponent
-    kk = 1
-    for lo in range(1, stages, _CHUNK):
-        hi = min(lo + _CHUNK - 1, stages - 1)
-        ks = np.arange(lo, hi + 1, dtype=np.int64)
-        ds = _delta_chunk(spec.delta, ks).tolist()
-        if n == 1:
-            for d in ds:
-                step = d * c * c
-                if step >= c:
-                    raise StepSizeError(kk, c - step)
-                c -= step
-                kk += 1
-                if kk == next_rec:
-                    vals[gi] = c
-                    gi += 1
-                    next_rec = targets[gi] if gi < len(targets) else 0
-        elif n == 2:
-            for d in ds:
-                step = d * c * c * c
-                if step >= c:
-                    raise StepSizeError(kk, c - step)
-                c -= step
-                kk += 1
-                if kk == next_rec:
-                    vals[gi] = c
-                    gi += 1
-                    next_rec = targets[gi] if gi < len(targets) else 0
-        else:
-            for d in ds:
-                step = d * c ** (n + 1)
-                if step >= c:
-                    raise StepSizeError(kk, c - step)
-                c -= step
-                kk += 1
-                if kk == next_rec:
-                    vals[gi] = c
-                    gi += 1
-                    next_rec = targets[gi] if gi < len(targets) else 0
-    return SeriesResult(
-        grid_arr,
-        vals,
-        meta={"producer": "recursion", "exponent": n, "initial": spec.initial, "stages": stages},
-    )
+    targets = raw.astype(np.int64).tolist()
+    n, c = spec.exponent, float(spec.initial)
+    vals = [c] if targets[0] == 1 else []
+    ti = len(vals)
+    # the deltas of stages lo..hi carry c_lo to c_{hi + 1}
+    for lo, hi, darr in _chunks(spec.delta, stages - 1):
+        ds = darr.tolist()
+        k = lo
+        while ti < len(targets) and targets[ti] <= hi + 1:
+            c = _advance(c, n, ds[k - lo : targets[ti] - lo], k)
+            k = targets[ti]
+            vals.append(c)
+            ti += 1
+        c = _advance(c, n, ds[k - lo :], k)
+    meta = {"producer": "recursion", "exponent": n, "initial": spec.initial, "stages": stages}
+    return SeriesResult(targets, vals, meta=meta)
 
 
 @dataclass(frozen=True)
@@ -141,28 +141,20 @@ def lemma3_sandwich(spec: RecursionSpec, k_min: int, stages: int) -> SandwichRes
     """
     if not 1 <= k_min <= stages:
         raise ValueError(f"need 1 <= k_min <= stages, got {k_min!r}, {stages!r}")
-    inv_n = 1.0 / spec.exponent
-    n = spec.exponent
-    c = float(spec.initial)
-    low = math.inf
-    high = -math.inf
-    for lo in range(1, stages + 1, _CHUNK):
-        hi = min(lo + _CHUNK - 1, stages)
-        ks = np.arange(lo, hi + 1, dtype=np.int64)
-        ds = _delta_chunk(spec.delta, ks).tolist()
-        for i, d in enumerate(ds):
-            k = lo + i
-            if k >= k_min:
-                r = c * (d * k) ** inv_n
-                if r < low:
-                    low = r
-                if r > high:
-                    high = r
-            if k < stages:
-                step = d * c ** (n + 1) if n > 2 else (d * c * c if n == 1 else d * c * c * c)
-                if step >= c:
-                    raise StepSizeError(k, c - step)
-                c -= step
+    n, inv_n, c = spec.exponent, 1.0 / spec.exponent, float(spec.initial)
+    low, high = math.inf, -math.inf
+    for lo, hi, darr in _chunks(spec.delta, stages):
+        ds = darr.tolist()
+        trail = [c]
+        # the last stage takes no step
+        c = _advance(c, n, ds[: stages - lo], lo, trail)
+        i0 = max(k_min - lo, 0)
+        if i0 < len(ds):
+            ks = np.arange(lo + i0, hi + 1, dtype=np.int64)
+            # float * int64 rounds as d * k does; numpy's SIMD power is not libm's pow
+            factor = darr[i0:] * ks if n == 1 else [(d * k) ** inv_n for d, k in zip(ds[i0:], ks.tolist())]
+            r = np.array(trail[i0 : len(ds)]) * factor
+            low, high = min(low, float(r.min())), max(high, float(r.max()))
     return SandwichResult(low, high, k_min, stages)
 
 
@@ -175,6 +167,25 @@ class LimitClassification:
     relative_changes: tuple
 
 
+def _limit_checkpoints(stages: int, tol: float) -> list:
+    if stages < 8 or not 0.0 < tol < 1.0:
+        raise ValueError(f"classification needs stages >= 8 and tol in (0, 1), got {stages!r}, {tol!r}")
+    return [stages // 8, stages // 4, stages // 2, stages]
+
+
+def _classify_limit(checkpoints, v, initial: float, tol: float) -> LimitClassification:
+    """The label rule of lemma4_classify on the values v at the checkpoints."""
+    rel = tuple(float(abs(v[i + 1] - v[i]) / v[i]) for i in range(3))
+    estimate = float(v[-1])
+    if rel[-1] < tol and estimate > 1e-12:
+        label = "positive_limit"
+    elif estimate < tol * initial or min(rel) >= tol:
+        label = "converges_to_zero"
+    else:
+        label = "inconclusive"
+    return LimitClassification(label, estimate, tuple(checkpoints), tuple(float(x) for x in v), rel)
+
+
 def lemma4_classify(spec: RecursionSpec, stages: int, tol: float = 1e-3) -> LimitClassification:
     """Label the recursion's limit by comparing checkpoint values.
 
@@ -185,22 +196,9 @@ def lemma4_classify(spec: RecursionSpec, stages: int, tol: float = 1e-3) -> Limi
     sets the plateau resolution: limits smaller than roughly tol * initial
     cannot be told apart from zero at the given horizon.
     """
-    if stages < 8:
-        raise ValueError(f"classification needs stages >= 8, got {stages!r}")
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
-    cps = [stages // 8, stages // 4, stages // 2, stages]
-    series = iterate_recursion(spec, stages, grid=np.asarray(cps))
-    v = series.values
-    rel = tuple(float(abs(v[i + 1] - v[i]) / v[i]) for i in range(3))
-    estimate = float(v[-1])
-    if rel[-1] < tol and estimate > 1e-12:
-        label = "positive_limit"
-    elif estimate < tol * spec.initial or min(rel) >= tol:
-        label = "converges_to_zero"
-    else:
-        label = "inconclusive"
-    return LimitClassification(label, estimate, tuple(cps), tuple(float(x) for x in v), rel)
+    cps = _limit_checkpoints(stages, tol)
+    series = iterate_recursion(spec, stages, grid=cps)
+    return _classify_limit(cps, series.values, spec.initial, tol)
 
 
 def type1_lower_bound(series: SeriesResult, model: BeliefModel) -> SeriesResult:

@@ -216,6 +216,28 @@ class TestCsv:
         with pytest.raises(ValueError):
             series_from_csv(path, column="nope")
 
+    def test_column_writer_matches_per_cell_rule(self, tmp_path):
+        """Each dtype's column is rendered as the per-cell rule renders it:
+        str of the integer for integer cells, repr of the float otherwise."""
+
+        def cell(v):
+            return str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
+
+        cols = {
+            "k": np.array([1, 2, 30, 2**40], dtype=np.int64),
+            "f64": np.array([0.1, 1e-300, -2.5, 1.0 / 3.0]),
+            "f32": np.array([0.1, 1e-30, 3.0, 1.0 / 3.0], dtype=np.float32),
+            "flag": np.array([True, False, True, False]),
+            "obj": np.array([7, 0.25, True, np.float32(0.1)], dtype=object),
+        }
+        path = tmp_path / "dtypes.csv"
+        write_series_csv(path, cols, meta={"seed": 1})
+        rows = [",".join(cell(cols[n][i]) for n in cols) for i in range(4)]
+        expect = "# seed=1\n" + ",".join(cols) + "\n" + "".join(r + "\n" for r in rows)
+        assert path.read_bytes() == expect.encode()
+        # bool cells read as floats, an object column's bool as an integer
+        assert rows[2].split(",")[3:] == ["1.0", "1"]
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_series_csv(path, {"k": np.array([], dtype=np.int64)}, meta={})

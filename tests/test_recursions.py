@@ -7,9 +7,12 @@ the frozen windows measured on million-step runs.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from noisycast import recursions
 from noisycast.belief_model import BeliefModel
 from noisycast.channels import FlipSchedule
 from noisycast.recursions import (
@@ -91,6 +94,14 @@ class TestIterate:
             iterate_recursion(spec, 10, grid=np.array([1, 11]))
         with pytest.raises(ValueError):
             iterate_recursion(spec, 0)
+        with pytest.raises(ValueError, match="non-empty"):
+            iterate_recursion(spec, 10, grid=np.asarray([]))
+        with pytest.raises(ValueError, match="1-d"):
+            iterate_recursion(spec, 10, grid=np.array([[1, 2], [3, 4]]))
+        with pytest.raises(ValueError, match="integer"):
+            iterate_recursion(spec, 10, grid=[1.5, 3])
+        # integer-valued floats are stages
+        assert iterate_recursion(spec, 10, grid=[1.0, 3.0]).stages.tolist() == [1, 3]
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -138,6 +149,16 @@ class TestSandwich:
         # the normalised iterate settles near (n delta_k k)**(-1/n) * (delta_k k)**(1/n)
         assert res.low > 0.5 and res.high < 1.0
 
+    @pytest.mark.parametrize("exponent", [2, 3])
+    def test_normaliser_is_python_pow(self, exponent):
+        """numpy's vectorised power rounds (d * k) ** (1/n) differently from
+        Python's pow on some inputs (about 5% at n = 3 with AVX-512), so
+        single-point bands over many deltas must equal the Python value."""
+        for d in np.random.default_rng(3).uniform(0.01, 0.2, 1000).tolist():
+            res = lemma3_sandwich(RecursionSpec(initial=0.6, exponent=exponent, delta=d), 7, 7)
+            c = _replay(0.6, exponent, lambda k: d, 7)[-1]
+            assert res.low == res.high == c * (d * 7) ** (1.0 / exponent)
+
     def test_validation(self):
         spec = RecursionSpec(initial=0.5, exponent=1, delta=1.0)
         with pytest.raises(ValueError):
@@ -180,6 +201,101 @@ class TestClassify:
         assert isinstance(res.estimate, float)
         assert all(isinstance(v, float) for v in res.values)
         assert all(isinstance(c, int) for c in res.checkpoints)
+
+
+def _wavy(scale):
+    """A delta that changes every stage, so a chunk seam in the wrong place shows."""
+    return lambda ks: scale * (1.0 + np.sin(ks)) / np.sqrt(ks)
+
+
+def _spike(scale):
+    """_wavy with a step at stage 100 that no iterate survives."""
+    return lambda ks: np.where(ks == 100, 1e9, _wavy(scale)(ks))
+
+
+class TestChunking:
+    """Results must not depend on the chunk size: runs with _CHUNK patched to
+    7 and 37 equal the one-chunk run bit for bit."""
+
+    STAGES = 300
+    # stage 1, both sides of every 7- and 37-stage seam, and the last stage
+    GRID = np.unique(np.concatenate([[1], *(np.arange(c, 300, c) + j for c in (7, 37) for j in (0, 1, 2)), [300]]))
+
+    def _chunk_sizes(self, monkeypatch, run):
+        reference = run()
+        for chunk in (7, 37):
+            monkeypatch.setattr(recursions, "_CHUNK", chunk)
+            assert run() == reference, chunk
+        return reference
+
+    @pytest.mark.parametrize("exponent", [1, 2, 3])
+    def test_iterate(self, monkeypatch, exponent):
+        spec = RecursionSpec(initial=0.6, exponent=exponent, delta=_wavy(0.4))
+
+        def run():
+            return [
+                (s.stages.tolist(), s.values.tolist())
+                for s in (
+                    iterate_recursion(spec, self.STAGES, grid=self.GRID),
+                    iterate_recursion(spec, self.STAGES),
+                    iterate_recursion(spec, self.STAGES, grid=[self.STAGES]),
+                )
+            ]
+
+        stages, values = self._chunk_sizes(monkeypatch, run)[0]
+        assert stages == self.GRID.tolist()
+        np.testing.assert_array_equal(values, _replay(0.6, exponent, _wavy(0.4), self.STAGES)[self.GRID - 1])
+
+    @pytest.mark.parametrize("exponent", [1, 2, 3])
+    @pytest.mark.parametrize("k_min", [1, 7, 8, 37, 38, 40, 300])
+    def test_sandwich(self, monkeypatch, exponent, k_min):
+        spec = RecursionSpec(initial=0.6, exponent=exponent, delta=_wavy(0.4))
+        res = self._chunk_sizes(monkeypatch, lambda: lemma3_sandwich(spec, k_min, self.STAGES))
+        c = _replay(0.6, exponent, _wavy(0.4), self.STAGES)
+        ks = np.arange(1, self.STAGES + 1)
+        r = [c[k - 1] * (float(_wavy(0.4)(np.array([k]))[0]) * k) ** (1.0 / exponent) for k in ks[k_min - 1 :]]
+        assert (res.low, res.high) == (min(r), max(r))
+
+    @pytest.mark.parametrize("exponent", [1, 2, 3])
+    def test_classify(self, monkeypatch, exponent):
+        spec = RecursionSpec(initial=0.6, exponent=exponent, delta=_wavy(0.4))
+        self._chunk_sizes(monkeypatch, lambda: lemma4_classify(spec, self.STAGES))
+
+    @pytest.mark.parametrize("exponent", [1, 2, 3])
+    def test_spike_mid_segment(self, monkeypatch, exponent):
+        spec = RecursionSpec(initial=0.6, exponent=exponent, delta=_spike(0.4))
+
+        def run():
+            errors = []
+            for call in (
+                lambda: iterate_recursion(spec, self.STAGES, grid=[1, 50, 250, self.STAGES]),
+                lambda: lemma3_sandwich(spec, 20, self.STAGES),
+            ):
+                with pytest.raises(StepSizeError) as exc:
+                    call()
+                errors.append((exc.value.stage, exc.value.next_value))
+            return errors
+
+        errors = self._chunk_sizes(monkeypatch, run)
+        c = _replay(0.6, exponent, _wavy(0.4), 100)[-1]
+        step = 1e9 * c * c if exponent == 1 else (1e9 * c * c * c if exponent == 2 else 1e9 * c**4)
+        assert errors == [(100, c - step)] * 2
+
+    def test_memory_does_not_grow_with_stages(self, monkeypatch):
+        """Only the chunk and the grid are held, so a 16x longer run peaks no
+        higher.  A small chunk keeps the traced runs short."""
+        monkeypatch.setattr(recursions, "_CHUNK", 1024)
+        spec = RecursionSpec(initial=0.5, exponent=1, delta=lambda ks: 1.0 / ks)
+
+        def peak(stages):
+            tracemalloc.start()
+            try:
+                iterate_recursion(spec, stages)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(64 * recursions._CHUNK) <= 1.25 * peak(4 * recursions._CHUNK)
 
 
 class TestRateBridge:
