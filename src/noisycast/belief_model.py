@@ -14,7 +14,9 @@ power with exponent beta: small beta means near-certain signals are common,
 large beta makes them rare and slows everything downstream.
 
 beta = 0 is the fully closed-form case, densities (2(1 - r), 2r) with
-distribution functions (1 - (1 - r)**2, r**2).
+distribution functions (1 - (1 - r)**2, r**2).  Every integer beta is closed
+form; scipy is imported only when a non-integer beta needs its beta
+function.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,18 @@ class BeliefModel:
 
     @property
     def norm_constant(self) -> float:
-        """Shared normaliser z of both conditional densities."""
+        """Shared normaliser z of both conditional densities.
+
+        For integer beta, 1 / B(beta + 1, beta + 2) is the integer
+        k * C(2k, k) with k = beta + 1, returned correctly rounded.  It grows
+        with k and first passes the float range at k = 511, where inf is
+        returned without building the integer.
+        """
+        if float(self.beta).is_integer():
+            k = int(self.beta) + 1
+            return float(k * math.comb(2 * k, k)) if k <= 510 else math.inf
+        from scipy import special
+
         return float(1.0 / special.beta(self.beta + 1.0, self.beta + 2.0))
 
 
@@ -70,35 +82,54 @@ def density(model: BeliefModel, hypothesis: int, r):
     return model.norm_constant * r ** (a - 1.0) * (1.0 - r) ** (b - 1.0)
 
 
-def cdf(model: BeliefModel, hypothesis: int, r):
+def cdf(model: BeliefModel, hypothesis: int, r, out=None, scratch=(None, None, None)):
     """Conditional distribution function of the private belief.
 
     Integer beta uses the exact binomial-sum form of the regularised
     incomplete beta function, so the frequently hit beta = 0 case costs a
     couple of polynomial terms and carries no quadrature error.  Non-integer
-    beta falls back to the library implementation.
+    beta falls back to scipy's betainc.
 
-    Its terms comb(n, j) * r**j * (1 - r)**(n - j) skip factors of 1 and
-    powers below 3 (numpy's x**2 is x * x), so every bit is the plain sum's.
+    out, if given, receives the values; with it and three scratch arrays
+    shaped like r, an integer-beta call allocates nothing.
     """
     a, b = _shape(model, hypothesis)
     r = np.asarray(r, dtype=float)
     if float(model.beta).is_integer():
-        n = int(a + b) - 1
-        s = 1.0 - r
-        out = None
-        for j in range(int(a), n + 1):
-            c = math.comb(n, j)
-            term = _ipow(r, j) if c == 1 else c * _ipow(r, j)
-            term = term * _ipow(s, n - j) if j < n else term
-            out = term if out is None else out + term
-        return out
-    return special.betainc(a, b, r)
+        return _binomial_sum(r, int(a), int(a + b) - 1, out, *scratch)
+    from scipy import special
+
+    return special.betainc(a, b, r, out=out)
 
 
-def _ipow(x, e: int):
+def _binomial_sum(r, lo: int, n: int, out, s, term, spow):
+    """Sum of comb(n, j) * r**j * (1 - r)**(n - j) over j = lo..n, first
+    term first: I_r(lo, n + 1 - lo).  Each term skips a factor of 1 and
+    computes powers below 3 by multiplication (numpy's x**2 is x * x), so
+    every bit is the plain sum's.  The result lands in out and the work in
+    s, term and spow when they are given."""
+    if lo < n:
+        s = np.subtract(1.0, r, out=s)
+    acc = None
+    for j in range(lo, n + 1):
+        dst = out if acc is None else term
+        c = math.comb(n, j)
+        t = _ipow(r, j, dst)
+        if c != 1:
+            t = np.multiply(c, t, out=dst)
+        if j < n:
+            t = np.multiply(t, _ipow(s, n - j, spow), out=dst)
+        acc = t if acc is None else np.add(acc, t, out=out)
+    return acc
+
+
+def _ipow(x, e: int, out=None):
     """x**e for an integer e >= 1, with no power call below 3."""
-    return x if e == 1 else x * x if e == 2 else x**e
+    if e == 1:
+        return x
+    if e == 2:
+        return np.multiply(x, x, out=out)
+    return x**e if out is None else np.power(x, e, out=out)
 
 
 def sample(model: BeliefModel, hypothesis: int, rng: np.random.Generator, size=None):

@@ -33,20 +33,54 @@ from .analysis import SeriesResult
 MAX_CAPACITY = 12
 
 
+class _Workspace:
+    """Every state-sized array of one window recursion, sized for the full
+    window of A**C states: two mass buffers that successive distributions
+    alternate between, the decision table, two scratch arrays and the
+    cutoffs.  Each window_stages iterator makes its own, so block jobs on
+    threads share nothing."""
+
+    def __init__(self, alphabet: int, capacity: int):
+        size = alphabet**capacity
+        self.mass = np.empty((2, 2 * size))
+        self.dec0 = np.empty(2 * size)
+        self.scratch = np.empty((2, 2 * size))
+        self.tau = np.empty(size)
+        self.live = np.empty(size, dtype=bool)
+
+
+def _rows(buf: np.ndarray, n: int) -> np.ndarray:
+    """The leading 2 * n values of a flat buffer as a contiguous (2, n) array."""
+    return buf[: 2 * n].reshape(2, n)
+
+
 @dataclass
 class WindowDistribution:
-    """Conditional distributions of the window seen by the next node."""
+    """Conditional distributions of the window seen by the next node:
+    masses[h, s] is P(window state s | hypothesis h).  evolve_window writes
+    the next distribution into the workspace buffer this one does not
+    occupy, so a distribution outlives one step and is overwritten by the
+    second."""
 
     alphabet: int
     capacity: int
     length: int
-    mass0: np.ndarray
-    mass1: np.ndarray
+    masses: np.ndarray
+    work: _Workspace | None = None
+
+    @property
+    def mass0(self) -> np.ndarray:
+        return self.masses[0]
+
+    @property
+    def mass1(self) -> np.ndarray:
+        return self.masses[1]
 
 
 @dataclass
 class StageErrors:
-    """decide0[h, s] is P(decide 0 | hypothesis h, window state s)."""
+    """decide0[h, s] is P(decide 0 | hypothesis h, window state s).  It lives
+    in the recursion's workspace: valid until the next step is taken."""
 
     type1: float
     type2: float
@@ -58,25 +92,30 @@ def initial_window(alphabet: int, capacity: int) -> WindowDistribution:
         raise ValueError(f"alphabet must be 2 or 3, got {alphabet!r}")
     if not 1 <= capacity <= MAX_CAPACITY:
         raise ValueError(f"capacity must lie in [1, {MAX_CAPACITY}], got {capacity!r}")
-    return WindowDistribution(alphabet, capacity, 0, np.ones(1), np.ones(1))
+    work = _Workspace(alphabet, capacity)
+    masses = _rows(work.mass[0], 1)
+    masses.fill(1.0)
+    return WindowDistribution(alphabet, capacity, 0, masses, work)
 
 
 def window_alphabet(channel: Channel) -> int:
     return 2 if isinstance(channel, FlipSchedule) else 3
 
 
-def _cutoffs(mass0: np.ndarray, mass1: np.ndarray, threshold: float, prior_1: float) -> np.ndarray:
-    """Per-state private-belief cutoffs of the likelihood-ratio test.
+def _cutoffs(mass0, mass1, threshold: float, prior_1: float, out=None, num=None, den=None, live=None):
+    """Per-state private-belief cutoffs of the likelihood-ratio test, in out
+    (and the scratch num, den and live) when given.
 
     States with zero mass under both hypotheses are unreachable; they get
     the neutral cutoff so downstream arrays stay finite.
     """
     tw = threshold * prior_1
     pz = 1.0 - prior_1
-    num = tw * mass0
-    den = num + pz * mass1
-    tau = np.full(num.shape, tw / (tw + pz))
-    np.divide(num, den, out=tau, where=den > 0.0)
+    num = np.multiply(tw, mass0, out=num)
+    den = np.add(num, np.multiply(pz, mass1, out=den), out=den)
+    tau = np.empty(num.shape) if out is None else out
+    tau.fill(tw / (tw + pz))
+    np.divide(num, den, out=tau, where=np.greater(den, 0.0, out=live))
     return tau
 
 
@@ -90,39 +129,65 @@ def evolve_window(
     """Decide at `stage` against the current window, then absorb the broadcast.
 
     Returns the window distribution node stage + 1 will see, together with
-    the deciding node's exact error probabilities and decision table.
+    the deciding node's exact error probabilities and decision table.  Both
+    live in the workspace dist carries (a fresh one if it has none), so the
+    step allocates nothing state-sized.
     """
     a_size = dist.alphabet
-    tau = _cutoffs(dist.mass0, dist.mass1, likelihood_threshold(rule, model), model.prior_1)
-    dec0 = np.stack([cdf(model, 0, tau), cdf(model, 1, tau)])
-    type1 = float(dist.mass0 @ (1.0 - dec0[0]))
-    type2 = float(dist.mass1 @ dec0[1])
+    ws = dist.work or _Workspace(a_size, dist.capacity)
+    new_len = min(dist.capacity, stage)
+    if new_len not in (dist.length, dist.length + 1):
+        raise ValueError(f"window of length {dist.length} cannot evolve to length {new_len}")
+    masses = dist.masses
+    n = masses.shape[1]
+    aux = _rows(ws.scratch[0], n)
+    tmp = _rows(ws.scratch[1], n)
+    tau = _cutoffs(
+        masses[0], masses[1], likelihood_threshold(rule, model), model.prior_1,
+        ws.tau[:n], tmp[0], tmp[1], ws.live[:n],
+    )
+    dec0 = _rows(ws.dec0, n)
+    for h in (0, 1):
+        cdf(model, h, tau, out=dec0[h], scratch=(aux[0], aux[1], tmp[0]))
+    np.subtract(1.0, dec0, out=aux)
+    type1 = float(masses[0] @ aux[0])
+    type2 = float(masses[1] @ dec0[1])
 
-    # sym[h, v, s]: mass of window state s under h times P(broadcast v | h, s)
-    sym = np.empty((2, a_size, tau.size))
-    if isinstance(channel, FlipSchedule):
+    flip = isinstance(channel, FlipSchedule)
+    if flip:
         q = flip_prob(channel, stage)
-        wd = (1.0 - 2.0 * q) * dec0
-        np.add(q, wd, out=sym[:, 0])
-        np.subtract(1.0 - q, wd, out=sym[:, 1])
+        np.multiply(1.0 - 2.0 * q, dec0, out=aux)
     else:
         lv0, lv1 = _erasure_levels_at(channel, stage)
-        dec1 = 1.0 - dec0
-        np.multiply(1.0 - lv0, dec0, out=sym[:, 0])
-        np.multiply(1.0 - lv1, dec1, out=sym[:, 1])
-        np.add(lv0 * dec0, lv1 * dec1, out=sym[:, 2])
-    sym *= np.stack([dist.mass0, dist.mass1])[:, None, :]
-
-    new_len = min(dist.capacity, stage)
-    if new_len == dist.length:
-        # at capacity: drop the oldest symbol (top digit), push the new one
-        sym = sym.reshape(2, a_size, a_size, -1).sum(axis=2)
-    elif new_len != dist.length + 1:
-        raise ValueError(f"window of length {dist.length} cannot evolve to length {new_len}")
+    # the next masses go to the mass buffer dist does not occupy;
     # symbol v of kept state s lands at A*s + v: the new symbol is digit 0
-    new = sym.transpose(0, 2, 1).reshape(2, -1)
-    new_dist = WindowDistribution(a_size, dist.capacity, new_len, new[0], new[1])
-    return new_dist, StageErrors(type1, type2, dec0)
+    out = ws.mass[1] if np.may_share_memory(masses, ws.mass[0]) else ws.mass[0]
+    new = _rows(out, a_size**new_len)
+    slots = new.reshape(2, -1, a_size)
+    grow = new_len > dist.length
+    for v in range(a_size):
+        # sym[h, s]: mass of window state s under h times P(broadcast v | h, s);
+        # aux holds (1 - 2q) * dec0 for flips and 1 - dec0 for erasures
+        sym = slots[:, :, v] if grow else tmp
+        if flip and v == 0:
+            np.add(q, aux, out=sym)
+        elif flip:
+            np.subtract(1.0 - q, aux, out=sym)
+        elif v == 0:
+            np.multiply(1.0 - lv0, dec0, out=sym)
+        elif v == 1:
+            np.multiply(1.0 - lv1, aux, out=sym)
+        else:  # the erasure symbol, the last use of aux
+            np.multiply(lv0, dec0, out=sym)
+            np.add(sym, np.multiply(lv1, aux, out=aux), out=sym)
+        np.multiply(sym, masses, out=sym)
+        if not grow:
+            # at capacity: drop the oldest symbol (top digit), adding its A slices in order
+            top = sym.reshape(2, a_size, -1)
+            np.add(top[:, 0], top[:, 1], out=slots[:, :, v])
+            for i in range(2, a_size):
+                np.add(slots[:, :, v], top[:, i], out=slots[:, :, v])
+    return WindowDistribution(a_size, dist.capacity, new_len, new, ws), StageErrors(type1, type2, dec0)
 
 
 def window_stages(

@@ -279,7 +279,7 @@ def _scan_table_cached(calibration: ExperimentConfig) -> np.ndarray:
     def step(k, u, v):
         d, _ = scan(k, u, v)
         marginals = np.clip(d.mean(axis=1), floor, 1.0 - floor)
-        posteriors = [tandem_posterior(value, marginals, None, model.prior_1) for value in (0, 1)]
+        posteriors = [tandem_posterior(value, marginals, model.prior_1) for value in (0, 1)]
         table[:, 2 * k:2 * k + 2] = _decide0_columns(model, posteriors)
         return d, None
 
@@ -394,7 +394,11 @@ def herding_stats(config: ExperimentConfig, k0_fraction: float = 0.5, threads: i
 
 
 def run_trial(config: ExperimentConfig, trial_index: int, hypothesis: int) -> TrialRecord:
-    """Replay one trial bit for bit, returning its full decision path."""
+    """Replay one trial bit for bit, returning its full decision path.
+
+    A bounded-window replay drives its own exact window recursion, so each
+    call pays one full recursion pass; replaying many trials of a large
+    window costs that pass every time."""
     if hypothesis not in (0, 1):
         raise ValueError(f"hypothesis must be 0 or 1, got {hypothesis!r}")
     if trial_index < 0:

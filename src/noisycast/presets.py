@@ -510,8 +510,8 @@ def _lemma3_common(out: Path, ov: Overrides, *, exponent, delta, slope_target):
     stages = ov.stages or 1_000_000
     k_min = min(1000, max(10, stages // 100))
     spec = RecursionSpec(initial=0.5, exponent=exponent, delta=delta)
-    sandwich = lemma3_sandwich(spec, k_min, stages)
-    series = iterate_recursion(spec, stages)
+    sandwich = lemma3_sandwich(spec, k_min, stages, grid=default_grid(stages))
+    series = sandwich.series
     fit = fit_power(series, k_min=k_min)
     h = _hash_payload({"exponent": exponent, "delta": delta, "stages": stages})
     write_series_csv(out / "series.csv", {"k": series.stages, "c_k": series.values},

@@ -101,13 +101,7 @@ def iterate_recursion(spec: RecursionSpec, stages: int, grid=None) -> SeriesResu
     """Run the recursion to c_stages, recording values on the grid."""
     if stages < 1:
         raise ValueError(f"stages must be >= 1, got {stages!r}")
-    raw = np.asarray(default_grid(stages) if grid is None else grid)
-    integral = raw.dtype.kind in "iu" or (raw.dtype.kind == "f" and np.isfinite(raw).all() and (raw % 1 == 0).all())
-    if raw.ndim != 1 or raw.size == 0 or not integral:
-        raise ValueError(f"grid must be a non-empty 1-d array of integer stages, got {raw.dtype} {raw.shape}")
-    if raw[0] < 1 or raw[-1] > stages or (np.diff(raw) <= 0).any():
-        raise ValueError("grid must be strictly increasing inside [1, stages]")
-    targets = raw.astype(np.int64).tolist()
+    targets = _grid_targets(default_grid(stages) if grid is None else grid, stages)
     n, c = spec.exponent, float(spec.initial)
     vals = [c] if targets[0] == 1 else []
     ti = len(vals)
@@ -121,7 +115,22 @@ def iterate_recursion(spec: RecursionSpec, stages: int, grid=None) -> SeriesResu
             vals.append(c)
             ti += 1
         c = _advance(c, n, ds[k - lo :], k)
-    meta = {"producer": "recursion", "exponent": n, "initial": spec.initial, "stages": stages}
+    return _series(spec, stages, targets, vals)
+
+
+def _grid_targets(grid, stages: int) -> list:
+    """The grid as a list of int stages, checked to be strictly increasing inside [1, stages]."""
+    raw = np.asarray(grid)
+    integral = raw.dtype.kind in "iu" or (raw.dtype.kind == "f" and np.isfinite(raw).all() and (raw % 1 == 0).all())
+    if raw.ndim != 1 or raw.size == 0 or not integral:
+        raise ValueError(f"grid must be a non-empty 1-d array of integer stages, got {raw.dtype} {raw.shape}")
+    if raw[0] < 1 or raw[-1] > stages or (np.diff(raw) <= 0).any():
+        raise ValueError("grid must be strictly increasing inside [1, stages]")
+    return raw.astype(np.int64).tolist()
+
+
+def _series(spec: RecursionSpec, stages: int, targets: list, vals: list) -> SeriesResult:
+    meta = {"producer": "recursion", "exponent": spec.exponent, "initial": spec.initial, "stages": stages}
     return SeriesResult(targets, vals, meta=meta)
 
 
@@ -131,16 +140,21 @@ class SandwichResult:
     high: float
     k_min: int
     stages: int
+    series: SeriesResult | None = None
 
 
-def lemma3_sandwich(spec: RecursionSpec, k_min: int, stages: int) -> SandwichResult:
+def lemma3_sandwich(spec: RecursionSpec, k_min: int, stages: int, grid=None) -> SandwichResult:
     """Extremes of c_k * (delta_k * k)**(1/n) over k_min <= k <= stages.
 
     For constant delta the normalised iterate converges, so the band between
-    the extremes certifies c_k = Theta(k**(-1/n)) on the window.
+    the extremes certifies c_k = Theta(k**(-1/n)) on the window.  Given a
+    grid, the result also carries the iterates on it, taken from the same
+    pass: the series iterate_recursion(spec, stages, grid) would return.
     """
     if not 1 <= k_min <= stages:
         raise ValueError(f"need 1 <= k_min <= stages, got {k_min!r}, {stages!r}")
+    targets = [] if grid is None else _grid_targets(grid, stages)
+    vals, ti = [], 0
     n, inv_n, c = spec.exponent, 1.0 / spec.exponent, float(spec.initial)
     low, high = math.inf, -math.inf
     for lo, hi, darr in _chunks(spec.delta, stages):
@@ -148,6 +162,10 @@ def lemma3_sandwich(spec: RecursionSpec, k_min: int, stages: int) -> SandwichRes
         trail = [c]
         # the last stage takes no step
         c = _advance(c, n, ds[: stages - lo], lo, trail)
+        # trail[i] is c_{lo + i}
+        while ti < len(targets) and targets[ti] <= hi:
+            vals.append(trail[targets[ti] - lo])
+            ti += 1
         i0 = max(k_min - lo, 0)
         if i0 < len(ds):
             ks = np.arange(lo + i0, hi + 1, dtype=np.int64)
@@ -155,7 +173,7 @@ def lemma3_sandwich(spec: RecursionSpec, k_min: int, stages: int) -> SandwichRes
             factor = darr[i0:] * ks if n == 1 else [(d * k) ** inv_n for d, k in zip(ds[i0:], ks.tolist())]
             r = np.array(trail[i0 : len(ds)]) * factor
             low, high = min(low, float(r.min())), max(high, float(r.max()))
-    return SandwichResult(low, high, k_min, stages)
+    return SandwichResult(low, high, k_min, stages, None if grid is None else _series(spec, stages, targets, vals))
 
 
 @dataclass(frozen=True)

@@ -119,17 +119,14 @@ def update_public_belief(public_belief, flip_probability: float, observed, model
     return public_belief_step(b, flip_probability, observed, dec0_h0, dec0_h1)
 
 
-def tandem_posterior(observed: int, sender_marginals, erasure_level, prior_belief: float) -> float:
+def tandem_posterior(observed: int, sender_marginals, prior_belief: float) -> float:
     """Posterior on hypothesis 1 after one relayed symbol from a known sender.
 
     sender_marginals = (P(sent 1 | hyp 0), P(sent 1 | hyp 1)).  An erased
     symbol returns the prior untouched.  The survival factor of a symbol
     that did arrive is hypothesis-independent, so erasure levels cancel out
-    of the posterior whatever they are; the argument is kept so callers can
-    state the channel they face, and so the treatment of erased symbols as
-    carrying no evidence is explicit at the call site.
+    of the posterior whatever they are, and the channel is not an argument.
     """
-    del erasure_level
     if observed == ERASED:
         return float(prior_belief)
     if observed not in (0, 1):

@@ -9,12 +9,17 @@ functions are degree-4 polynomials, expanded below by hand.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import special
 
+import noisycast
 from noisycast.belief_model import (
     BeliefModel,
     cdf,
@@ -49,6 +54,21 @@ class TestNormaliser:
     def test_prior_ratio(self):
         assert BeliefModel(0.0, prior_1=0.25).prior_ratio == pytest.approx(3.0)
         assert BeliefModel(0.0).prior_ratio == 1.0
+
+    def test_integer_beta_is_the_exact_integer(self):
+        # 1 / B(beta + 1, beta + 2) = k * C(2k, k) with k = beta + 1
+        for beta in range(31):
+            k = beta + 1
+            assert BeliefModel(float(beta)).norm_constant == float(k * math.comb(2 * k, k))
+
+    def test_preset_and_non_integer_betas_match_library_bit_for_bit(self):
+        for beta in (0.0, 1.0, 2.0, 3.0, 0.5, 1.25, 2.5, 7.75):
+            assert BeliefModel(beta).norm_constant == float(1.0 / special.beta(beta + 1.0, beta + 2.0))
+
+    def test_past_the_float_range_is_inf(self):
+        assert math.isfinite(BeliefModel(509.0).norm_constant)
+        for beta in (510.0, 511.0, 600.0, 1e9):
+            assert BeliefModel(beta).norm_constant == math.inf
 
 
 class TestClosedFormBetaZero:
@@ -120,6 +140,28 @@ class TestCdfGeneral:
         assert np.array_equal(cdf(model, hypothesis, r), plain_sum(model, hypothesis, r))
         assert cdf(model, hypothesis, 0.3) == plain_sum(model, hypothesis, np.asarray(0.3))
 
+    @pytest.mark.parametrize("hypothesis", [0, 1])
+    @pytest.mark.parametrize("beta", [0.5, 1.5, 2.25])
+    def test_non_integer_beta_bit_identical_to_library(self, beta, hypothesis):
+        a, b = (beta + 1.0, beta + 2.0) if hypothesis == 0 else (beta + 2.0, beta + 1.0)
+        r = np.concatenate([[0.0, 1.0, 1e-300], np.random.default_rng(5).random(1000)])
+        assert np.array_equal(cdf(BeliefModel(beta), hypothesis, r), special.betainc(a, b, r))
+        out = np.empty_like(r)
+        assert cdf(BeliefModel(beta), hypothesis, r, out=out) is out
+        assert np.array_equal(out, special.betainc(a, b, r))
+
+    @pytest.mark.parametrize("hypothesis", [0, 1])
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0, 3.0, 5.0])
+    def test_buffers_change_no_bit(self, beta, hypothesis):
+        """With out and scratch the result lands in out, bit-identical to the
+        allocating call."""
+        model = BeliefModel(beta)
+        r = np.random.default_rng(6).random(1000)
+        out = np.empty_like(r)
+        scratch = tuple(np.empty_like(r) for _ in range(3))
+        assert cdf(model, hypothesis, r, out=out, scratch=scratch) is out
+        assert np.array_equal(out, cdf(model, hypothesis, r))
+
     @given(r=_unit, beta=st.sampled_from([0.0, 1.0, 2.0, 0.5]))
     def test_symmetry(self, r, beta):
         """f1 is f0 mirrored, so G0(r) + G1(1 - r) = 1."""
@@ -178,3 +220,32 @@ def test_tail_constants():
     assert tail_constants(BeliefModel(0.0)) == (0.0, pytest.approx(2.0))
     beta, gamma = tail_constants(BeliefModel(1.0))
     assert beta == 1.0 and gamma == pytest.approx(12.0)
+
+
+def test_integer_beta_runs_without_scipy():
+    """Importing the package and running all three engines at integer beta
+    loads no scipy module: scipy is only needed for non-integer beta."""
+    code = textwrap.dedent(
+        """
+        import sys
+        import noisycast as nc
+
+        model = nc.BeliefModel(1.0, prior_1=0.4)
+        flip = nc.FlipSchedule("constant", q=0.2)
+        erasure = nc.ErasureSchedule("constant", level=0.3)
+        nc.exact_error_series(model, erasure, nc.MemorySchedule("bounded", capacity=3), 20)
+        for channel, memory in [
+            (flip, nc.MemorySchedule("full")),
+            (flip, nc.MemorySchedule("bounded", capacity=2)),
+            (erasure, nc.MemorySchedule("full")),
+        ]:
+            nc.estimate_error_series(nc.ExperimentConfig(model, channel, memory, stages=20, trials=100, seed=3))
+        nc.iterate_recursion(nc.rate_recursion(model, flip, 0.4), 1000)
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        assert not loaded, loaded
+        """
+    )
+    src = os.path.dirname(os.path.dirname(noisycast.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

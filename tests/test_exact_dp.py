@@ -16,6 +16,7 @@ a 0.3 erasure channel.
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from noisycast.belief_model import BeliefModel, cdf
 from noisycast.channels import ErasureSchedule, FlipSchedule, _erasure_levels_at, flip_prob
 from noisycast.exact_dp import (
     MAX_CAPACITY,
+    StageErrors,
     WindowDistribution,
     _cutoffs,
     exact_error_series,
@@ -119,7 +121,7 @@ def _loop_evolve(dist, stage, model, channel, rule):
         for v in range(a_size):
             new0[:, v] = (dist.mass0 * sym_h0[v]).reshape(a_size, kept).sum(axis=0)
             new1[:, v] = (dist.mass1 * sym_h1[v]).reshape(a_size, kept).sum(axis=0)
-    new_dist = WindowDistribution(a_size, dist.capacity, new_len, new0.ravel(), new1.ravel())
+    new_dist = WindowDistribution(a_size, dist.capacity, new_len, np.stack([new0.ravel(), new1.ravel()]))
     return new_dist, type1, type2, np.stack([dec0_h0, dec0_h1])
 
 
@@ -144,6 +146,44 @@ class TestFusedStepMatchesLoop:
         assert np.array_equal(series.extra["p0_type1"], t1)
         assert np.array_equal(series.extra["p1_type2"], t2)
         assert np.array_equal(series.values, model.prior_0 * t1 + model.prior_1 * t2)
+
+
+class TestBufferedStep:
+    """Each window_stages iterator steps in its own workspace."""
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    @pytest.mark.parametrize(
+        "channel,capacity",
+        [(FlipSchedule("constant", q=0.2), 11), (ErasureSchedule("constant", level=0.2, level_one=0.6), 7)],
+        ids=["flip", "erasure"],
+    )
+    def test_full_window_steps_allocate_nothing_state_sized(self, channel, capacity, beta):
+        """A float array over the 2048 or more states would take 8 bytes per
+        state; the step's own small objects take a few KB."""
+        states = window_alphabet(channel) ** capacity
+        stages = window_stages(BeliefModel(beta, prior_1=0.3), channel, capacity, capacity + 21)
+        for _ in range(capacity + 1):
+            next(stages)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            for _ in range(20):
+                next(stages)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - current < 8 * states
+
+    def test_interleaved_iterators_are_independent(self):
+        model = BeliefModel(1.0, prior_1=0.3)
+        channel = ErasureSchedule("constant", level=0.2, level_one=0.6)
+        solo = [(e.type1, e.type2, e.decide0.copy()) for e in window_stages(model, channel, 3, 12)]
+        pairs = zip(window_stages(model, channel, 3, 12), window_stages(model, channel, 3, 12))
+        for (a, b), (t1, t2, table) in zip(pairs, solo):
+            assert (a.type1, a.type2) == (b.type1, b.type2) == (t1, t2)
+            assert np.array_equal(a.decide0, table)
+            assert np.array_equal(b.decide0, table)
+            assert not np.shares_memory(a.decide0, b.decide0)
 
 
 class TestFrozenValues:
@@ -274,7 +314,8 @@ class TestWindowMechanics:
     def test_cutoff_tables(self):
         model = BeliefModel(0.0)
         channel = FlipSchedule("constant", q=0.2)
-        per_stage = list(window_stages(model, channel, 2, 5))
+        # a decision table is valid until the iterator advances: keep copies
+        per_stage = [StageErrors(e.type1, e.type2, e.decide0.copy()) for e in window_stages(model, channel, 2, 5)]
         series = exact_error_series(model, channel, MemorySchedule("bounded", capacity=2), 5)
         assert len(per_stage) == 5
         assert [e.decide0.shape for e in per_stage] == [(2, 1), (2, 2), (2, 4), (2, 4), (2, 4)]

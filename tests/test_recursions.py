@@ -257,6 +257,24 @@ class TestChunking:
         assert (res.low, res.high) == (min(r), max(r))
 
     @pytest.mark.parametrize("exponent", [1, 2, 3])
+    def test_sandwich_series(self, monkeypatch, exponent):
+        """The grid values the sandwich takes from its own pass are the
+        series iterate_recursion returns, bit for bit."""
+        spec = RecursionSpec(initial=0.6, exponent=exponent, delta=_wavy(0.4))
+
+        def run():
+            res = lemma3_sandwich(spec, 7, self.STAGES, grid=self.GRID)
+            return res.series.stages.tolist(), res.series.values.tolist(), res.series.meta, (res.low, res.high)
+
+        stages, values, meta, band = self._chunk_sizes(monkeypatch, run)
+        expected = iterate_recursion(spec, self.STAGES, grid=self.GRID)
+        assert (stages, values, meta) == (expected.stages.tolist(), expected.values.tolist(), expected.meta)
+        plain = lemma3_sandwich(spec, 7, self.STAGES)
+        assert plain.series is None and (plain.low, plain.high) == band
+        with pytest.raises(ValueError, match="grid"):
+            lemma3_sandwich(spec, 7, self.STAGES, grid=[0, 5])
+
+    @pytest.mark.parametrize("exponent", [1, 2, 3])
     def test_classify(self, monkeypatch, exponent):
         spec = RecursionSpec(initial=0.6, exponent=exponent, delta=_wavy(0.4))
         self._chunk_sizes(monkeypatch, lambda: lemma4_classify(spec, self.STAGES))

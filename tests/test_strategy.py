@@ -146,32 +146,26 @@ class TestPublicBeliefUpdate:
 
 class TestTandemPosterior:
     def test_erasure_returns_prior(self):
-        assert tandem_posterior(ERASED, (0.2, 0.8), 0.3, 0.41) == pytest.approx(0.41)
+        assert tandem_posterior(ERASED, (0.2, 0.8), 0.41) == pytest.approx(0.41)
 
     def test_frozen_example(self):
         # sender emits one w.p. 0.2 under 0 and 0.8 under 1, no erasure
-        post = tandem_posterior(1, (0.2, 0.8), 0.0, 0.5)
+        post = tandem_posterior(1, (0.2, 0.8), 0.5)
         assert post == pytest.approx(0.8)
-        post = tandem_posterior(0, (0.2, 0.8), 0.0, 0.5)
+        post = tandem_posterior(0, (0.2, 0.8), 0.5)
         assert post == pytest.approx(0.2)
-
-    def test_erasure_level_cancels(self):
-        # surviving bits carry the same evidence whatever the erasure rate
-        a = tandem_posterior(1, (0.2, 0.8), 0.0, 0.5)
-        b = tandem_posterior(1, (0.2, 0.8), 0.9, 0.5)
-        assert a == pytest.approx(b)
 
     def test_zero_probability_symbol(self):
         with pytest.raises(ValueError, match="probability zero"):
-            tandem_posterior(1, (0.0, 0.0), 0.0, 0.5)
+            tandem_posterior(1, (0.0, 0.0), 0.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            tandem_posterior(3, (0.2, 0.8), 0.0, 0.5)
+            tandem_posterior(3, (0.2, 0.8), 0.5)
         with pytest.raises(ValueError):
-            tandem_posterior(1, (0.2, 1.4), 0.0, 0.5)
+            tandem_posterior(1, (0.2, 1.4), 0.5)
         with pytest.raises(ValueError):
-            tandem_posterior(1, (0.2, 0.8), 0.0, 1.5)
+            tandem_posterior(1, (0.2, 0.8), 1.5)
 
 
 class TestStateBookkeeping:
