@@ -6,7 +6,7 @@ error probabilities three ways (exact window recursion, deterministic rate
 recursion, Monte Carlo) and fits the observed decay laws.
 """
 
-from __future__ import annotations
+import types
 
 from .analysis import (
     FitResult,
@@ -44,6 +44,7 @@ from .exact_dp import (
     exact_error_series,
     initial_window,
     martingale_check,
+    scan_error_series,
     window_alphabet,
 )
 from .montecarlo import (
@@ -95,83 +96,7 @@ from .topology import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BeliefModel",
-    "ChainEstimate",
-    "Channel",
-    "ERASED",
-    "ErasureSchedule",
-    "ExperimentConfig",
-    "FitResult",
-    "FlipSchedule",
-    "HerdingReport",
-    "HerdingRow",
-    "LimitClassification",
-    "MAP_RULE",
-    "MAX_CAPACITY",
-    "MartingaleReport",
-    "MemorySchedule",
-    "Overrides",
-    "PRESET_INFO",
-    "PublicBeliefState",
-    "RecursionSpec",
-    "SandwichResult",
-    "SeriesResult",
-    "StageErrors",
-    "StepSizeError",
-    "ThresholdRule",
-    "TrialRecord",
-    "UnknownPresetError",
-    "WindowDistribution",
-    "advance_public_belief",
-    "backward_search_depth",
-    "belief_cutoff_from_public",
-    "cdf",
-    "chain_success_probability",
-    "clamp_belief",
-    "conditional_decision_probs",
-    "config_hash",
-    "decide",
-    "default_grid",
-    "density",
-    "erasure_level",
-    "erasure_levels",
-    "estimate_chain_success",
-    "estimate_error_series",
-    "evolve_window",
-    "exact_error_series",
-    "fit_power",
-    "fit_power_of_log",
-    "fit_reciprocal_log",
-    "flip_for_informativeness",
-    "flip_prob",
-    "flip_probs",
-    "herding_stats",
-    "informativeness",
-    "informativeness_delta",
-    "initial_window",
-    "iterate_recursion",
-    "lemma3_sandwich",
-    "lemma4_classify",
-    "likelihood_threshold",
-    "list_presets",
-    "map_belief_cutoff",
-    "public_belief_step",
-    "martingale_check",
-    "memory_size",
-    "private_likelihood_ratio",
-    "rate_recursion",
-    "read_series_csv",
-    "run_preset",
-    "run_trial",
-    "sample",
-    "series_from_csv",
-    "tail_constants",
-    "tandem_posterior",
-    "target_informativeness",
-    "theta_sandwich",
-    "transmit",
-    "type1_lower_bound",
-    "update_public_belief",
-    "window_alphabet",
-]
+# the public API is every name imported above; deriving it keeps the two from drifting apart
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -132,6 +132,31 @@ def _ipow(x, e: int, out=None):
     return x**e if out is None else np.power(x, e, out=out)
 
 
+def cdf_pair(model: BeliefModel):
+    """x -> (cdf(model, 0, x), cdf(model, 1, x)) for one float x, with every
+    bit of x's element in an array call, for scalar recursions that cannot
+    afford a numpy call per value.  Integer beta sums the terms of
+    _binomial_sum in its order; hypothesis 1 drops the first term."""
+    if not float(model.beta).is_integer():
+        return lambda x: (float(cdf(model, 0, x)), float(cdf(model, 1, x)))
+    lo = int(model.beta) + 1
+    terms = [(j, math.comb(2 * lo, j), 2 * lo - j) for j in range(lo, 2 * lo + 1)]
+
+    def pw(x, e):  # _ipow, with numpy's power above the square as for an array
+        return x if e == 1 else x * x if e == 2 else float(np.power(x, e))
+
+    def pair(x):
+        s = 1.0 - x
+        f0 = f1 = 0.0
+        for j, c, m in terms:
+            t = c * pw(x, j) * pw(s, m) if m else c * pw(x, j)
+            f0 += t
+            f1 += t if j > lo else 0.0
+        return f0, f1
+
+    return pair
+
+
 def sample(model: BeliefModel, hypothesis: int, rng: np.random.Generator, size=None):
     """Draw private beliefs from the conditional law using the given generator."""
     a, b = _shape(model, hypothesis)

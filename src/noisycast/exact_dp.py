@@ -10,7 +10,8 @@ window_stages hands each node's errors and its table of P(decide 0 |
 hypothesis, window state) to exact_error_series and the Monte Carlo window
 kernel one stage at a time, so memory is O(alphabet**capacity).  Window
 capacity is capped at 12 symbols (3**12 states is where exactness stops
-being cheap).
+being cheap).  scan_error_series does the same for the erasure scan, whose
+state is the last unerased broadcast, and builds the scan kernel's table.
 
 martingale_check enumerates full broadcast histories instead of windows and
 verifies two structural facts of the noisy public likelihood ratio: it is a
@@ -20,14 +21,16 @@ places above any fixed threshold trends downward.
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .belief_model import BeliefModel, cdf
-from .channels import Channel, ErasureSchedule, FlipSchedule, _erasure_levels_at, flip_prob
+from .belief_model import BeliefModel, cdf, cdf_pair
+from .channels import Channel, ErasureSchedule, FlipSchedule, _erasure_levels_at, erasure_levels, flip_prob
 from .strategy import MAP_RULE, ThresholdRule, likelihood_threshold
-from .topology import MemorySchedule
+from .topology import MemorySchedule, memory_size
 from .analysis import SeriesResult
 
 MAX_CAPACITY = 12
@@ -233,6 +236,120 @@ def exact_error_series(
         meta={"producer": "exact", "capacity": memory.capacity},
         extra={"p0_type1": t1, "p1_type2": t2},
     )
+
+
+def _scan_column(pair, l0: float, l1: float) -> tuple[float, float, float, float]:
+    """P(decide 0 | h), h = 0, 1, then P(decide 1 | h), after one symbol of
+    likelihood l_h under h.  The MAP cutoff is c = l0 / (l0 + l1) whatever
+    the prior (as tandem_posterior then belief_cutoff_from_public give it);
+    both cdfs are taken at min(c, 1 - c), where they are at most 3/4, so no
+    complement loses relative precision.  An impossible symbol gets c = 1/2."""
+    den = l0 + l1
+    if den == 0.0 or l0 <= l1:
+        f0, f1 = pair(l0 / den if den else 0.5)
+        return f0, f1, 1.0 - f0, 1.0 - f1
+    g1, g0 = pair(l1 / den)  # the survivals at c
+    return 1.0 - g0, 1.0 - g1, g0, g1
+
+
+def _reach_floor(memory: MemorySchedule, k: int) -> int:
+    """The oldest stage node k or a later node can read: k - memory_size,
+    except that sporadic windows reopen at the next perfect square."""
+    square = (math.isqrt(k - 1) + 1) ** 2
+    lo = k - memory_size(memory, k)
+    return min(lo, square - math.isqrt(square)) if memory.family == "sporadic" else lo
+
+
+def _scan_symmetric(pair, levels, memory, table, errs) -> None:
+    """Equal levels for 0s and 1s: swapping hypotheses and decisions maps the
+    scan onto itself (f1(r) = f0(1 - r); the prior leaves the cutoff), so
+    both error types are one e, a broadcast 1's column mirrors a broadcast
+    0's, and every code survives stage k with the same lv_k.  The law of the
+    evidence is then `out`, the mass with nothing to read, plus one entry
+    (stage, mass, weight of e, weight of 1 - e) per stage within reach, in
+    units of `scale` and summed in m, ew, gw: O(1) per stage, amortised.
+    Writes go through memoryviews, with no numpy call per stage."""
+    full = memory.family == "full"
+    cols, row = table.reshape(-1).data, table.shape[1]
+    g1, e1 = pair(0.5)  # no evidence: P(decide 0 | h = 0) and P(decide 0 | h = 1)
+    out, scale, m, ew, gw = 1.0, 1.0, 0.0, 0.0, 0.0
+    kept = deque()
+    for k, lv in enumerate(levels, start=1):
+        while not full and kept and kept[0][0] < _reach_floor(memory, k):
+            _, dm, de, dg = kept.popleft()
+            out, m, ew, gw = out + dm * scale, m - dm, ew - de, gw - dg
+        seen = m, ew, gw
+        lo = 1 if full else k - memory_size(memory, k)
+        if kept and kept[0][0] < lo:  # a sporadic window, shorter than the reach
+            seen = [sum(x) for x in zip(*(en[1:] for en in kept if en[0] >= lo))]
+        unseen = out + (m - seen[0]) * scale
+        e = seen[1] * scale + unseen * e1
+        g = seen[2] * scale + unseen * g1
+        errs[k - 1] = e
+        a0, a1, b0, b1 = _scan_column(pair, e, g)  # a broadcast 1 has likelihoods (e, 1 - e)
+        cols[2 * k], cols[row + 2 * k], cols[2 * k + 1], cols[row + 2 * k + 1] = b1, b0, a0, a1
+        scale *= lv
+        out *= lv
+        if scale < 1e-100:
+            m, ew, gw = m * scale, ew * scale, gw * scale
+            kept = deque((j, dm * scale, de * scale, dg * scale) for j, dm, de, dg in kept)
+            scale = 1.0
+        w = (1.0 - lv) / scale
+        de, dg = w * (e * b0 + g * a1), w * (g * b1 + e * a0)
+        m, ew, gw = m + w, ew + de, gw + dg
+        if not full:
+            kept.append((k, w, de, dg))
+
+
+def _scan_general(pair, lv0s, lv1s, memory, table, t1, t2) -> None:
+    """Any levels: one mass per code and hypothesis.  A code's survival
+    depends on the decision it feeds, so each stage touches every code."""
+    surv = np.empty_like(table)
+    surv[:, :2] = 1.0 - table[:, :2]
+    mass = np.zeros_like(table)
+    mass[:, 0] = 1.0
+    for k in range(1, len(lv0s) + 1):
+        lo, hi = 2 * (k - memory_size(memory, k)), 2 * k
+        unseen = mass[:, :lo].sum(axis=1)
+        s = unseen * table[:, 0] + (mass[:, lo:hi] * table[:, lo:hi]).sum(axis=1)
+        r = unseen * surv[:, 0] + (mass[:, lo:hi] * surv[:, lo:hi]).sum(axis=1)
+        t1[k - 1], t2[k - 1] = r[0], s[1]
+        for col, (l0, l1) in ((hi, s), (hi + 1, r)):
+            table[0, col], table[1, col], surv[0, col], surv[1, col] = _scan_column(pair, l0, l1)
+        lv0, lv1 = lv0s[k - 1], lv1s[k - 1]
+        mass[:, :lo] *= lv0 * table[:, :1] + lv1 * surv[:, :1]
+        mass[:, lo:hi] *= lv0 * table[:, lo:hi] + lv1 * surv[:, lo:hi]
+        mass[:, hi] = (1.0 - lv0) * s
+        mass[:, hi + 1] = (1.0 - lv1) * r
+
+
+def scan_error_series(model: BeliefModel, channel: ErasureSchedule, memory: MemorySchedule, stages: int):
+    """Exact errors of the nearest-unerased scan over an erasure channel.
+
+    Node k decides on the last unerased broadcast within its window alone,
+    coded 2 * stage + value (codes 0 and 1: none).  Returns a SeriesResult
+    over all stages with extra columns p0_type1 and p1_type2, carried from
+    the survival side, and the read-only (2, 2 * stages + 2) table of
+    P(decide 0 | hypothesis, code) built from the exact P(decide 1 | h).
+    """
+    if not isinstance(channel, ErasureSchedule):
+        raise ValueError(f"the scan runs over an erasure channel, got {channel!r}")
+    if stages < 1:
+        raise ValueError(f"stages must be >= 1, got {stages!r}")
+    pair = cdf_pair(model)
+    lv0s, lv1s = erasure_levels(channel, np.arange(1, stages + 1))
+    table = np.empty((2, 2 * stages + 2))
+    table[:, 0] = table[:, 1] = pair(0.5)
+    t1, t2 = np.empty(stages), np.empty(stages)
+    if np.array_equal(lv0s, lv1s):
+        _scan_symmetric(pair, lv0s.tolist(), memory, table, t1.data)
+        t2[:] = t1
+    else:
+        _scan_general(pair, lv0s, lv1s, memory, table, t1, t2)
+    table.flags.writeable = False
+    pe = model.prior_0 * t1 + model.prior_1 * t2
+    meta = {"producer": "exact_scan", "memory": memory.family}
+    return SeriesResult(np.arange(1, stages + 1), pe, meta=meta, extra={"p0_type1": t1, "p1_type2": t2}), table
 
 
 @dataclass

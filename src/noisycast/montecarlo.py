@@ -18,10 +18,9 @@ and how the broadcast is absorbed; each is a step function of the skeleton:
   P(decide 0 | hypothesis, window state), so no cdf is evaluated per trial;
 * erasure channel, unbounded memory: nearest-unerased evidence, coded as
   2 * stage + value with codes 0 and 1 meaning none.  A (2, 2K + 2) table
-  holds P(decide 0 | hypothesis, evidence).  A calibration pass on the same
-  skeleton, in its own rng phase, fills the columns of stage k from the batch
-  decision frequencies at stage k, so node k uses frequencies of earlier
-  stages only.
+  holds P(decide 0 | hypothesis, evidence); exact_dp.scan_error_series
+  builds it from the exact law of the evidence, once per (model, channel,
+  memory, stages), and the trials only read it.
 
 Random stream.  The key of (seed, phase, hypothesis) is
 SeedSequence(seed, spawn_key=(phase, hypothesis)).generate_state(2, uint64).
@@ -45,7 +44,7 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -53,22 +52,14 @@ import numpy as np
 from .analysis import SeriesResult, default_grid
 from .belief_model import BeliefModel
 from .channels import Channel, ErasureSchedule, FlipSchedule, erasure_levels, flip_probs
-from .exact_dp import MAX_CAPACITY, window_stages
-from .strategy import (
-    BELIEF_CEIL,
-    BELIEF_FLOOR,
-    conditional_decision_probs,
-    public_belief_step,
-    tandem_posterior,
-)
+from .exact_dp import MAX_CAPACITY, scan_error_series, window_stages
+from .strategy import BELIEF_CEIL, BELIEF_FLOOR, conditional_decision_probs, public_belief_step
 from .topology import MemorySchedule, memory_size
 
 _PHASE_MEASURE = 0
-_PHASE_CALIBRATE = 1
-_PHASE_AUX = 2
+_PHASE_AUX = 2  # stays 2 so that estimate_chain_success keeps its stream
 
 _BLOCK_TRIALS = 1 << 15  # trials per hypothesis in one job
-_CALIBRATION_BUDGET = 1 << 20  # calibration trials: one block, about 140 B per trial at peak
 _CI_Z = 1.96
 
 # row h of every (2, m) trial array holds the trials of hypothesis h
@@ -77,6 +68,10 @@ _IS_H1 = np.array([[False], [True]])
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One Monte Carlo experiment.  calibration_trials is ignored: the
+    erasure scan's table is exact and needs no trials.  The field stays so
+    that configs and scripts that set it keep running."""
+
     model: BeliefModel
     channel: Channel
     memory: MemorySchedule
@@ -104,20 +99,10 @@ class ExperimentConfig:
         if self.memory.family == "bounded":
             if self.memory.capacity > MAX_CAPACITY:
                 raise ValueError(f"bounded memory is capped at capacity {MAX_CAPACITY} for exact cutoffs")
-        if self._needs_calibration():
-            if self.calibration_trials < 50:
-                raise ValueError(f"calibration needs at least 50 trials, got {self.calibration_trials!r}")
-            if self.calibration_trials > _CALIBRATION_BUDGET:
-                raise ValueError(
-                    f"calibration_trials={self.calibration_trials} exceeds the one-block budget of {_CALIBRATION_BUDGET}"
-                )
         if self.grid is not None:
             g = np.asarray(self.grid, dtype=np.int64)
             if g.size == 0 or g[0] < 1 or g[-1] > self.stages or (np.diff(g) <= 0).any():
                 raise ValueError("grid must be strictly increasing inside [1, stages]")
-
-    def _needs_calibration(self) -> bool:
-        return isinstance(self.channel, ErasureSchedule) and self.memory.family != "bounded"
 
 
 @dataclass
@@ -260,32 +245,10 @@ def _scan_step(table, config: ExperimentConfig, m: int):
     return step
 
 
-def _decide0_columns(model: BeliefModel, posteriors) -> np.ndarray:
-    """P(decide 0 | h) at each public belief: rows h = 0, 1."""
-    return np.stack(conditional_decision_probs(np.asarray(posteriors), model))
-
-
 @lru_cache(maxsize=8)
-def _scan_table_cached(calibration: ExperimentConfig) -> np.ndarray:
-    """The scan strategy's table, built by running it on the calibration
-    trials: after stage k, columns 2k and 2k + 1 take the decision
-    frequencies of stage k, clipped half a trial away from 0 and 1."""
-    model = calibration.model
-    table = np.empty((2, 2 * calibration.stages + 2))
-    table[:, :2] = _decide0_columns(model, [model.prior_1] * 2)
-    scan = _scan_step(table, calibration, calibration.trials)
-    floor = 0.5 / calibration.trials
-
-    def step(k, u, v):
-        d, _ = scan(k, u, v)
-        marginals = np.clip(d.mean(axis=1), floor, 1.0 - floor)
-        posteriors = [tandem_posterior(value, marginals, model.prior_1) for value in (0, 1)]
-        table[:, 2 * k:2 * k + 2] = _decide0_columns(model, posteriors)
-        return d, None
-
-    _run_block(calibration, _PHASE_CALIBRATE, 0, calibration.trials, step)
-    table.flags.writeable = False
-    return table
+def _scan_table(model: BeliefModel, channel: ErasureSchedule, memory: MemorySchedule, stages: int) -> np.ndarray:
+    """The scan strategy's read-only decision table, from the exact law."""
+    return scan_error_series(model, channel, memory, stages)[1]
 
 
 def _step_for(config: ExperimentConfig):
@@ -294,8 +257,7 @@ def _step_for(config: ExperimentConfig):
         return _window_step
     if isinstance(config.channel, FlipSchedule):
         return _flip_full_step
-    calibration = replace(config, trials=config.calibration_trials, grid=None)
-    return partial(_scan_step, _scan_table_cached(calibration))
+    return partial(_scan_step, _scan_table(config.model, config.channel, config.memory, config.stages))
 
 
 def _collect_blocks(config: ExperimentConfig, slot, threads: int):

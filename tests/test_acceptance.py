@@ -22,7 +22,7 @@ from noisycast.analysis import (
 )
 from noisycast.belief_model import BeliefModel
 from noisycast.channels import ErasureSchedule, FlipSchedule, erasure_level
-from noisycast.exact_dp import exact_error_series, martingale_check
+from noisycast.exact_dp import exact_error_series, martingale_check, scan_error_series
 from noisycast.montecarlo import (
     ExperimentConfig,
     estimate_chain_success,
@@ -314,26 +314,24 @@ def test_c14_late_error_contrast():
 
 
 def test_c15_erasure_chain_learns_with_calibration():
-    config = ExperimentConfig(
-        model=MODEL,
-        channel=ErasureSchedule("constant", level=0.9),
-        memory=FULL,
-        stages=2000,
-        trials=20_000,
-        seed=1102,
-        calibration_trials=2000,
-    )
+    """Heavy erasure with full memory keeps learning; the exact series of the
+    same scan is recorded next to the Monte Carlo fit."""
+    channel = ErasureSchedule("constant", level=0.9)
+    config = ExperimentConfig(model=MODEL, channel=channel, memory=FULL, stages=2000, trials=20_000, seed=1102)
     series = estimate_error_series(config, threads=THREADS)
     early, late = series.value_at(10), series.value_at(2000)
     ci_gap = series.extra_at("ci_high", 2000) < series.extra_at("ci_low", 10)
     fit = fit_power(series, k_min=100)  # reported, no threshold
+    exact, _ = scan_error_series(MODEL, channel, FULL, 2000)
+    exact_fit = fit_power(exact, k_min=100)  # reported, no threshold
     ok = late < early and ci_gap
     _verdict(
         15,
         "heavy-erasure learning",
         ok,
         f"pe(10)={early:.4f} -> pe(2000)={late:.4f}, disjoint CIs {ci_gap}, "
-        f"decay exponent (informational) {fit.slope:.3f}",
+        f"decay exponent (informational) {fit.slope:.3f}; "
+        f"exact pe(2000)={exact.value_at(2000):.5f}, exact exponent {exact_fit.slope:.3f}",
     )
 
 

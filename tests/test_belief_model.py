@@ -23,6 +23,7 @@ import noisycast
 from noisycast.belief_model import (
     BeliefModel,
     cdf,
+    cdf_pair,
     density,
     private_likelihood_ratio,
     sample,
@@ -161,6 +162,18 @@ class TestCdfGeneral:
         scratch = tuple(np.empty_like(r) for _ in range(3))
         assert cdf(model, hypothesis, r, out=out, scratch=scratch) is out
         assert np.array_equal(out, cdf(model, hypothesis, r))
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0, 3.0, 5.0, 0.5])
+    def test_scalar_pair_is_bit_identical_to_array_call(self, beta):
+        """cdf_pair serves scalar recursions; each of its values must be the
+        bits of the same point inside an array call."""
+        model = BeliefModel(beta)
+        r = np.concatenate([[0.0, 1.0, 1e-300, 1.0 - 1e-16], np.random.default_rng(7).random(2000)])
+        pair = cdf_pair(model)
+        got = np.array([pair(x) for x in r.tolist()])
+        assert np.array_equal(got[:, 0], cdf(model, 0, r))
+        assert np.array_equal(got[:, 1], cdf(model, 1, r))
+        assert all(type(v) is float for v in pair(0.3))
 
     @given(r=_unit, beta=st.sampled_from([0.0, 1.0, 2.0, 0.5]))
     def test_symmetry(self, r, beta):

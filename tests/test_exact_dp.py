@@ -9,6 +9,9 @@ precision checks the packed-state bookkeeping end to end.
 _loop_evolve keeps the window step written symbol by symbol; the fused
 step must match it bit for bit, decision tables included.
 
+_scan_oracle does the same for the nearest-unerased scan: the evidence is
+a (stage, value) pair or None, and its law is pushed forward in Fractions.
+
 Two stage-2 values are frozen from hand calculation: 0.2275 for a unity
 window behind a 0.2 flip channel, and 0.20625 for a two-slot window behind
 a 0.3 erasure channel.
@@ -18,27 +21,31 @@ from __future__ import annotations
 
 import tracemalloc
 from collections import defaultdict
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from noisycast.belief_model import BeliefModel, cdf
-from noisycast.channels import ErasureSchedule, FlipSchedule, _erasure_levels_at, flip_prob
+from noisycast.belief_model import cdf_pair
+from noisycast.channels import ErasureSchedule, FlipSchedule, _erasure_levels_at, erasure_levels, flip_prob
 from noisycast.exact_dp import (
     MAX_CAPACITY,
     StageErrors,
     WindowDistribution,
     _cutoffs,
+    _scan_general,
     exact_error_series,
     evolve_window,
     initial_window,
     martingale_check,
+    scan_error_series,
     window_alphabet,
     window_stages,
 )
 from noisycast.strategy import MAP_RULE, ThresholdRule, likelihood_threshold
-from noisycast.topology import MemorySchedule
+from noisycast.topology import MemorySchedule, memory_size
 
 
 def _g0(r: Fraction) -> Fraction:
@@ -375,3 +382,157 @@ class TestMartingaleCheck:
             martingale_check(FlipSchedule("constant", q=0.25), BeliefModel(0.0), k_max=0)
         with pytest.raises(ValueError):
             martingale_check(FlipSchedule("constant", q=0.25), BeliefModel(0.0), k_max=15)
+
+
+def _scan_oracle(stages, channel, memory):
+    """Per-stage (type1, type2) and the table {(stage, value) or None:
+    (P(decide 0 | h = 0), P(decide 0 | h = 1))} of the scan, in Fractions."""
+    lv0 = Fraction(channel.level).limit_denominator(10**6)
+    lv1 = lv0 if channel.level_one is None else Fraction(channel.level_one).limit_denominator(10**6)
+    half = Fraction(1, 2)
+    table = {None: (_g0(half), _g1(half))}
+    law = {None: (Fraction(1), Fraction(1))}  # last unerased (stage, value) -> masses under h = 0, 1
+    rows = []
+    for k in range(1, stages + 1):
+        first = k - memory_size(memory, k)
+        dec1 = [Fraction(0), Fraction(0)]
+        nxt = defaultdict(lambda: [Fraction(0), Fraction(0)])
+        for ev, masses in law.items():
+            read = ev if ev is not None and ev[0] >= first else None
+            for h in (0, 1):
+                p0 = table[read][h]
+                dec1[h] += masses[h] * (1 - p0)
+                nxt[ev][h] += masses[h] * (lv0 * p0 + lv1 * (1 - p0))
+                nxt[(k, 0)][h] += masses[h] * (1 - lv0) * p0
+                nxt[(k, 1)][h] += masses[h] * (1 - lv1) * (1 - p0)
+        for v in (0, 1):
+            # MAP cutoff after one symbol of the sender's law: l0 / (l0 + l1)
+            like = [dec1[h] if v else 1 - dec1[h] for h in (0, 1)]
+            tau = like[0] / (like[0] + like[1])
+            table[(k, v)] = (_g0(tau), _g1(tau))
+        law = {ev: tuple(m) for ev, m in nxt.items()}
+        rows.append((dec1[0], 1 - dec1[1]))
+    return rows, table
+
+
+_SCAN_CASES = [
+    (ErasureSchedule("constant", level=0.9), MemorySchedule("full")),
+    (ErasureSchedule("constant", level=0.5), MemorySchedule("power", sigma=0.5)),
+    (ErasureSchedule("constant", level=0.3), MemorySchedule("sporadic")),
+    (ErasureSchedule("constant", level=0.2, level_one=0.6), MemorySchedule("full")),
+    (ErasureSchedule("constant", level=0.2, level_one=0.6), MemorySchedule("sporadic")),
+]
+
+
+class TestScanAgainstOracle:
+    @pytest.mark.parametrize(
+        "channel,memory", _SCAN_CASES, ids=["full", "power", "sporadic", "asym_full", "asym_sporadic"]
+    )
+    def test_errors_and_table(self, channel, memory):
+        stages = 7  # exact masses under unequal levels double their digits each stage
+        rows, table = _scan_oracle(stages, channel, memory)
+        series, got = scan_error_series(BeliefModel(0.0, prior_1=0.3), channel, memory, stages)
+        for k, (t1, t2) in enumerate(rows, start=1):
+            assert series.extra["p0_type1"][k - 1] == pytest.approx(float(t1), rel=1e-12, abs=0.0)
+            assert series.extra["p1_type2"][k - 1] == pytest.approx(float(t2), rel=1e-12, abs=0.0)
+            assert series.values[k - 1] == pytest.approx(float(Fraction(7, 10) * t1 + Fraction(3, 10) * t2), rel=1e-12)
+        for code in range(2 * stages + 2):
+            key = None if code < 2 else (code // 2, code % 2)
+            for h in (0, 1):
+                assert got[h, code] == pytest.approx(float(table[key][h]), rel=1e-12, abs=0.0)
+        assert not got.flags.writeable
+
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            ErasureSchedule("constant", level=0.9),
+            ErasureSchedule("constant", level=0.0),
+            ErasureSchedule("theorem4", c=1.0, eps=2.0),
+        ],
+        ids=["level_0.9", "level_0", "theorem4"],
+    )
+    @pytest.mark.parametrize(
+        "memory",
+        [MemorySchedule("full"), MemorySchedule("power", sigma=0.5), MemorySchedule("power", sigma=0.3),
+         MemorySchedule("sporadic"), MemorySchedule("bounded", capacity=3)],
+        ids=["full", "sqrt", "sigma0.3", "sporadic", "bounded"],
+    )
+    def test_summed_law_matches_law_of_codes(self, channel, memory):
+        """The O(1) sums of equal levels against the law of every code,
+        over enough stages for windows to drop codes and for sporadic ones
+        to reopen at 16 squares."""
+        stages = 300
+        model = BeliefModel(1.0, prior_1=0.3)
+        series, table = scan_error_series(model, channel, memory, stages)
+        pair = cdf_pair(model)
+        lv0, lv1 = erasure_levels(channel, np.arange(1, stages + 1))
+        ref = np.empty((2, 2 * stages + 2))
+        ref[:, :2] = np.asarray(pair(0.5))[:, None]
+        t1, t2 = np.empty(stages), np.empty(stages)
+        _scan_general(pair, lv0, lv1, memory, ref, t1, t2)
+        np.testing.assert_allclose(series.extra["p0_type1"], t1, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(series.extra["p1_type2"], t2, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(table, ref, rtol=1e-12, atol=0.0)
+
+    def test_rejects_flip_channel(self):
+        with pytest.raises(ValueError, match="erasure"):
+            scan_error_series(BeliefModel(0.0), FlipSchedule("constant", q=0.1), MemorySchedule("full"), 5)
+
+
+class TestScanLongRun:
+    def test_tail_keeps_relative_precision(self):
+        """With no erasures node k sees node k - 1, and at beta = 0 the error
+        obeys e_1 = 1/4, e_(k+1) = e_k (1 - e_k), here in 40 digits.  By
+        stage 10**5 the error is 1e-5 and the column a node reads after a
+        broadcast 1 holds e_k**2 = 1e-10.  Both keep 12 digits: forming the
+        decide-1 sums as 1 - P(decide 0) instead would lose about 1e-16 / e
+        per stage, about 3e-9 in all.  (No feasible stage count reaches
+        pe < 1e-8: the scan's error falls like 1 / k at best.)  The O(1)
+        sums and the law of codes are both held to it."""
+        stages = 10**5
+        series, table = scan_error_series(
+            BeliefModel(0.0), ErasureSchedule("constant", level=0.0), MemorySchedule("full"), stages
+        )
+        ref = np.empty(stages)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            e = Decimal(1) / 4
+            for i in range(stages):
+                ref[i] = float(e)
+                e *= 1 - e
+        np.testing.assert_allclose(series.extra["p0_type1"], ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(series.extra["p1_type2"], ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(table[1, 3::2], ref**2, rtol=1e-12, atol=0.0)
+        assert table[1, -1] < 1e-8
+        # the law of codes, over the stages it can afford, must keep the same
+        # digits; evaluating its cdfs at c rather than min(c, 1 - c) loses
+        # about 1e-11 by stage 5000
+        short = 5000
+        pair = cdf_pair(BeliefModel(0.0))
+        levels = np.zeros(short)
+        ref_table = np.empty((2, 2 * short + 2))
+        ref_table[:, :2] = np.asarray(pair(0.5))[:, None]
+        t1, t2 = np.empty(short), np.empty(short)
+        _scan_general(pair, levels, levels, MemorySchedule("full"), ref_table, t1, t2)
+        np.testing.assert_allclose(t1, ref[:short], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(t2, ref[:short], rtol=1e-12, atol=0.0)
+
+    def test_heavy_erasure_decays_like_one_over_k(self):
+        """At level 0.9 and beta = 0, K * pe_K * (1 - level) tends to 1; at
+        K = 10**5 it reads 0.99953 from an independent implementation of
+        the same recursion."""
+        stages = 10**5
+        series, _ = scan_error_series(
+            BeliefModel(0.0), ErasureSchedule("constant", level=0.9), MemorySchedule("full"), stages
+        )
+        assert stages * series.value_at(stages) * 0.1 == pytest.approx(0.99953, abs=1e-3)
+
+    def test_erasure_levels_climbing_to_one_still_learn(self):
+        """theorem4 levels (c = 1, eps = 2) climb to one, yet the error keeps
+        falling decade after decade."""
+        stages = 10**5
+        series, _ = scan_error_series(
+            BeliefModel(0.0), ErasureSchedule("theorem4", c=1.0, eps=2.0), MemorySchedule("full"), stages
+        )
+        pe = [series.value_at(10**i) for i in range(1, 6)]
+        assert all(np.diff(pe) < 0)

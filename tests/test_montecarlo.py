@@ -15,7 +15,7 @@ import pytest
 import noisycast.montecarlo as mc
 from noisycast.belief_model import BeliefModel
 from noisycast.channels import ErasureSchedule, FlipSchedule
-from noisycast.exact_dp import exact_error_series
+from noisycast.exact_dp import exact_error_series, scan_error_series
 from noisycast.montecarlo import (
     ExperimentConfig,
     config_hash,
@@ -63,34 +63,6 @@ class TestConfigValidation:
                 trials=10,
                 seed=0,
             )
-
-    def test_calibration_floor(self):
-        with pytest.raises(ValueError, match="calibration"):
-            ExperimentConfig(
-                model=MODEL,
-                channel=ErasureSchedule("constant", level=0.5),
-                memory=MemorySchedule("full"),
-                stages=10,
-                trials=10,
-                seed=0,
-                calibration_trials=10,
-            )
-
-    def test_calibration_budget(self):
-        def config(stages, calibration_trials):
-            return ExperimentConfig(
-                model=MODEL,
-                channel=ErasureSchedule("constant", level=0.5),
-                memory=MemorySchedule("full"),
-                stages=stages,
-                trials=10,
-                seed=0,
-                calibration_trials=calibration_trials,
-            )
-
-        config(100_000, 2000)  # calibration memory does not grow with stages
-        with pytest.raises(ValueError, match="budget"):
-            config(10, 2**20 + 1)
 
     def test_window_table_budget(self):
         # one decision table is live at a time, so the largest window is
@@ -170,7 +142,6 @@ class TestDeterminism:
             stages=50,
             trials=400,
             seed=11,
-            calibration_trials=100,
         )
         one = estimate_error_series(config, threads=1)
         monkeypatch.setattr(mc, "_BLOCK_TRIALS", 75)  # six blocks, so four threads share them
@@ -240,7 +211,7 @@ class TestDeterminism:
         assert peak(80) <= 1.25 * peak(20)
 
     @pytest.mark.parametrize(
-        "channel,memory,calibration",
+        "channel,memory,stages",
         [
             (FlipSchedule("constant", q=0.2), MemorySchedule("full"), 2000),
             (FlipSchedule("constant", q=0.2), MemorySchedule("bounded", capacity=2), 2000),
@@ -248,15 +219,14 @@ class TestDeterminism:
             (ErasureSchedule("constant", level=0.5), MemorySchedule("power", sigma=0.5), 64),
         ],
     )
-    def test_replay_is_stable(self, channel, memory, calibration):
+    def test_replay_is_stable(self, channel, memory, stages):
         config = ExperimentConfig(
             model=MODEL,
             channel=channel,
             memory=memory,
-            stages=25,
+            stages=stages,
             trials=8,
             seed=21,
-            calibration_trials=calibration,
         )
         a = run_trial(config, 3, 1)
         b = run_trial(config, 3, 1)
@@ -324,6 +294,35 @@ class TestAgainstExact:
         p1 = exact.extra["p1_type2"]
         sigma = np.sqrt(0.25 * p0 * (1 - p0) / trials + 0.25 * p1 * (1 - p1) / trials)
         assert np.all(np.abs(est.values - exact.values) <= 5.0 * sigma)
+
+    @pytest.mark.parametrize(
+        "model,channel,memory",
+        [
+            (MODEL, ErasureSchedule("constant", level=0.9), MemorySchedule("full")),
+            (MODEL, ErasureSchedule("constant", level=0.5), MemorySchedule("power", sigma=0.5)),
+            (BeliefModel(0.0, prior_1=0.3), ErasureSchedule("constant", level=0.2, level_one=0.6),
+             MemorySchedule("full")),
+        ],
+        ids=["full", "sqrt_window", "unequal_levels"],
+    )
+    def test_erasure_scan_within_binomial_noise(self, model, channel, memory):
+        """The gate is max |MC - exact| / sigma <= 5.5 over all 300 stages,
+        sigma from the exact type 1 and type 2 errors.  Summing, over the
+        stages, the exact probability that two independent binomial counts
+        put one stage outside 5.5 sigma bounds the false-failure rate by
+        1.9e-5, 4.1e-5 and 8.3e-5 for the three cases, whatever the
+        correlation between stages."""
+        stages, trials = 300, 4000
+        exact, _ = scan_error_series(model, channel, memory, stages)
+        config = ExperimentConfig(
+            model=model, channel=channel, memory=memory, stages=stages, trials=trials, seed=2024,
+            grid=tuple(range(1, stages + 1)),
+        )
+        est = estimate_error_series(config)
+        p0 = exact.extra["p0_type1"]
+        p1 = exact.extra["p1_type2"]
+        sigma = np.sqrt(model.prior_0**2 * p0 * (1 - p0) / trials + model.prior_1**2 * p1 * (1 - p1) / trials)
+        assert np.max(np.abs(est.values - exact.values) / sigma) <= 5.5
 
     def test_chain_success_within_noise(self):
         est = estimate_chain_success(0.5, 10, 20_000, seed=5)
