@@ -124,12 +124,12 @@ def _binomial_sum(r, lo: int, n: int, out, s, term, spow):
 
 
 def _ipow(x, e: int, out=None):
-    """x**e for an integer e >= 1, with no power call below 3."""
+    """x**e for an integer e >= 1: no power call below 3, then np.power (a numpy scalar's ** is libm pow)."""
     if e == 1:
         return x
     if e == 2:
         return np.multiply(x, x, out=out)
-    return x**e if out is None else np.power(x, e, out=out)
+    return np.power(x, e, out=out)
 
 
 def cdf_pair(model: BeliefModel):

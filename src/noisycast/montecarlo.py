@@ -11,8 +11,9 @@ no belief is ever drawn.  Strategies differ only in how the cutoff is found
 and how the broadcast is absorbed; each is a step function of the skeleton:
 
 * flip channel, full memory: the shared public belief is a scalar recursion
-  per trial, advanced by public_belief_step from the same two cdf values the
-  decision used;
+  per trial, advanced in place by public_belief_step from the same two cdf
+  values the decision used, in seven float and two boolean (2, m) arrays
+  made once per block of m trials;
 * bounded memory (flip or erasure): the exact window recursion, the
   strategy's own oracle, runs in lockstep and yields each stage's table of
   P(decide 0 | hypothesis, window state), so no cdf is evaluated per trial;
@@ -35,6 +36,7 @@ so it matches its batched twin exactly.
 
 Memory is O(trials per block), not O(trials x stages); a bounded window
 adds O(alphabet**capacity) per block job, which drives its own recursion.
+Last erring stages are kept only for herding_stats and run_trial.
 A flip channel with power or sporadic memory has no supported strategy and
 is rejected up front.
 """
@@ -134,11 +136,12 @@ def _grid_slots(grid: np.ndarray, stages: int) -> np.ndarray:
 
 def _run_block(config: ExperimentConfig, phase: int, lo: int, hi: int, step, slot=None, collect=False):
     """Advance trials lo..hi-1 of both hypotheses in lockstep through every
-    stage.  step(k, u, v) returns the (2, m) decisions of stage k and either
-    None or the mask of public beliefs clamped by the stage.
+    stage.  step(k, u, v) returns the (2, m) boolean decisions of stage k
+    and either None or the mask of public beliefs clamped by the stage; the
+    skeleton reads both before the next call.
 
-    Returns the per-hypothesis error counts on the grid slots (none without
-    a slot map), each trial's last erring stage (0 when none),
+    Returns the per-hypothesis error counts on the grid slots, each trial's
+    last erring stage (0 when none) without a slot map and None with one,
     per-hypothesis clamp totals, and with collect=True the (2, m, stages)
     decision paths.
     """
@@ -154,7 +157,8 @@ def _run_block(config: ExperimentConfig, phase: int, lo: int, hi: int, step, slo
     u = buf[:, off:off + m, 0]
     v = buf[:, off:off + m, 1]
     counts = np.zeros((2, 0 if slot is None else int(slot.max()) + 1), dtype=np.int64)
-    last = np.zeros((2, m), dtype=np.int64)
+    last = np.zeros((2, m), dtype=np.int64) if slot is None else None
+    wrong = np.empty((2, m), dtype=bool)
     clamps = np.zeros(2, dtype=np.int64)
     dec = np.zeros((2, m, config.stages), dtype=np.int8) if collect else None
     for k in range(1, config.stages + 1):
@@ -169,26 +173,35 @@ def _run_block(config: ExperimentConfig, phase: int, lo: int, hi: int, step, slo
         d, clamped = step(k, u, v)
         if collect:
             dec[:, :, k - 1] = d
-        wrong = d != _IS_H1
-        if slot is not None and slot[k] >= 0:
-            counts[:, slot[k]] = np.count_nonzero(wrong, axis=1)
-        last[wrong] = k
+        if slot is None:
+            np.putmask(last, np.not_equal(d, _IS_H1, out=wrong), k)
+        elif slot[k] >= 0:
+            counts[:, slot[k]] = np.count_nonzero(np.not_equal(d, _IS_H1, out=wrong), axis=1)
         if clamped is not None:
             clamps += np.count_nonzero(clamped, axis=1)
     return counts, last, clamps, dec
 
 
 def _flip_full_step(config: ExperimentConfig, m: int):
+    """Buffers are made once per block, O(trials per block).  f[h] holds
+    P(decide 0 | h) at each trial's cutoff, then the likelihoods of the bit."""
     model = config.model
     qs = flip_probs(config.channel, np.arange(1, config.stages + 1))
     b = np.full((2, m), model.prior_1)
+    f = np.empty((2, 2, m))
+    work = np.empty((4, 2, m))  # the cutoff and cdf's scratch
+    d = np.empty((2, m), dtype=bool)
+    seen = np.empty((2, m), dtype=bool)
 
     def step(k, u, v):
-        nonlocal b
-        f0, f1 = conditional_decision_probs(b, model)
-        d = u > np.where(_IS_H1, f1, f0)
+        conditional_decision_probs(b, model, out=f, work=work)
+        for h in (0, 1):
+            np.greater(u[h], f[h, h], out=d[h])
         q = float(qs[k - 1])
-        b = public_belief_step(b, q, d != (v < q), f0, f1)
+        np.not_equal(d, np.less(v, q, out=seen), out=seen)
+        public_belief_step(b, q, seen, f[0], f[1], out=b, work=f)
+        if BELIEF_FLOOR < b.min() and b.max() < BELIEF_CEIL:
+            return d, None
         return d, (b <= BELIEF_FLOOR) | (b >= BELIEF_CEIL)
 
     return step
@@ -261,8 +274,9 @@ def _step_for(config: ExperimentConfig):
 
 
 def _collect_blocks(config: ExperimentConfig, slot, threads: int):
-    """Run every block job; gather per-hypothesis counts and clamp totals and
-    the (2, trials) last erring stages, row h for hypothesis h, in trial order."""
+    """Run every block job; gather per-hypothesis counts and clamp totals and,
+    without a slot map, the (2, trials) last erring stages, row h for
+    hypothesis h, in trial order."""
     make_step = _step_for(config)
     jobs = [(lo, min(lo + _BLOCK_TRIALS, config.trials)) for lo in range(0, config.trials, _BLOCK_TRIALS)]
 
@@ -278,7 +292,7 @@ def _collect_blocks(config: ExperimentConfig, slot, threads: int):
         results = [run(j) for j in jobs]
     counts = sum(r[0] for r in results)
     clamps = sum(r[2] for r in results)
-    return counts, np.concatenate([r[1] for r in results], axis=1), clamps
+    return counts, None if slot is not None else np.concatenate([r[1] for r in results], axis=1), clamps
 
 
 def estimate_error_series(config: ExperimentConfig, threads: int = 1) -> SeriesResult:

@@ -64,14 +64,14 @@ def map_belief_cutoff(public_likelihood: float) -> float:
     return 1.0 / (1.0 + public_likelihood)
 
 
-def belief_cutoff_from_public(public_belief, model: BeliefModel):
-    """Same cutoff in public-belief coordinates.  Vectorised."""
+def belief_cutoff_from_public(public_belief, model: BeliefModel, out=None, work=None):
+    """Same cutoff in public-belief coordinates, vectorised; out and work, shaped like b, are buffers."""
+    b = np.asarray(public_belief, dtype=float)
     pi1 = model.prior_1
     if pi1 == 0.5:
-        return 1.0 - np.asarray(public_belief, dtype=float)
-    b = np.asarray(public_belief, dtype=float)
-    top = pi1 * (1.0 - b)
-    return top / (top + (1.0 - pi1) * b)
+        return np.subtract(1.0, b, out=out)
+    top = np.multiply(pi1, np.subtract(1.0, b, out=out), out=out)
+    return np.divide(top, np.add(top, np.multiply(1.0 - pi1, b, out=work), out=work), out=out)
 
 
 def decide(private_belief: float, cutoff: float) -> int:
@@ -79,17 +79,19 @@ def decide(private_belief: float, cutoff: float) -> int:
     return int(private_belief > cutoff)
 
 
-def conditional_decision_probs(public_belief, model: BeliefModel):
-    """(P(decide 0 | hyp 0), P(decide 0 | hyp 1)) at a public belief."""
-    c = belief_cutoff_from_public(public_belief, model)
-    return cdf(model, 0, c), cdf(model, 1, c)
+def conditional_decision_probs(public_belief, model: BeliefModel, out=(None, None), work=(None,) * 4):
+    """(P(decide 0 | hyp 0), P(decide 0 | hyp 1)) at a public belief.  out,
+    (2, *shape), receives the pair; work, (4, *shape), takes the cutoff in
+    work[0] and cdf's scratch in work[1:]."""
+    c = belief_cutoff_from_public(public_belief, model, out=work[0], work=work[1])
+    return cdf(model, 0, c, out=out[0], scratch=work[1:]), cdf(model, 1, c, out=out[1], scratch=work[1:])
 
 
-def clamp_belief(belief):
-    return np.clip(belief, BELIEF_FLOOR, BELIEF_CEIL)
+def clamp_belief(belief, out=None):
+    return np.clip(belief, BELIEF_FLOOR, BELIEF_CEIL, out=out)
 
 
-def public_belief_step(public_belief, flip_probability: float, observed, dec0_h0, dec0_h1):
+def public_belief_step(public_belief, flip_probability: float, observed, dec0_h0, dec0_h1, out=None, work=None):
     """One Bayes step from an observed, possibly flipped, broadcast bit.
 
     dec0_h0 and dec0_h1 are P(decide 0 | hypothesis) at the cutoff the
@@ -98,17 +100,31 @@ def public_belief_step(public_belief, flip_probability: float, observed, dec0_h0
     public_belief, observed and both probabilities may be arrays of matching
     shape; the flip probability is the single rate of the stage being
     absorbed.  The result is clamped to [BELIEF_FLOOR, BELIEF_CEIL].
+
+    out receives the result and may be public_belief itself.  work, a
+    (2, *shape) array, receives the likelihoods of the bit under h = 0, 1: it
+    may be dec0_h0 and dec0_h1 stacked, which it then overwrites, but never
+    public_belief, observed or out.  Both, with a boolean observed, allocate nothing.
     """
     q = float(flip_probability)
     if not 0.0 <= q <= 0.5:
         raise ValueError(f"flip probability must lie in [0, 1/2], got {flip_probability!r}")
     b = np.asarray(public_belief, dtype=float)
-    w = 1.0 - 2.0 * q
-    is0 = np.asarray(observed) == 0
-    like1 = np.where(is0, q + w * dec0_h1, q + w * (1.0 - dec0_h1))
-    like0 = np.where(is0, q + w * dec0_h0, q + w * (1.0 - dec0_h0))
-    num = like1 * b
-    return clamp_belief(num / (num + like0 * (1.0 - b)))
+    seen = observed if np.asarray(observed).dtype == bool else np.not_equal(observed, 0)
+    if work is None:
+        work = np.empty((2,) + np.broadcast_shapes(b.shape, np.shape(seen), np.shape(dec0_h0), np.shape(dec0_h1)))
+    like0, like1 = work[0, ...], work[1, ...]  # views even when 0-d
+    np.subtract(seen, dec0_h0, out=like0)  # 1 - dec0 after a 1, -dec0 after a 0
+    np.subtract(seen, dec0_h1, out=like1)
+    np.abs(work, out=work)
+    np.multiply(work, 1.0 - 2.0 * q, out=work)
+    np.add(work, q, out=work)  # q + (1 - 2q) * P(decision read | h)
+    num = np.multiply(like1, b, out=like1)
+    rest = np.subtract(1.0, b, out=out)  # the last read of b, so out may be b
+    new = np.divide(num, np.add(num, np.multiply(like0, rest, out=like0), out=like0), out=out)
+    if not (BELIEF_FLOOR < new.min() and new.max() < BELIEF_CEIL):
+        new = clamp_belief(new, out=out)
+    return new
 
 
 def update_public_belief(public_belief, flip_probability: float, observed, model: BeliefModel):

@@ -139,7 +139,9 @@ class TestCdfGeneral:
         model = BeliefModel(beta)
         r = np.concatenate([[0.0, 1.0, 1e-300, 1.0 - 1e-16], np.random.default_rng(4).random(10_000)])
         assert np.array_equal(cdf(model, hypothesis, r), plain_sum(model, hypothesis, r))
-        assert cdf(model, hypothesis, 0.3) == plain_sum(model, hypothesis, np.asarray(0.3))
+        # a float rounds as its element in an array does (a 0-d plain sum
+        # would take libm's pow for (1 - r)**e on a numpy scalar)
+        assert cdf(model, hypothesis, 0.3) == plain_sum(model, hypothesis, np.array([0.3]))[0]
 
     @pytest.mark.parametrize("hypothesis", [0, 1])
     @pytest.mark.parametrize("beta", [0.5, 1.5, 2.25])
@@ -174,6 +176,18 @@ class TestCdfGeneral:
         assert np.array_equal(got[:, 0], cdf(model, 0, r))
         assert np.array_equal(got[:, 1], cdf(model, 1, r))
         assert all(type(v) is float for v in pair(0.3))
+
+    @pytest.mark.parametrize("hypothesis", [0, 1])
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0, 3.0, 5.0])
+    def test_float_argument_is_bit_identical_to_array_element(self, beta, hypothesis):
+        """A float argument is a 0-d array whose 1 - r is a numpy scalar; its
+        powers must still round as the array's do, not as libm's pow."""
+        model = BeliefModel(beta)
+        r = np.random.default_rng(8).random(5000)
+        got = np.array([cdf(model, hypothesis, x) for x in r.tolist()])
+        want = np.array([cdf(model, hypothesis, [x])[0] for x in r.tolist()])
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, cdf(model, hypothesis, r))
 
     @given(r=_unit, beta=st.sampled_from([0.0, 1.0, 2.0, 0.5]))
     def test_symmetry(self, r, beta):

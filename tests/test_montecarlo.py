@@ -7,14 +7,15 @@ binomial noise, and results are bit-identical however the work is split.
 
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import noisycast.montecarlo as mc
-from noisycast.belief_model import BeliefModel
-from noisycast.channels import ErasureSchedule, FlipSchedule
+from noisycast.belief_model import BeliefModel, cdf
+from noisycast.channels import ErasureSchedule, FlipSchedule, flip_probs
 from noisycast.exact_dp import exact_error_series, scan_error_series
 from noisycast.montecarlo import (
     ExperimentConfig,
@@ -24,6 +25,7 @@ from noisycast.montecarlo import (
     herding_stats,
     run_trial,
 )
+from noisycast.strategy import BELIEF_CEIL, BELIEF_FLOOR, belief_cutoff_from_public
 from noisycast.topology import MemorySchedule, chain_success_probability
 
 MODEL = BeliefModel(0.0)
@@ -239,6 +241,112 @@ class TestDeterminism:
             run_trial(_flip_full(), 0, 2)
         with pytest.raises(ValueError):
             run_trial(_flip_full(), -1, 0)
+
+
+def _allocating_flip_step(config: ExperimentConfig, m: int):
+    """The flip kernel as plainly allocating steps: both cdfs at the cutoff,
+    a np.where decision, the Bayes step with np.where likelihoods and a
+    clip, and the clamp mask every stage."""
+    model = config.model
+    qs = flip_probs(config.channel, np.arange(1, config.stages + 1))
+    b = np.full((2, m), model.prior_1)
+
+    def step(k, u, v):
+        nonlocal b
+        c = belief_cutoff_from_public(b, model)
+        f0, f1 = cdf(model, 0, c), cdf(model, 1, c)
+        d = u > np.where([[False], [True]], f1, f0)
+        q = float(qs[k - 1])
+        w = 1.0 - 2.0 * q
+        is0 = (d != (v < q)) == 0
+        like1 = np.where(is0, q + w * f1, q + w * (1.0 - f1))
+        like0 = np.where(is0, q + w * f0, q + w * (1.0 - f0))
+        num = like1 * b
+        b = np.clip(num / (num + like0 * (1.0 - b)), BELIEF_FLOOR, BELIEF_CEIL)
+        return d, (b <= BELIEF_FLOOR) | (b >= BELIEF_CEIL)
+
+    return step
+
+
+def _flip_run(config: ExperimentConfig, threads: int = 1):
+    """Every-stage error counts and clamp totals, and last erring stages."""
+    counts, _, clamps = mc._collect_blocks(config, np.arange(-1, config.stages), threads)
+    return counts, clamps, mc._collect_blocks(config, None, threads)[1]
+
+
+class TestFlipKernel:
+    """The buffered flip kernel must reproduce, bit for bit, the same stages
+    written with a fresh array for every intermediate."""
+
+    @pytest.mark.parametrize("prior", [0.5, 0.3])
+    @pytest.mark.parametrize("beta", [0.0, 2.0])
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            FlipSchedule("constant", q=0.15),
+            FlipSchedule("power", p=0.5, scale=0.7),
+            FlipSchedule("log_power", p=1.5, scale=0.9),
+        ],
+        ids=["constant", "power", "log_power"],
+    )
+    def test_matches_allocating_reference(self, monkeypatch, prior, beta, channel):
+        config = ExperimentConfig(
+            model=BeliefModel(beta, prior_1=prior),
+            channel=channel,
+            memory=MemorySchedule("full"),
+            stages=40,
+            trials=90,
+            seed=31,
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(mc, "_flip_full_step", _allocating_flip_step)
+            want = _flip_run(config)
+        for block, threads in ((mc._BLOCK_TRIALS, 1), (mc._BLOCK_TRIALS, 3), (37, 1), (37, 3)):
+            monkeypatch.setattr(mc, "_BLOCK_TRIALS", block)  # 37: three blocks, one at an odd trial
+            got = _flip_run(config, threads)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("prior", [BELIEF_FLOOR, BELIEF_CEIL])
+    def test_clamp_branch(self, monkeypatch, prior):
+        """A prior at the floor or the ceiling seeds every public belief
+        there, so the kernel's clip and clamp mask run from stage 1."""
+        config = ExperimentConfig(
+            model=BeliefModel(0.0, prior_1=prior),
+            channel=FlipSchedule("constant", q=0.1),
+            memory=MemorySchedule("full"),
+            stages=30,
+            trials=64,
+            seed=5,
+        )
+        got = _flip_run(config)
+        monkeypatch.setattr(mc, "_flip_full_step", _allocating_flip_step)
+        want = _flip_run(config)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        assert got[1].sum() > 0
+
+    def test_bits_pinned(self):
+        """sha256 of the per-stage error counts and each trial's last erring
+        stage of one config, recorded before the kernel was rewritten in
+        place; a change to any bit of the flip kernel fails here."""
+        config = ExperimentConfig(
+            model=BeliefModel(1.0, prior_1=0.4),
+            channel=FlipSchedule("power", p=0.5, scale=0.8),
+            memory=MemorySchedule("full"),
+            stages=48,
+            trials=40,
+            seed=2718,
+            grid=tuple(range(1, 49)),
+        )
+        series = estimate_error_series(config)
+        last = [run_trial(config, t, h).last_error_index for h in (0, 1) for t in range(config.trials)]
+        blob = np.concatenate([series.extra["err0"], series.extra["err1"], np.asarray(last, dtype=np.int64)])
+        assert series.meta["clamp_events"] == 0
+        assert (
+            hashlib.sha256(blob.astype(np.int64).tobytes()).hexdigest()
+            == "bfae6adfabaa807dfc0114a068e0ceeb36a2d6faad3efbbd10bc24b8781acb1d"
+        )
 
 
 class TestAgainstExact:

@@ -23,6 +23,7 @@ from noisycast.strategy import (
     decide,
     likelihood_threshold,
     map_belief_cutoff,
+    public_belief_step,
     tandem_posterior,
     update_public_belief,
 )
@@ -142,6 +143,41 @@ class TestPublicBeliefUpdate:
         up = float(update_public_belief(b, q, 1, MODEL))
         down = float(update_public_belief(b, q, 0, MODEL))
         assert down <= b + 1e-12 <= up + 2e-12
+
+
+class TestBufferedStep:
+    """The flip kernel passes output and work buffers, with its belief as
+    the output and its decision probabilities as the work; neither may
+    change a bit of what the allocating calls return."""
+
+    @pytest.mark.parametrize("model", [MODEL, BeliefModel(2.0, prior_1=0.3)], ids=["beta0", "beta2_prior03"])
+    def test_buffers_and_aliases_change_no_bit(self, model):
+        rng = np.random.default_rng(12)
+        b = np.concatenate([[BELIEF_FLOOR, BELIEF_CEIL, 0.5], rng.random(997)]).reshape(2, 500)
+        seen = rng.random((2, 500)) < 0.5
+        q = 0.15
+        f0, f1 = conditional_decision_probs(b, model)
+        w = 1.0 - 2.0 * q
+        like1 = np.where(seen, q + w * (1.0 - f1), q + w * f1)
+        like0 = np.where(seen, q + w * (1.0 - f0), q + w * f0)
+        want = np.clip(like1 * b / (like1 * b + like0 * (1.0 - b)), BELIEF_FLOOR, BELIEF_CEIL)
+        assert np.array_equal(public_belief_step(b, q, seen.astype(np.int64), f0, f1), want)
+
+        f = np.empty((2,) + b.shape)
+        work = np.empty((4,) + b.shape)
+        got = conditional_decision_probs(b, model, out=f, work=work)
+        assert np.shares_memory(got[0], f[0]) and np.shares_memory(got[1], f[1])
+        assert np.array_equal(f[0], f0) and np.array_equal(f[1], f1)
+        np.testing.assert_array_equal(work[0], belief_cutoff_from_public(b, model))
+        out = b.copy()
+        assert public_belief_step(out, q, seen, f[0], f[1], out=out, work=f) is out
+        assert np.array_equal(out, want)
+        assert (want == BELIEF_FLOOR).any()  # the clip ran
+
+    def test_scalar_belief(self):
+        step = public_belief_step(0.5, 0.25, 1, 0.75, 0.25)
+        assert step == pytest.approx(0.625) and np.ndim(step) == 0
+        assert public_belief_step(0.5, 0.25, True, 0.75, 0.25) == step
 
 
 class TestTandemPosterior:
