@@ -63,38 +63,50 @@ def _chunks(delta, last: int):
         yield lo, hi, darr
 
 
-def _advance(c: float, n: int, ds, k0: int, trail: list | None = None) -> float:
-    """Step c_{k0} to c_{k0 + len(ds)} with ds[i] the delta of stage k0 + i, appending each
-    new iterate to trail, a list [c], if one is given.  c - step rounds to <= 0 exactly when
-    step >= c.  c*c and c*c*c are twice as fast as c ** (n + 1), hence three bodies."""
-    keep, c0 = trail is not None, c
+def _steps(c: float, n: int, ds):
+    """Yield c_{k0}, then each iterate ds steps it to; only n >= 3 tests, to hold a bad one."""
+    yield c
     if n == 1:
         for d in ds:
             c -= d * c * c
-            if c <= 0.0:
-                break
-            if keep:
-                trail.append(c)
+            yield c
+    elif n == 2:
+        for d in ds:
+            c -= d * c * c * c
+            yield c
+    else:
+        for d in ds:
+            if c > 0.0:  # the pow of a large negative iterate would raise OverflowError
+                c -= d * c ** (n + 1)
+            yield c
+
+
+def _advance(c: float, n: int, ds, k0: int) -> float:
+    """Step c_{k0} to c_{k0 + len(ds)} with ds[i] the delta of stage k0 + i.
+    c - step rounds to <= 0 exactly when step >= c.  For n = 1 the step is never
+    negative, so once an iterate is <= 0 every later one is <= 0, -inf or NaN (deltas
+    are finite and nonnegative) and one test at the end decides the run.  For n = 2 a
+    negative iterate can step back above 0, and for n >= 3 its pow can overflow, so
+    those bodies test every step.  A failed run is replayed to name its first bad stage."""
+    c0 = c
+    if n == 1:
+        for d in ds:
+            c -= d * c * c
     elif n == 2:
         for d in ds:
             c -= d * c * c * c
             if c <= 0.0:
                 break
-            if keep:
-                trail.append(c)
     else:
         for d in ds:
             c -= d * c ** (n + 1)
             if c <= 0.0:
                 break
-            if keep:
-                trail.append(c)
     if c > 0.0:
         return c
-    if not keep:
-        # the rare failing path: replay with a trail, which counts the good steps
-        _advance(c0, n, ds, k0, [c0])
-    raise StepSizeError(k0 + len(trail) - 1, c)
+    for stage, c in enumerate(_steps(c0, n, ds), k0 - 1):
+        if not c > 0.0:
+            raise StepSizeError(stage, c)
 
 
 def iterate_recursion(spec: RecursionSpec, stages: int, grid=None) -> SeriesResult:
@@ -107,7 +119,7 @@ def iterate_recursion(spec: RecursionSpec, stages: int, grid=None) -> SeriesResu
     ti = len(vals)
     # the deltas of stages lo..hi carry c_lo to c_{hi + 1}
     for lo, hi, darr in _chunks(spec.delta, stages - 1):
-        ds = darr.tolist()
+        ds = memoryview(darr)
         k = lo
         while ti < len(targets) and targets[ti] <= hi + 1:
             c = _advance(c, n, ds[k - lo : targets[ti] - lo], k)
@@ -158,20 +170,22 @@ def lemma3_sandwich(spec: RecursionSpec, k_min: int, stages: int, grid=None) -> 
     n, inv_n, c = spec.exponent, 1.0 / spec.exponent, float(spec.initial)
     low, high = math.inf, -math.inf
     for lo, hi, darr in _chunks(spec.delta, stages):
-        ds = darr.tolist()
-        trail = [c]
-        # the last stage takes no step
-        c = _advance(c, n, ds[: stages - lo], lo, trail)
-        # trail[i] is c_{lo + i}
+        ds = memoryview(darr)
+        # the last stage takes no step; traj[i] is c_{lo + i}
+        steps = ds[: stages - lo]
+        traj = np.fromiter(_steps(c, n, steps), float, len(steps) + 1)
+        if not traj.min() > 0.0:
+            _advance(c, n, steps, lo)  # fails the same way and raises StepSizeError
+        c = float(traj[-1])
         while ti < len(targets) and targets[ti] <= hi:
-            vals.append(trail[targets[ti] - lo])
+            vals.append(float(traj[targets[ti] - lo]))
             ti += 1
         i0 = max(k_min - lo, 0)
         if i0 < len(ds):
             ks = np.arange(lo + i0, hi + 1, dtype=np.int64)
             # float * int64 rounds as d * k does; numpy's SIMD power is not libm's pow
             factor = darr[i0:] * ks if n == 1 else [(d * k) ** inv_n for d, k in zip(ds[i0:], ks.tolist())]
-            r = np.array(trail[i0 : len(ds)]) * factor
+            r = traj[i0 : len(ds)] * factor
             low, high = min(low, float(r.min())), max(high, float(r.max()))
     return SandwichResult(low, high, k_min, stages, None if grid is None else _series(spec, stages, targets, vals))
 

@@ -98,7 +98,8 @@ def backward_search_depth(schedule: MemorySchedule, k: int) -> int:
         elif fam == "bounded":
             ok = n <= cap and j0 - 1 >= n
         elif fam == "power":
-            ok = min(math.ceil(j0**sg), j0 - 1) >= n
+            # min(ceil(j0**sg), j0 - 1) >= n: ceil(x) >= n iff x > n - 1, and j0 - 1 >= n as n * n <= k - 1
+            ok = j0**sg > n - 1
         else:
             ok = _sporadic_min(j0, k) >= n
         if ok:

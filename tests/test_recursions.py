@@ -7,6 +7,7 @@ the frozen windows measured on million-step runs.
 
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -29,7 +30,8 @@ from noisycast.analysis import SeriesResult
 
 
 def _replay(initial, exponent, delta_fn, stages):
-    """The recursion written out naively, one float op at a time."""
+    """The recursion written out naively, one float op at a time, up to its
+    first value that is not positive."""
     c = float(initial)
     out = [c]
     for k in range(1, stages):
@@ -42,6 +44,8 @@ def _replay(initial, exponent, delta_fn, stages):
             step = d * c ** (exponent + 1)
         c -= step
         out.append(c)
+        if not c > 0.0:
+            break
     return np.asarray(out)
 
 
@@ -213,6 +217,20 @@ def _spike(scale):
     return lambda ks: np.where(ks == 100, 1e9, _wavy(scale)(ks))
 
 
+def _deltas(delta, stages):
+    """A spec's delta, a float or a callable, at stages 1..stages."""
+    ks = np.arange(1, stages + 1)
+    return np.broadcast_to(delta(ks) if callable(delta) else delta, ks.shape).tolist()
+
+
+def _first_failure(initial, exponent, delta, stages):
+    """(stage, value) of the step that fails the naive replay."""
+    ds = _deltas(delta, stages)
+    c = _replay(initial, exponent, lambda k: ds[k - 1], stages)
+    assert not c[-1] > 0.0, "the replay must fail"
+    return len(c) - 1, float(c[-1])
+
+
 class TestChunking:
     """Results must not depend on the chunk size: runs with _CHUNK patched to
     7 and 37 equal the one-chunk run bit for bit."""
@@ -228,9 +246,8 @@ class TestChunking:
             assert run() == reference, chunk
         return reference
 
-    @pytest.mark.parametrize("exponent", [1, 2, 3])
-    def test_iterate(self, monkeypatch, exponent):
-        spec = RecursionSpec(initial=0.6, exponent=exponent, delta=_wavy(0.4))
+    def _iterate_case(self, monkeypatch, exponent, delta):
+        spec = RecursionSpec(initial=0.6, exponent=exponent, delta=delta)
 
         def run():
             return [
@@ -244,17 +261,47 @@ class TestChunking:
 
         stages, values = self._chunk_sizes(monkeypatch, run)[0]
         assert stages == self.GRID.tolist()
-        np.testing.assert_array_equal(values, _replay(0.6, exponent, _wavy(0.4), self.STAGES)[self.GRID - 1])
+        ds = _deltas(delta, self.STAGES)
+        np.testing.assert_array_equal(values, _replay(0.6, exponent, lambda k: ds[k - 1], self.STAGES)[self.GRID - 1])
+
+    def _sandwich_case(self, monkeypatch, exponent, k_min, delta):
+        spec = RecursionSpec(initial=0.6, exponent=exponent, delta=delta)
+        res = self._chunk_sizes(monkeypatch, lambda: lemma3_sandwich(spec, k_min, self.STAGES))
+        ds = _deltas(delta, self.STAGES)
+        c = _replay(0.6, exponent, lambda k: ds[k - 1], self.STAGES)
+        r = [c[k - 1] * (ds[k - 1] * k) ** (1.0 / exponent) for k in range(k_min, self.STAGES + 1)]
+        assert (res.low, res.high) == (min(r), max(r))
+
+    def _classify_case(self, monkeypatch, exponent, delta):
+        spec = RecursionSpec(initial=0.6, exponent=exponent, delta=delta)
+        self._chunk_sizes(monkeypatch, lambda: lemma4_classify(spec, self.STAGES))
+
+    @pytest.mark.parametrize("exponent", [1, 2, 3])
+    def test_iterate(self, monkeypatch, exponent):
+        self._iterate_case(monkeypatch, exponent, _wavy(0.4))
 
     @pytest.mark.parametrize("exponent", [1, 2, 3])
     @pytest.mark.parametrize("k_min", [1, 7, 8, 37, 38, 40, 300])
     def test_sandwich(self, monkeypatch, exponent, k_min):
-        spec = RecursionSpec(initial=0.6, exponent=exponent, delta=_wavy(0.4))
-        res = self._chunk_sizes(monkeypatch, lambda: lemma3_sandwich(spec, k_min, self.STAGES))
-        c = _replay(0.6, exponent, _wavy(0.4), self.STAGES)
-        ks = np.arange(1, self.STAGES + 1)
-        r = [c[k - 1] * (float(_wavy(0.4)(np.array([k]))[0]) * k) ** (1.0 / exponent) for k in ks[k_min - 1 :]]
-        assert (res.low, res.high) == (min(r), max(r))
+        self._sandwich_case(monkeypatch, exponent, k_min, _wavy(0.4))
+
+    @pytest.mark.parametrize("exponent", [1, 2, 3])
+    def test_classify(self, monkeypatch, exponent):
+        self._classify_case(monkeypatch, exponent, _wavy(0.4))
+
+    # a float delta reaches the loops as a zero-stride broadcast view
+    @pytest.mark.parametrize("exponent", [1, 2, 3])
+    def test_iterate_constant_delta(self, monkeypatch, exponent):
+        self._iterate_case(monkeypatch, exponent, 0.4)
+
+    @pytest.mark.parametrize("exponent", [1, 2, 3])
+    @pytest.mark.parametrize("k_min", [1, 7, 8, 37, 38, 40, 300])
+    def test_sandwich_constant_delta(self, monkeypatch, exponent, k_min):
+        self._sandwich_case(monkeypatch, exponent, k_min, 0.4)
+
+    @pytest.mark.parametrize("exponent", [1, 2, 3])
+    def test_classify_constant_delta(self, monkeypatch, exponent):
+        self._classify_case(monkeypatch, exponent, 0.4)
 
     @pytest.mark.parametrize("exponent", [1, 2, 3])
     def test_sandwich_series(self, monkeypatch, exponent):
@@ -273,11 +320,6 @@ class TestChunking:
         assert plain.series is None and (plain.low, plain.high) == band
         with pytest.raises(ValueError, match="grid"):
             lemma3_sandwich(spec, 7, self.STAGES, grid=[0, 5])
-
-    @pytest.mark.parametrize("exponent", [1, 2, 3])
-    def test_classify(self, monkeypatch, exponent):
-        spec = RecursionSpec(initial=0.6, exponent=exponent, delta=_wavy(0.4))
-        self._chunk_sizes(monkeypatch, lambda: lemma4_classify(spec, self.STAGES))
 
     @pytest.mark.parametrize("exponent", [1, 2, 3])
     def test_spike_mid_segment(self, monkeypatch, exponent):
@@ -299,6 +341,62 @@ class TestChunking:
         step = 1e9 * c * c if exponent == 1 else (1e9 * c * c * c if exponent == 2 else 1e9 * c**4)
         assert errors == [(100, c - step)] * 2
 
+    @staticmethod
+    def _failing_delta(exponent, stage, mode):
+        """_wavy(0.4) with a step at stage that no iterate survives, followed by
+        'spike': the wavy deltas; 'nan': one wavy delta that sends the iterate
+        to -inf or +inf and then zeros, 0 * inf making it NaN; 'overflow': the
+        wavy deltas after a 1e300 step, so an n = 3 iterate overflows pow;
+        'rebound': a delta that carries an n = 2 iterate from -c/2 back to c,
+        then zeros."""
+        base = _wavy(0.4)
+        if mode == "rebound":
+            c = _replay(0.6, exponent, base, stage)[-1]
+            # stage: c -> c - 1.5 c = -c/2; stage + 1: -c/2 * (1 - 3) = c when c**n keeps its sign
+            spike, after = {stage: 1.5 / c**exponent, stage + 1: 3.0 / (0.5 * c) ** exponent}, 0.0
+        else:
+            spike = {stage: 1e9 if mode == "spike" else 1e300}
+            after = 0.0 if mode == "nan" else None
+
+        def delta(ks):
+            out = base(ks)
+            if after is not None:
+                out = np.where(ks > stage + 1, after, out)
+            for k, v in spike.items():
+                out = np.where(ks == k, v, out)
+            return out
+
+        return delta
+
+    # stage 50 opens the iterate's grid segment 50..250; 150 is a checkpoint of
+    # lemma4_classify at 300 stages and inside every trail; 259 = 7 * 37 ends a
+    # chunk when _CHUNK is 7 or 37
+    @pytest.mark.parametrize("exponent", [1, 2, 3])
+    @pytest.mark.parametrize("stage", [50, 150, 259])
+    @pytest.mark.parametrize("mode", ["spike", "nan", "overflow", "rebound"])
+    def test_failure_matches_replay(self, monkeypatch, exponent, stage, mode):
+        """A failed run raises StepSizeError with the naive replay's stage and
+        value wherever the failing step falls, whatever the later deltas do."""
+        spec = RecursionSpec(initial=0.6, exponent=exponent, delta=self._failing_delta(exponent, stage, mode))
+
+        def run():
+            errors = []
+            for call in (
+                lambda: iterate_recursion(spec, self.STAGES, grid=[1, 50, 250, self.STAGES]),
+                lambda: iterate_recursion(spec, self.STAGES),
+                lambda: lemma4_classify(spec, self.STAGES),
+                lambda: lemma3_sandwich(spec, 20, self.STAGES),
+                lambda: lemma3_sandwich(spec, 20, self.STAGES, grid=self.GRID),
+            ):
+                with pytest.raises(StepSizeError) as exc:
+                    call()
+                errors.append((exc.value.stage, exc.value.next_value))
+            return errors
+
+        errors = self._chunk_sizes(monkeypatch, run)
+        assert errors == [_first_failure(0.6, exponent, spec.delta, self.STAGES)] * 5
+        assert errors[0][0] == stage
+
     def test_memory_does_not_grow_with_stages(self, monkeypatch):
         """Only the chunk and the grid are held, so a 16x longer run peaks no
         higher.  A small chunk keeps the traced runs short."""
@@ -314,6 +412,39 @@ class TestChunking:
                 tracemalloc.stop()
 
         assert peak(64 * recursions._CHUNK) <= 1.25 * peak(4 * recursions._CHUNK)
+
+
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+class TestBitsPinned:
+    """sha256 of float64 results, recorded from the earlier list-based loops:
+    a rewrite of the stepping loops that moves one bit fails here."""
+
+    def test_plateau_iterate(self):
+        spec = rate_recursion(BeliefModel(0.0), FlipSchedule("log_power", p=2.0), initial=0.3)
+        series = iterate_recursion(spec, 200_000)
+        assert _sha256(series.values) == "ed5f638002398e05c93e963aca7dede88d6e2f63c3dcfcb49d93ee8f835b36eb"
+
+    def test_sandwich_n1(self):
+        res = lemma3_sandwich(RecursionSpec(0.5, 1, 1.0), 1000, 200_000)
+        assert _sha256([res.low, res.high]) == "fd44b16f99355d661ee5352c4cbd4e69cde1e54b24343ac92c1b74a30c9561ca"
+
+    def test_sandwich_n2_series(self):
+        spec = RecursionSpec(0.6, 2, lambda ks: 0.5 / np.log(ks + 1.0))
+        res = lemma3_sandwich(spec, 1000, 100_000, grid=np.arange(1, 100_001, 997))
+        assert (
+            _sha256([res.low, res.high], res.series.values)
+            == "7d24eb87e305688910c20dd8e3496529d0e37d261e8e2d93300ba7e4d6f39c11"
+        )
+
+    def test_sandwich_n3(self):
+        res = lemma3_sandwich(RecursionSpec(0.6, 3, lambda ks: 0.5 / np.log(ks + 1.0)), 100, 50_000)
+        assert _sha256([res.low, res.high]) == "33a6c4f7d18f9f16566a463e2b6473b6d07322e485b1a05f114d2902edeab160"
 
 
 class TestRateBridge:

@@ -105,14 +105,32 @@ class TestBackwardSearchDepth:
                 FULL,
                 MemorySchedule("bounded", capacity=2),
                 MemorySchedule("bounded", capacity=7),
+                MemorySchedule("power", sigma=0.25),
                 MemorySchedule("power", sigma=0.3),
+                MemorySchedule("power", sigma=0.5),
                 MemorySchedule("power", sigma=0.7),
+                MemorySchedule("power", sigma=1.0),
                 MemorySchedule("sporadic"),
             ]
         ),
     )
     def test_matches_exhaustive_search(self, k, sched):
         assert backward_search_depth(sched, k) == self._naive_depth(sched, k)
+
+    @pytest.mark.parametrize("sigma", [0.25, 0.5, 1.0])
+    def test_power_at_integer_powers(self, sigma):
+        """k around every node count where the search asks whether the first
+        hop origin j0 = k - n*n + n keeps n with j0**sigma an integer, up to
+        about 10**5.  Power memory does not fall with the node, so the window
+        minimum is memory_size at j0, which still rounds with ceil."""
+        sched = MemorySchedule("power", sigma=sigma)
+        p = round(1 / sigma)
+        ks = {m**p + n * n - n + dk for m in range(1, 320) if m**p <= 10**5 for n in range(m, m + 3) for dk in (-1, 0, 1)}
+        for k in sorted(k for k in ks if 2 <= k <= 2 * 10**5):
+            depth = max(
+                (n for n in range(1, math.isqrt(k - 1) + 1) if memory_size(sched, k - n * n + n) >= n), default=0
+            )
+            assert backward_search_depth(sched, k) == depth, k
 
 
 class TestChainSuccess:
