@@ -2,10 +2,16 @@
 
 The state is the window of the most recent corrupted broadcasts, encoded in
 base A (A = 2 for flips, 3 with the erasure symbol) with digit 0 the newest
-symbol.  The pair of window distributions conditional on each hypothesis is
-pushed forward one stage at a time; the deciding node's cutoffs are computed
-from those same distributions, so the recursion reproduces exactly the
-strategy the simulated nodes follow and serves as their oracle.
+symbol: 0 is digit 0, 1 is digit A - 1 and the erasure digit 1, so
+swapping 0s and 1s maps state s to its mirror A**L - 1 - s.  The pair of
+window distributions conditional on each hypothesis is pushed forward one
+stage at a time; the deciding node's cutoffs are computed from those same
+distributions, so the recursion reproduces exactly the strategy the
+simulated nodes follow and serves as their oracle.  Under the MAP
+threshold with a flip channel or equal erasure levels for 0s and 1s,
+swapping hypotheses, decisions and symbols maps the chain onto itself
+(f1(r) = f0(1 - r)): P(s | h = 1) = P(mirror s | h = 0), so only the row
+of h = 0 is carried.  Other laws carry both rows through the same step.
 window_stages hands each node's errors and its table of P(decide 0 |
 hypothesis, window state) to exact_error_series and the Monte Carlo window
 kernel one stage at a time, so memory is O(alphabet**capacity).  Window
@@ -21,6 +27,7 @@ places above any fixed threshold trends downward.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief_model import BeliefModel, cdf, cdf_pair
-from .channels import Channel, ErasureSchedule, FlipSchedule, _erasure_levels_at, erasure_levels, flip_prob
+from .channels import Channel, ErasureSchedule, FlipSchedule, erasure_levels, flip_prob, flip_probs
 from .strategy import MAP_RULE, ThresholdRule, likelihood_threshold
 from .topology import MemorySchedule, memory_size
 from .analysis import SeriesResult
@@ -37,33 +44,33 @@ MAX_CAPACITY = 12
 
 
 class _Workspace:
-    """Every state-sized array of one window recursion, sized for the full
-    window of A**C states: two mass buffers that successive distributions
-    alternate between, the decision table, two scratch arrays and the
-    cutoffs.  Each window_stages iterator makes its own, so block jobs on
+    """Every state-sized array of one window recursion, sized for A**C
+    states and the mass rows carried: two mass buffers that successive
+    distributions alternate between, the decision tables, the cutoffs and
+    scratch.  Each window_stages iterator makes its own, so block jobs on
     threads share nothing."""
 
-    def __init__(self, alphabet: int, capacity: int):
+    def __init__(self, alphabet: int, capacity: int, rows: int):
         size = alphabet**capacity
-        self.mass = np.empty((2, 2 * size))
+        self.mass = np.empty((2, rows * size))
         self.dec0 = np.empty(2 * size)
-        self.scratch = np.empty((2, 2 * size))
-        self.tau = np.empty(size)
-        self.live = np.empty(size, dtype=bool)
+        self.dec1 = np.empty(2 * size) if rows == 2 else None
+        self.tau = np.empty(rows * size)
+        self.scratch = np.empty(3 * size)
 
 
-def _rows(buf: np.ndarray, n: int) -> np.ndarray:
-    """The leading 2 * n values of a flat buffer as a contiguous (2, n) array."""
-    return buf[: 2 * n].reshape(2, n)
+def _rows(buf: np.ndarray, rows: int, n: int) -> np.ndarray:
+    """The leading rows * n values of a flat buffer as a contiguous (rows, n) array."""
+    return buf[: rows * n].reshape(rows, n)
 
 
 @dataclass
 class WindowDistribution:
     """Conditional distributions of the window seen by the next node:
-    masses[h, s] is P(window state s | hypothesis h).  evolve_window writes
-    the next distribution into the workspace buffer this one does not
-    occupy, so a distribution outlives one step and is overwritten by the
-    second."""
+    masses[h, s] is P(window state s | hypothesis h).  Under a mirrored law
+    masses holds row 0 alone and mass1 is its reversed view.  evolve_window writes the next distribution into the workspace buffer
+    this one does not occupy, so a distribution outlives one step and is
+    overwritten by the second."""
 
     alphabet: int
     capacity: int
@@ -77,26 +84,30 @@ class WindowDistribution:
 
     @property
     def mass1(self) -> np.ndarray:
-        return self.masses[1]
+        return self.masses[1] if self.masses.shape[0] == 2 else self.masses[0, ::-1]
 
 
 @dataclass
 class StageErrors:
     """decide0[h, s] is P(decide 0 | hypothesis h, window state s).  It lives
-    in the recursion's workspace: valid until the next step is taken."""
+    in the recursion's workspace: valid until the next step is taken.  With
+    one mass row, type2 is type1."""
 
     type1: float
     type2: float
     decide0: np.ndarray
 
 
-def initial_window(alphabet: int, capacity: int) -> WindowDistribution:
+def initial_window(alphabet: int, capacity: int, rows: int = 2) -> WindowDistribution:
+    """The empty window, carrying both mass rows or, for a mirrored law, row 0 alone."""
     if alphabet not in (2, 3):
         raise ValueError(f"alphabet must be 2 or 3, got {alphabet!r}")
     if not 1 <= capacity <= MAX_CAPACITY:
         raise ValueError(f"capacity must lie in [1, {MAX_CAPACITY}], got {capacity!r}")
-    work = _Workspace(alphabet, capacity)
-    masses = _rows(work.mass[0], 1)
+    if rows not in (1, 2):
+        raise ValueError(f"rows must be 1 or 2, got {rows!r}")
+    work = _Workspace(alphabet, capacity, rows)
+    masses = _rows(work.mass[0], rows, 1)
     masses.fill(1.0)
     return WindowDistribution(alphabet, capacity, 0, masses, work)
 
@@ -105,9 +116,27 @@ def window_alphabet(channel: Channel) -> int:
     return 2 if isinstance(channel, FlipSchedule) else 3
 
 
-def _cutoffs(mass0, mass1, threshold: float, prior_1: float, out=None, num=None, den=None, live=None):
+def _channel_laws(channel: Channel, ks):
+    """Yield each stage's law[d][v] = P(digit v | decision d), for the stages ks."""
+    if isinstance(channel, FlipSchedule):
+        for q in flip_probs(channel, ks):
+            yield (1.0 - q, q), (q, 1.0 - q)
+    else:
+        for lv0, lv1 in zip(*erasure_levels(channel, ks)):
+            yield (1.0 - lv0, lv0, 0.0), (0.0, lv1, 1.0 - lv1)
+
+
+def _mirrored(law, threshold: float, model: BeliefModel) -> bool:
+    """Whether one mass row determines the other: the MAP threshold, so that
+    mirrored masses give cutoffs tau and 1 - tau, and a law that swapping
+    decisions and digits maps onto itself."""
+    return threshold == model.prior_ratio and law[0][::-1] == law[1]
+
+
+def _cutoffs(mass0, mass1, threshold: float, prior_1: float, out=None, num=None, den=None, upper=None):
     """Per-state private-belief cutoffs of the likelihood-ratio test, in out
-    (and the scratch num, den and live) when given.
+    (and the scratch num and den) when given.  With upper, also
+    pz * mass1 / den there: 1 - tau without the cancellation.
 
     States with zero mass under both hypotheses are unreachable; they get
     the neutral cutoff so downstream arrays stay finite.
@@ -115,10 +144,14 @@ def _cutoffs(mass0, mass1, threshold: float, prior_1: float, out=None, num=None,
     tw = threshold * prior_1
     pz = 1.0 - prior_1
     num = np.multiply(tw, mass0, out=num)
-    den = np.add(num, np.multiply(pz, mass1, out=den), out=den)
+    side = np.multiply(pz, mass1, out=den if upper is None else upper)
+    den = np.add(num, side, out=den)
+    live = True if den.min() > 0.0 else np.greater(den, 0.0)
     tau = np.empty(num.shape) if out is None else out
-    tau.fill(tw / (tw + pz))
-    np.divide(num, den, out=tau, where=np.greater(den, 0.0, out=live))
+    for x, o, w in ((num, tau, tw), (side, upper, pz))[: 1 if upper is None else 2]:
+        np.divide(x, den, out=o, where=live)
+        if live is not True:
+            np.copyto(o, w / (tw + pz), where=~live)
     return tau
 
 
@@ -128,68 +161,61 @@ def evolve_window(
     model: BeliefModel,
     channel: Channel,
     rule: ThresholdRule = MAP_RULE,
+    law=None,
 ) -> tuple[WindowDistribution, StageErrors]:
     """Decide at `stage` against the current window, then absorb the broadcast.
 
     Returns the window distribution node stage + 1 will see, together with
     the deciding node's exact error probabilities and decision table.  Both
     live in the workspace dist carries (a fresh one if it has none), so the
-    step allocates nothing state-sized.
+    step allocates nothing state-sized.  law is the stage's _channel_laws
+    entry, computed from the channel when not given.  The broadcast depends
+    on the window only through the decision, so the channel is applied
+    after the oldest symbol is summed out of each decision's mass.
     """
     a_size = dist.alphabet
-    ws = dist.work or _Workspace(a_size, dist.capacity)
+    rows, n = dist.masses.shape
+    ws = dist.work or _Workspace(a_size, dist.capacity, rows)
     new_len = min(dist.capacity, stage)
     if new_len not in (dist.length, dist.length + 1):
         raise ValueError(f"window of length {dist.length} cannot evolve to length {new_len}")
+    law = next(_channel_laws(channel, [stage])) if law is None else law
+    threshold = likelihood_threshold(rule, model)
+    if rows == 1 and not _mirrored(law, threshold, model):
+        raise ValueError("one mass row needs the MAP threshold and a mirrored channel law")
     masses = dist.masses
-    n = masses.shape[1]
-    aux = _rows(ws.scratch[0], n)
-    tmp = _rows(ws.scratch[1], n)
-    tau = _cutoffs(
-        masses[0], masses[1], likelihood_threshold(rule, model), model.prior_1,
-        ws.tau[:n], tmp[0], tmp[1], ws.live[:n],
-    )
-    dec0 = _rows(ws.dec0, n)
+    s0, s1, s2 = _rows(ws.scratch, 3, n)
+    tau, upper = ws.tau[:n], (ws.tau[n : 2 * n] if rows == 2 else None)
+    _cutoffs(masses[0], dist.mass1, threshold, model.prior_1, tau, s0, s1, upper)
+    dec0 = _rows(ws.dec0, 2, n)
     for h in (0, 1):
-        cdf(model, h, tau, out=dec0[h], scratch=(aux[0], aux[1], tmp[0]))
-    np.subtract(1.0, dec0, out=aux)
-    type1 = float(masses[0] @ aux[0])
-    type2 = float(masses[1] @ dec0[1])
-
-    flip = isinstance(channel, FlipSchedule)
-    if flip:
-        q = flip_prob(channel, stage)
-        np.multiply(1.0 - 2.0 * q, dec0, out=aux)
-    else:
-        lv0, lv1 = _erasure_levels_at(channel, stage)
+        cdf(model, h, tau, out=dec0[h], scratch=(s0, s1, s2))
+    # P(decide 1 | h, s) = 1 - F_h(tau) = F_(1-h)(1 - tau): the other cdf at
+    # the upper side or, with one row, the decide-0 row of h = 1 mirrored
+    dec1 = dec0[1:, ::-1] if upper is None else _rows(ws.dec1, 2, n)
+    for h in () if upper is None else (0, 1):
+        cdf(model, 1 - h, upper, out=dec1[h], scratch=(s0, s1, s2))
+    # part_d[h, s]: mass of state s under h times P(decide d | h, s)
+    part0 = np.multiply(masses, dec0[:rows], out=_rows(ws.scratch, rows, n))
+    part1 = np.multiply(masses, dec1, out=dec1 if rows == 2 else s1[None])
+    if new_len == dist.length:
+        # at capacity: drop the oldest symbol (top digit), adding its A slices in order
+        tops = [part.reshape(rows, a_size, -1) for part in (part0, part1)]
+        for top, i in itertools.product(tops, range(1, a_size)):
+            np.add(top[:, 0], top[:, i], out=top[:, 0])
+        part0, part1 = (top[:, 0] for top in tops)
+    type1 = float(part1[0].sum())
+    type2 = float(part0[1].sum()) if rows == 2 else type1
     # the next masses go to the mass buffer dist does not occupy;
-    # symbol v of kept state s lands at A*s + v: the new symbol is digit 0
+    # digit v of kept state s lands at A*s + v: the new symbol is digit 0
     out = ws.mass[1] if np.may_share_memory(masses, ws.mass[0]) else ws.mass[0]
-    new = _rows(out, a_size**new_len)
-    slots = new.reshape(2, -1, a_size)
-    grow = new_len > dist.length
-    for v in range(a_size):
-        # sym[h, s]: mass of window state s under h times P(broadcast v | h, s);
-        # aux holds (1 - 2q) * dec0 for flips and 1 - dec0 for erasures
-        sym = slots[:, :, v] if grow else tmp
-        if flip and v == 0:
-            np.add(q, aux, out=sym)
-        elif flip:
-            np.subtract(1.0 - q, aux, out=sym)
-        elif v == 0:
-            np.multiply(1.0 - lv0, dec0, out=sym)
-        elif v == 1:
-            np.multiply(1.0 - lv1, aux, out=sym)
-        else:  # the erasure symbol, the last use of aux
-            np.multiply(lv0, dec0, out=sym)
-            np.add(sym, np.multiply(lv1, aux, out=aux), out=sym)
-        np.multiply(sym, masses, out=sym)
-        if not grow:
-            # at capacity: drop the oldest symbol (top digit), adding its A slices in order
-            top = sym.reshape(2, a_size, -1)
-            np.add(top[:, 0], top[:, 1], out=slots[:, :, v])
-            for i in range(2, a_size):
-                np.add(slots[:, :, v], top[:, i], out=slots[:, :, v])
+    new = _rows(out, rows, a_size**new_len)
+    slots = new.reshape(rows, -1, a_size)
+    tmp = _rows(ws.tau, rows, part0.shape[1])  # the cutoffs are spent
+    for v, (w0, w1) in enumerate(zip(*law)):
+        np.multiply(w0 or w1, part0 if w0 else part1, out=slots[:, :, v])
+        if w0 and w1:
+            np.add(slots[:, :, v], np.multiply(w1, part1, out=tmp), out=slots[:, :, v])
     return WindowDistribution(a_size, dist.capacity, new_len, new, ws), StageErrors(type1, type2, dec0)
 
 
@@ -199,11 +225,15 @@ def window_stages(
     """Yield the StageErrors of nodes 1..stages, one stage at a time.
 
     Only the current window distribution and decision table are live, so
-    memory is O(alphabet**capacity) however many stages run.
+    memory is O(alphabet**capacity) however many stages run.  When every
+    stage's law is mirrored, one mass row is carried.
     """
-    dist = initial_window(window_alphabet(channel), capacity)
-    for k in range(1, stages + 1):
-        dist, errs = evolve_window(dist, k, model, channel, rule)
+    ks = np.arange(1, stages + 1)
+    threshold = likelihood_threshold(rule, model)
+    rows = 1 if all(_mirrored(law, threshold, model) for law in _channel_laws(channel, ks)) else 2
+    dist = initial_window(window_alphabet(channel), capacity, rows)
+    for k, law in enumerate(_channel_laws(channel, ks), start=1):
+        dist, errs = evolve_window(dist, k, model, channel, rule, law)
         yield errs
 
 

@@ -208,6 +208,9 @@ def _flip_full_step(config: ExperimentConfig, m: int):
 
 
 def _window_step(config: ExperimentConfig, m: int):
+    """States code symbols as exact_dp does.  ring[(k - 1) % C] holds stage
+    k's digit, so at capacity the oldest digit is taken off the state there
+    before the slot is overwritten.  Buffers are made once per block."""
     # this block's own exact recursion, one stage's table live at a time
     tables = window_stages(config.model, config.channel, config.memory.capacity, config.stages)
     flip = isinstance(config.channel, FlipSchedule)
@@ -218,24 +221,29 @@ def _window_step(config: ExperimentConfig, m: int):
     else:
         lv0s, lv1s = erasure_levels(config.channel, ks)
     cap = config.memory.capacity
-    state = np.zeros((2, m), dtype=np.int64)
-    wlen = 0
+    state, drop = np.zeros((2, 2, m), dtype=np.int64)
+    ring = np.zeros((cap, 2, m), dtype=np.uint8)
+    f = np.empty((2, m))
+    d, hit, other = np.empty((3, 2, m), dtype=bool)
 
     def step(k, u, v):
-        nonlocal state, wlen
         dec0 = next(tables).decide0
-        d = u > dec0.ravel()[state + _IS_H1 * dec0.shape[1]]  # row h of dec0 for hypothesis h
+        for h in (0, 1):
+            np.take(dec0[h], state[h], out=f[h], mode="clip")  # states are in range by construction
+        np.greater(u, f, out=d)
+        digit = ring[(k - 1) % cap]
+        if k > cap:
+            np.subtract(state, np.multiply(digit, a_size ** (cap - 1), out=drop, dtype=np.int64), out=state)
         if flip:
-            symbol = (d != (v < qs[k - 1])).astype(np.int64)
-        else:
-            lv = np.where(d, lv1s[k - 1], lv0s[k - 1])
-            symbol = np.where(v < lv, 2, d.astype(np.int64))
-        new_len = min(cap, k)
-        if new_len == wlen + 1:
-            state = symbol + a_size * state
-        else:
-            state = symbol + a_size * (state % a_size ** (wlen - 1))
-        wlen = new_len
+            np.not_equal(d, np.less(v, qs[k - 1], out=hit), out=digit)
+        else:  # digit 1 where erased, else 2 * d
+            np.less(v, lv0s[k - 1], out=hit)
+            if lv1s[k - 1] != lv0s[k - 1]:
+                np.copyto(hit, np.less(v, lv1s[k - 1], out=other), where=d)
+            np.multiply(d, np.uint8(2), out=digit)
+            np.putmask(digit, hit, 1)
+        np.multiply(state, a_size, out=state)
+        np.add(state, digit, out=state)
         return d, None
 
     return step

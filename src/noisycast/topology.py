@@ -77,27 +77,28 @@ def backward_search_depth(schedule: MemorySchedule, k: int) -> int:
     """Largest n with n * n <= k - 1 and memory >= n over nodes k - n*n + n .. k.
 
     The window is the set of possible hop origins of an n-hop chain ending
-    at node k with hops of length at most n.  Growing n only enlarges the
-    window and raises the bar, so the feasible set of n is downward closed
-    and a binary search applies.
+    at node k with hops of length at most n.  Its first node j0 has
+    j0 - 1 >= n, so full memory allows every such n and bounded memory
+    every n up to its capacity.  For the other families, growing n only
+    enlarges the window and raises the bar, so the feasible set of n is
+    downward closed and a binary search applies.
     """
     if k < 1:
         raise ValueError(f"nodes are 1-based, got {k!r}")
     if k < 2:
         return 0
     fam = schedule.family
-    cap = schedule.capacity
+    if fam == "full":
+        return math.isqrt(k - 1)
+    if fam == "bounded":
+        return min(schedule.capacity, math.isqrt(k - 1))
     sg = schedule.sigma
     best = 0
     lo, hi = 1, math.isqrt(k - 1)
     while lo <= hi:
         n = (lo + hi) // 2
         j0 = k - n * n + n
-        if fam == "full":
-            ok = j0 - 1 >= n
-        elif fam == "bounded":
-            ok = n <= cap and j0 - 1 >= n
-        elif fam == "power":
+        if fam == "power":
             # min(ceil(j0**sg), j0 - 1) >= n: ceil(x) >= n iff x > n - 1, and j0 - 1 >= n as n * n <= k - 1
             ok = j0**sg > n - 1
         else:

@@ -6,8 +6,9 @@ decision, and broadcast laws are written out longhand.  Everything it shares
 with the production code is the model definition, so agreement to float
 precision checks the packed-state bookkeeping end to end.
 
-_loop_evolve keeps the window step written symbol by symbol; the fused
-step must match it bit for bit, decision tables included.
+_loop_evolve writes the window step out longhand, one hypothesis row at a
+time; the fused step must match it bit for bit, decision tables included.
+TestOneRow holds the mirrored one-row recursion to the two-row one.
 
 _scan_oracle does the same for the nearest-unerased scan: the evidence is
 a (stage, value) pair or None, and its law is pushed forward in Fractions.
@@ -56,9 +57,12 @@ def _g1(r: Fraction) -> Fraction:
     return r * r
 
 
-def _oracle_series(stages, capacity, channel, prior_1=Fraction(1, 2)):
-    """Per-stage (type1, type2) as exact Fractions, windows kept as tuples."""
+def _oracle_series(stages, capacity, channel, prior_1=Fraction(1, 2), threshold=None):
+    """Per-stage (type1, type2) as exact Fractions, windows kept as tuples.
+    Nodes decide 1 when the likelihood ratio clears threshold, by default
+    the MAP threshold prior_0 / prior_1."""
     prior_0 = 1 - prior_1
+    tw = prior_0 if threshold is None else threshold * prior_1
     states = {(): (Fraction(1), Fraction(1))}
     rows = []
     for k in range(1, stages + 1):
@@ -66,9 +70,9 @@ def _oracle_series(stages, capacity, channel, prior_1=Fraction(1, 2)):
         t2 = Fraction(0)
         nxt = defaultdict(lambda: [Fraction(0), Fraction(0)])
         for w, (m0, m1) in states.items():
-            # MAP cutoff: the prior enters the private belief and the
-            # threshold symmetrically and drops out
-            tau = m0 / (m0 + m1)
+            # private-belief cutoff; at the MAP threshold tw = prior_0 and
+            # the prior drops out
+            tau = tw * m0 / (tw * m0 + prior_0 * m1)
             g0, g1 = _g0(tau), _g1(tau)
             t1 += m0 * (1 - g0)
             t2 += m1 * g1
@@ -90,45 +94,50 @@ def _oracle_series(stages, capacity, channel, prior_1=Fraction(1, 2)):
                 acc = nxt[nw]
                 acc[0] += m0 * s0
                 acc[1] += m1 * sym1[v]
-        states = {w: (a, b) for w, (a, b) in nxt.items()}
+        states = {w: (a, b) for w, (a, b) in nxt.items() if a or b}  # unreachable windows drop out
         rows.append((t1, t2, prior_0 * t1 + prior_1 * t2))
     return rows
 
 
 def _loop_evolve(dist, stage, model, channel, rule):
-    """The window step written symbol by symbol: the reference that the
-    fused step must match bit for bit.  Returns the next window, the two
-    error probabilities and the (2, states) decision table."""
+    """The window step written out longhand, in the fused step's arithmetic
+    and digit coding (0, the erasure, then 1): the reference that the fused
+    step must match bit for bit.  Each hypothesis row's mass is split by
+    decision, the oldest symbol summed out, then the channel applied.  A
+    one-row dist reads row 1 as the mirror of row 0.  Returns the next
+    window, the two error probabilities and the (2, states) decision table."""
     a_size = dist.alphabet
-    tau = _cutoffs(dist.mass0, dist.mass1, likelihood_threshold(rule, model), model.prior_1)
+    rows = dist.masses.shape[0]
+    tw = likelihood_threshold(rule, model) * model.prior_1
+    pz = 1.0 - model.prior_1
+    den = tw * dist.mass0 + pz * dist.mass1
+    tau = tw * dist.mass0 / den
+    upper = pz * dist.mass1 / den
     dec0_h0 = cdf(model, 0, tau)
     dec0_h1 = cdf(model, 1, tau)
-    type1 = float(dist.mass0 @ (1.0 - dec0_h0))
-    type2 = float(dist.mass1 @ dec0_h1)
+    # P(decide 1 | h) = F_(1-h)(1 - tau), at the mirror state's cutoff for one row
+    dec1 = [cdf(model, 1, upper), cdf(model, 0, upper)] if rows == 2 else [dec0_h1[::-1]]
     if isinstance(channel, FlipSchedule):
         q = flip_prob(channel, stage)
-        w = 1.0 - 2.0 * q
-        sym_h0 = [q + w * dec0_h0, 1.0 - q - w * dec0_h0]
-        sym_h1 = [q + w * dec0_h1, 1.0 - q - w * dec0_h1]
+        law = [[1.0 - q, q], [q, 1.0 - q]]
     else:
         lv0, lv1 = _erasure_levels_at(channel, stage)
-        sym_h0 = [(1.0 - lv0) * dec0_h0, (1.0 - lv1) * (1.0 - dec0_h0), lv0 * dec0_h0 + lv1 * (1.0 - dec0_h0)]
-        sym_h1 = [(1.0 - lv0) * dec0_h1, (1.0 - lv1) * (1.0 - dec0_h1), lv0 * dec0_h1 + lv1 * (1.0 - dec0_h1)]
+        law = [[1.0 - lv0, lv0, 0.0], [0.0, lv1, 1.0 - lv1]]
     new_len = min(dist.capacity, stage)
-    if new_len == dist.length + 1:
-        new0 = np.empty((dist.mass0.size, a_size))
-        new1 = np.empty((dist.mass1.size, a_size))
+    new_rows, sums = [], []
+    for h in range(rows):
+        parts = [dist.masses[h] * [dec0_h0, dec0_h1][h], dist.masses[h] * dec1[h]]
+        if new_len == dist.length:
+            kept = a_size ** (dist.length - 1)
+            parts = [p.reshape(a_size, kept).sum(axis=0) for p in parts]
+        sums.append(parts[1 - h].sum())
+        new = np.empty((parts[0].size, a_size))
         for v in range(a_size):
-            new0[:, v] = dist.mass0 * sym_h0[v]
-            new1[:, v] = dist.mass1 * sym_h1[v]
-    else:
-        kept = a_size ** (dist.length - 1)
-        new0 = np.empty((kept, a_size))
-        new1 = np.empty((kept, a_size))
-        for v in range(a_size):
-            new0[:, v] = (dist.mass0 * sym_h0[v]).reshape(a_size, kept).sum(axis=0)
-            new1[:, v] = (dist.mass1 * sym_h1[v]).reshape(a_size, kept).sum(axis=0)
-    new_dist = WindowDistribution(a_size, dist.capacity, new_len, np.stack([new0.ravel(), new1.ravel()]))
+            new[:, v] = law[0][v] * parts[0] + law[1][v] * parts[1]
+        new_rows.append(new.ravel())
+    type1 = float(sums[0])
+    type2 = float(sums[-1]) if rows == 2 else type1
+    new_dist = WindowDistribution(a_size, dist.capacity, new_len, np.stack(new_rows))
     return new_dist, type1, type2, np.stack([dec0_h0, dec0_h1])
 
 
@@ -137,14 +146,21 @@ class TestFusedStepMatchesLoop:
     @pytest.mark.parametrize("capacity", [1, 2, 3, 4])
     @pytest.mark.parametrize(
         "channel",
-        [FlipSchedule("constant", q=0.2), ErasureSchedule("constant", level=0.2, level_one=0.6)],
-        ids=["flip", "erasure"],
+        [
+            FlipSchedule("constant", q=0.2),
+            ErasureSchedule("constant", level=0.2, level_one=0.6),
+            ErasureSchedule("constant", level=0.3),
+        ],
+        ids=["flip", "erasure", "equal_erasure"],
     )
     def test_bit_identical(self, channel, capacity, rule):
+        """MAP over a flip or an equal-level erasure carries one row; the
+        fixed threshold and unequal levels carry two."""
         model = BeliefModel(0.0, prior_1=0.3)
         stages = 30
         series = exact_error_series(model, channel, MemorySchedule("bounded", capacity=capacity), stages, rule)
-        dist = initial_window(window_alphabet(channel), capacity)
+        rows = 1 if rule == MAP_RULE and getattr(channel, "level_one", None) is None else 2
+        dist = initial_window(window_alphabet(channel), capacity, rows)
         t1 = np.empty(stages)
         t2 = np.empty(stages)
         for k, errs in enumerate(window_stages(model, channel, capacity, stages, rule), start=1):
@@ -161,8 +177,12 @@ class TestBufferedStep:
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     @pytest.mark.parametrize(
         "channel,capacity",
-        [(FlipSchedule("constant", q=0.2), 11), (ErasureSchedule("constant", level=0.2, level_one=0.6), 7)],
-        ids=["flip", "erasure"],
+        [
+            (FlipSchedule("constant", q=0.2), 11),
+            (ErasureSchedule("constant", level=0.2, level_one=0.6), 7),
+            (ErasureSchedule("constant", level=0.3), 7),
+        ],
+        ids=["flip", "erasure", "equal_erasure"],
     )
     def test_full_window_steps_allocate_nothing_state_sized(self, channel, capacity, beta):
         """A float array over the 2048 or more states would take 8 bytes per
@@ -271,6 +291,17 @@ class TestAgainstOracle:
             assert series.extra_at("p0_type1", k) == pytest.approx(float(t1), abs=1e-13)
             assert series.extra_at("p1_type2", k) == pytest.approx(float(t2), abs=1e-13)
 
+    def test_unreachable_states(self):
+        """Level 0 never erases, so every window holding the erasure digit
+        has zero mass under both hypotheses."""
+        channel = ErasureSchedule("constant", level=0.0)
+        series = exact_error_series(BeliefModel(0.0), channel, MemorySchedule("bounded", capacity=2), stages=6)
+        for k, (t1, t2, _) in enumerate(_oracle_series(6, 2, channel), start=1):
+            assert series.extra_at("p0_type1", k) == pytest.approx(float(t1), rel=1e-12, abs=0.0)
+            assert series.extra_at("p1_type2", k) == pytest.approx(float(t2), rel=1e-12, abs=0.0)
+        tables = [e.decide0.copy() for e in window_stages(BeliefModel(0.0), channel, 2, 4)]
+        assert tables[-1][:, 4] == pytest.approx([0.75, 0.25])  # state 4 = two erasures: the neutral cutoff
+
     def test_asymmetric_erasure(self):
         channel = ErasureSchedule("constant", level=0.2, level_one=0.6)
         series = exact_error_series(
@@ -289,6 +320,99 @@ class TestAgainstOracle:
         rows = _oracle_series(6, 2, channel, prior_1=Fraction(1, 4))
         for k, (t1, t2, pe) in enumerate(rows, start=1):
             assert series.value_at(k) == pytest.approx(float(pe), abs=1e-13)
+
+
+    @pytest.mark.parametrize("capacity", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "channel", [FlipSchedule("constant", q=0.2), ErasureSchedule("constant", level=0.3)], ids=["flip", "erasure"]
+    )
+    def test_skewed_prior_one_row(self, channel, capacity):
+        """MAP at prior_1 = 0.3 over a flip or equal-level erasure channel,
+        where the recursion carries one mass row and mirrors it."""
+        stages = 6
+        model = BeliefModel(0.0, prior_1=0.3)
+        series = exact_error_series(model, channel, MemorySchedule("bounded", capacity=capacity), stages)
+        rows = _oracle_series(stages, capacity, channel, prior_1=Fraction(3, 10))
+        for k, (t1, t2, pe) in enumerate(rows, start=1):
+            assert series.extra_at("p0_type1", k) == pytest.approx(float(t1), rel=1e-12, abs=0.0)
+            assert series.extra_at("p1_type2", k) == pytest.approx(float(t2), rel=1e-12, abs=0.0)
+            assert series.value_at(k) == pytest.approx(float(pe), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "channel",
+        [FlipSchedule("constant", q=0.2), ErasureSchedule("constant", level=0.2, level_one=0.6)],
+        ids=["flip", "asymmetric_erasure"],
+    )
+    def test_fixed_threshold(self, channel):
+        model = BeliefModel(0.0, prior_1=0.3)
+        rule = ThresholdRule("fixed", threshold=1.7)
+        series = exact_error_series(model, channel, MemorySchedule("bounded", capacity=2), 6, rule)
+        rows = _oracle_series(6, 2, channel, prior_1=Fraction(3, 10), threshold=Fraction(17, 10))
+        for k, (t1, t2, pe) in enumerate(rows, start=1):
+            assert series.extra_at("p0_type1", k) == pytest.approx(float(t1), rel=1e-12, abs=0.0)
+            assert series.extra_at("p1_type2", k) == pytest.approx(float(t2), rel=1e-12, abs=0.0)
+            assert series.value_at(k) == pytest.approx(float(pe), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("threshold", [1e6, 1e7])
+    def test_far_threshold_keeps_type1_digits(self, threshold):
+        """Node 1 sees nothing: its cutoff is t / (t + 1) and, at beta = 0,
+        its type-1 error 1 - F0(t / (t + 1)) = 1 / (t + 1)**2.  Formed as
+        1 - P(decide 0) it would lose about 1e-16 * (t + 1)**2 of its
+        relative precision; the cdf at the upper side 1 / (t + 1) keeps it."""
+        channel = FlipSchedule("constant", q=0.2)
+        rule = ThresholdRule("fixed", threshold=threshold)
+        series = exact_error_series(BeliefModel(0.0), channel, MemorySchedule("bounded", capacity=2), 4, rule)
+        assert series.extra_at("p0_type1", 1) == pytest.approx(1.0 / (threshold + 1.0) ** 2, rel=1e-12, abs=0.0)
+        rows = _oracle_series(4, 2, channel, threshold=Fraction(int(threshold)))
+        for k, (t1, t2, _) in enumerate(rows, start=1):
+            assert series.extra_at("p0_type1", k) == pytest.approx(float(t1), rel=1e-12, abs=0.0)
+            assert series.extra_at("p1_type2", k) == pytest.approx(float(t2), rel=1e-12, abs=0.0)
+
+
+class TestOneRow:
+    """A mirrored law (MAP, a flip or equal erasure levels) carries mass row
+    0 alone and reads row 1 as its mirror, stepping the same function."""
+
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "channel",
+        [FlipSchedule("constant", q=0.2), ErasureSchedule("constant", level=0.3), ErasureSchedule("constant", level=0.0)],
+        ids=["flip", "erasure", "no_erasure"],
+    )
+    def test_matches_two_rows(self, channel, capacity):
+        """Without erasures, windows holding the erasure digit are
+        unreachable and take the neutral cutoff on both paths."""
+        model = BeliefModel(1.0, prior_1=0.3)
+        dist = initial_window(window_alphabet(channel), capacity)
+        for k, one in enumerate(window_stages(model, channel, capacity, 200), start=1):
+            dist, two = evolve_window(dist, k, model, channel)
+            assert one.type1 == one.type2  # one row: type 2 is type 1
+            assert one.type1 == pytest.approx(two.type1, rel=1e-13, abs=0.0)
+            assert one.type2 == pytest.approx(two.type2, rel=1e-13, abs=0.0)
+            np.testing.assert_allclose(one.decide0, two.decide0, rtol=1e-13, atol=0.0)
+        assert dist.masses.shape == (2, window_alphabet(channel) ** capacity)
+
+    @pytest.mark.parametrize(
+        "channel,rule",
+        [
+            (ErasureSchedule("constant", level=0.2, level_one=0.6), MAP_RULE),
+            (FlipSchedule("constant", q=0.2), ThresholdRule("fixed", threshold=1.7)),
+        ],
+        ids=["unequal_levels", "fixed_threshold"],
+    )
+    def test_rejects_unmirrored_law(self, channel, rule):
+        dist = initial_window(window_alphabet(channel), 2, rows=1)
+        with pytest.raises(ValueError, match="one mass row"):
+            evolve_window(dist, 1, BeliefModel(0.0, prior_1=0.3), channel, rule)
+
+    def test_mass1_is_the_mirror_view(self):
+        model = BeliefModel(0.0, prior_1=0.3)
+        channel = ErasureSchedule("constant", level=0.3)
+        dist = initial_window(3, 2, rows=1)
+        for stage in range(1, 4):
+            dist, _ = evolve_window(dist, stage, model, channel)
+        assert np.shares_memory(dist.mass1, dist.mass0)
+        np.testing.assert_array_equal(dist.mass1, dist.mass0[::-1])
 
 
 class TestWindowMechanics:
@@ -332,6 +456,14 @@ class TestWindowMechanics:
             assert np.all((e.decide0 >= 0.0) & (e.decide0 <= 1.0))
         np.testing.assert_array_equal([e.type1 for e in per_stage], series.extra["p0_type1"])
         np.testing.assert_array_equal([e.type2 for e in per_stage], series.extra["p1_type2"])
+
+    def test_cutoff_upper_side(self):
+        """upper keeps 1 - tau where tau rounds to 1, and a state with no
+        mass gets the neutral pair tw / (tw + pz), pz / (tw + pz)."""
+        upper = np.empty(3)
+        tau = _cutoffs(np.array([1.0, 1.0, 0.0]), np.array([1e-30, 1.0, 0.0]), 3.0, 0.5, upper=upper)
+        np.testing.assert_array_equal(tau, [1.0, 0.75, 0.75])
+        np.testing.assert_allclose(upper, [1e-30 / 3.0, 0.25, 0.25], rtol=1e-15, atol=0.0)
 
     def test_requires_bounded_memory(self):
         with pytest.raises(ValueError):

@@ -453,6 +453,33 @@ class TestAgainstExact:
             estimate_chain_success(0.5, 4, 0, seed=0)
 
 
+class TestWindowBitsPinned:
+    """sha256 of the window kernel's (err0, err1) counts, recorded from the
+    kernel that coded erasures as digit 2 and dropped the oldest symbol by
+    a modulo, with a window recursion that carried both mass rows: a
+    rewrite of either that moves one decision fails here."""
+
+    @pytest.mark.parametrize(
+        "model,channel,capacity,digest",
+        [
+            (BeliefModel(1.0), FlipSchedule("constant", q=0.1), 10,
+             "8e4d041ad8a83eaf29ddcdff4f15961847c0f8f37c84f93cbc3cd870898bb47e"),
+            (BeliefModel(0.0, prior_1=0.3), ErasureSchedule("constant", level=0.2, level_one=0.6), 6,
+             "dd5048df57210eb075da55c586fb6a3012ed43f46a1f9d7d4cfcaafbc3cca193"),
+            (BeliefModel(0.0, prior_1=0.3), ErasureSchedule("constant", level=0.5), 12,
+             "09302f4a21f0734757820427b462d8796d9edfcbd7e942cbd27da787ef40a3f9"),
+        ],
+        ids=["flip", "unequal_erasure", "equal_erasure"],
+    )
+    def test_counts(self, model, channel, capacity, digest):
+        config = ExperimentConfig(
+            model, channel, MemorySchedule("bounded", capacity=capacity), stages=200, trials=3000, seed=99
+        )
+        series = estimate_error_series(config)
+        blob = np.concatenate([series.extra["err0"], series.extra["err1"]]).astype(np.int64)
+        assert hashlib.sha256(blob.tobytes()).hexdigest() == digest
+
+
 class TestSeriesShape:
     def test_meta_and_ci(self):
         series = estimate_error_series(_flip_full())

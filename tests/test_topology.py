@@ -117,6 +117,28 @@ class TestBackwardSearchDepth:
     def test_matches_exhaustive_search(self, k, sched):
         assert backward_search_depth(sched, k) == self._naive_depth(sched, k)
 
+    @pytest.mark.parametrize(
+        "sched",
+        [
+            FULL,
+            MemorySchedule("bounded", capacity=1),
+            MemorySchedule("bounded", capacity=5),
+            MemorySchedule("bounded", capacity=40),
+            MemorySchedule("power", sigma=0.25),
+            MemorySchedule("power", sigma=0.5),
+            MemorySchedule("power", sigma=1.0),
+            MemorySchedule("sporadic"),
+        ],
+        ids=["full", "cap1", "cap5", "cap40", "sigma0.25", "sigma0.5", "sigma1", "sporadic"],
+    )
+    def test_every_k_up_to_300(self, sched):
+        """The docstring's definition, checked for every n and every k <= 300
+        without assuming that the feasible n are downward closed."""
+        mem = [0] + [memory_size(sched, j) for j in range(1, 301)]
+        for k in range(1, 301):
+            feasible = [n for n in range(1, k) if n * n <= k - 1 and min(mem[k - n * n + n : k + 1]) >= n]
+            assert backward_search_depth(sched, k) == max(feasible, default=0), k
+
     @pytest.mark.parametrize("sigma", [0.25, 0.5, 1.0])
     def test_power_at_integer_powers(self, sigma):
         """k around every node count where the search asks whether the first
