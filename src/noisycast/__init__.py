@@ -74,9 +74,7 @@ from .recursions import (
 )
 from .strategy import (
     MAP_RULE,
-    PublicBeliefState,
     ThresholdRule,
-    advance_public_belief,
     belief_cutoff_from_public,
     clamp_belief,
     conditional_decision_probs,
@@ -85,7 +83,6 @@ from .strategy import (
     map_belief_cutoff,
     public_belief_step,
     tandem_posterior,
-    update_public_belief,
 )
 from .topology import (
     MemorySchedule,

@@ -96,31 +96,45 @@ def cdf(model: BeliefModel, hypothesis: int, r, out=None, scratch=(None, None, N
     a, b = _shape(model, hypothesis)
     r = np.asarray(r, dtype=float)
     if float(model.beta).is_integer():
-        return _binomial_sum(r, int(a), int(a + b) - 1, out, *scratch)
+        return _binomial_sums(r, int(a), int(a + b) - 1, (out,), *scratch)[0]
     from scipy import special
 
     return special.betainc(a, b, r, out=out)
 
 
-def _binomial_sum(r, lo: int, n: int, out, s, term, spow):
-    """Sum of comb(n, j) * r**j * (1 - r)**(n - j) over j = lo..n, first
-    term first: I_r(lo, n + 1 - lo).  Each term skips a factor of 1 and
-    computes powers below 3 by multiplication (numpy's x**2 is x * x), so
-    every bit is the plain sum's.  The result lands in out and the work in
-    s, term and spow when they are given."""
+def cdfs(model: BeliefModel, r, out=None, scratch=(None, None, None)):
+    """cdf(model, h, r) for h = 0, 1, bit for bit, stacked in out, (2, *shape).
+    With out and cdf's three scratch arrays the call allocates nothing."""
+    r = np.asarray(r, dtype=float)
+    out = np.empty((2,) + r.shape) if out is None else out
+    if float(model.beta).is_integer():
+        lo = int(model.beta) + 1
+        _binomial_sums(r, lo, 2 * lo, (out[0, ...], out[1, ...]), *scratch)  # views even when 0-d
+    else:
+        for h in (0, 1):
+            cdf(model, h, r, out=out[h, ...])
+    return out
+
+
+def _binomial_sums(r, lo: int, n: int, outs, s, term, spow):
+    """Sum i of comb(n, j) * r**j * (1 - r)**(n - j) over j = lo + i..n,
+    I_r(lo + i, n + 1 - lo - i), in outs[i], each first term first.  A term
+    is computed once, skipping a factor of 1 and with powers below 3 as
+    products (numpy's x**2 is x * x), so every bit is the plain sum's."""
     if lo < n:
         s = np.subtract(1.0, r, out=s)
-    acc = None
+    sums = []
     for j in range(lo, n + 1):
-        dst = out if acc is None else term
+        opens = len(sums) < len(outs)
+        dst = outs[len(sums)] if opens else term
         c = math.comb(n, j)
         t = _ipow(r, j, dst)
         if c != 1:
             t = np.multiply(c, t, out=dst)
         if j < n:
             t = np.multiply(t, _ipow(s, n - j, spow), out=dst)
-        acc = t if acc is None else np.add(acc, t, out=out)
-    return acc
+        sums = [np.add(acc, t, out=o) for acc, o in zip(sums, outs)] + ([t] if opens else [])
+    return sums
 
 
 def _ipow(x, e: int, out=None):
@@ -136,7 +150,7 @@ def cdf_pair(model: BeliefModel):
     """x -> (cdf(model, 0, x), cdf(model, 1, x)) for one float x, with every
     bit of x's element in an array call, for scalar recursions that cannot
     afford a numpy call per value.  Integer beta sums the terms of
-    _binomial_sum in its order; hypothesis 1 drops the first term."""
+    _binomial_sums in its order; hypothesis 1 drops the first term."""
     if not float(model.beta).is_integer():
         return lambda x: (float(cdf(model, 0, x)), float(cdf(model, 1, x)))
     lo = int(model.beta) + 1

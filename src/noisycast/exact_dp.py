@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief_model import BeliefModel, cdf, cdf_pair
+from .belief_model import BeliefModel, cdf_pair, cdfs
 from .channels import Channel, ErasureSchedule, FlipSchedule, erasure_levels, flip_prob, flip_probs
 from .strategy import MAP_RULE, ThresholdRule, likelihood_threshold
 from .topology import MemorySchedule, memory_size
@@ -187,14 +187,12 @@ def evolve_window(
     s0, s1, s2 = _rows(ws.scratch, 3, n)
     tau, upper = ws.tau[:n], (ws.tau[n : 2 * n] if rows == 2 else None)
     _cutoffs(masses[0], dist.mass1, threshold, model.prior_1, tau, s0, s1, upper)
-    dec0 = _rows(ws.dec0, 2, n)
-    for h in (0, 1):
-        cdf(model, h, tau, out=dec0[h], scratch=(s0, s1, s2))
+    dec0 = cdfs(model, tau, out=_rows(ws.dec0, 2, n), scratch=(s0, s1, s2))
     # P(decide 1 | h, s) = 1 - F_h(tau) = F_(1-h)(1 - tau): the other cdf at
     # the upper side or, with one row, the decide-0 row of h = 1 mirrored
     dec1 = dec0[1:, ::-1] if upper is None else _rows(ws.dec1, 2, n)
-    for h in () if upper is None else (0, 1):
-        cdf(model, 1 - h, upper, out=dec1[h], scratch=(s0, s1, s2))
+    if upper is not None:
+        cdfs(model, upper, out=dec1[::-1], scratch=(s0, s1, s2))
     # part_d[h, s]: mass of state s under h times P(decide d | h, s)
     part0 = np.multiply(masses, dec0[:rows], out=_rows(ws.scratch, rows, n))
     part1 = np.multiply(masses, dec1, out=dec1 if rows == 2 else s1[None])
@@ -410,8 +408,7 @@ def martingale_check(
     masses = np.empty(k_max)
     for k in range(1, k_max + 1):
         tau = _cutoffs(p0, p1, model.prior_ratio, model.prior_1)
-        dec0_h0 = cdf(model, 0, tau)
-        dec0_h1 = cdf(model, 1, tau)
+        dec0_h0, dec0_h1 = cdfs(model, tau)
         q = flip_prob(schedule, k)
         w = 1.0 - 2.0 * q
         a0 = q + w * dec0_h0

@@ -12,7 +12,7 @@ and how the broadcast is absorbed; each is a step function of the skeleton:
 
 * flip channel, full memory: the shared public belief is a scalar recursion
   per trial, advanced in place by public_belief_step from the same two cdf
-  values the decision used, in seven float and two boolean (2, m) arrays
+  values the decision used, in eight float and two boolean (2, m) arrays
   made once per block of m trials;
 * bounded memory (flip or erasure): the exact window recursion, the
   strategy's own oracle, runs in lockstep and yields each stage's table of
@@ -21,7 +21,11 @@ and how the broadcast is absorbed; each is a step function of the skeleton:
   2 * stage + value with codes 0 and 1 meaning none.  A (2, 2K + 2) table
   holds P(decide 0 | hypothesis, evidence); exact_dp.scan_error_series
   builds it from the exact law of the evidence, once per (model, channel,
-  memory, stages), and the trials only read it.
+  memory, stages); trials carry their flat positions in it.
+
+The flip and scan steps make no array and, in a block of an even trial count
+that starts at an even trial, give numpy no broadcast (2, 1) or strided (2, m)
+operand, which it buffers, nor a where= mask, slower than putmask.
 
 Random stream.  The key of (seed, phase, hypothesis) is
 SeedSequence(seed, spawn_key=(phase, hypothesis)).generate_state(2, uint64).
@@ -29,7 +33,9 @@ Trial t at stage k takes outputs 2 * (t % 2) (u) and 2 * (t % 2) + 1 (v) of
 Philox(key=key, counter=[t // 2, k, phase, hypothesis]).  Any (trial, stage)
 draw is thus made on its own, and a block of trials is one draw per stage
 and hypothesis.  Counts are integer sums, so estimates are bit-identical
-whatever the block size or thread count.  A job is a block of at most
+whatever the block size or thread count.  Per stage only the counter of
+a stream's state is rewritten, in a dict of lists that the Philox setter
+reads in about 1 us (arrays: 4 us).  A job is a block of at most
 _BLOCK_TRIALS trials per hypothesis; `threads` matters only when there is
 more than one block.  run_trial replays one trial through the same skeleton,
 so it matches its batched twin exactly.
@@ -55,7 +61,7 @@ from .analysis import SeriesResult, default_grid
 from .belief_model import BeliefModel
 from .channels import Channel, ErasureSchedule, FlipSchedule, erasure_levels, flip_probs
 from .exact_dp import MAX_CAPACITY, scan_error_series, window_stages
-from .strategy import BELIEF_CEIL, BELIEF_FLOOR, conditional_decision_probs, public_belief_step
+from .strategy import BELIEF_CEIL, BELIEF_FLOOR, clamp_belief, conditional_decision_probs, public_belief_step
 from .topology import MemorySchedule, memory_size
 
 _PHASE_MEASURE = 0
@@ -63,9 +69,6 @@ _PHASE_AUX = 2  # stays 2 so that estimate_chain_success keeps its stream
 
 _BLOCK_TRIALS = 1 << 15  # trials per hypothesis in one job
 _CI_Z = 1.96
-
-# row h of every (2, m) trial array holds the trials of hypothesis h
-_IS_H1 = np.array([[False], [True]])
 
 
 @dataclass(frozen=True)
@@ -128,12 +131,6 @@ def _stream_key(seed: int, phase: int, hypothesis: int) -> np.ndarray:
     return np.random.SeedSequence(seed, spawn_key=(phase, hypothesis)).generate_state(2, np.uint64)
 
 
-def _grid_slots(grid: np.ndarray, stages: int) -> np.ndarray:
-    slot = np.full(stages + 1, -1, dtype=np.int64)
-    slot[grid] = np.arange(grid.size)
-    return slot
-
-
 def _run_block(config: ExperimentConfig, phase: int, lo: int, hi: int, step, slot=None, collect=False):
     """Advance trials lo..hi-1 of both hypotheses in lockstep through every
     stage.  step(k, u, v) returns the (2, m) boolean decisions of stage k
@@ -148,60 +145,63 @@ def _run_block(config: ExperimentConfig, phase: int, lo: int, hi: int, step, slo
     m = hi - lo
     first = lo // 2
     off = lo - 2 * first
+    # row r of buf[h] is trial 2 * first + r: its u in column 0, its v in column 1
+    buf = np.empty((2, 2 * ((hi + 1) // 2 - first), 2))
     streams = []
     for h in (0, 1):
         bits = np.random.Philox(key=_stream_key(config.seed, phase, h))
-        streams.append((bits, bits.state, np.random.Generator(bits)))
-    # row r of buf[h] is trial 2 * first + r: its u in column 0, its v in column 1
-    buf = np.empty((2, 2 * ((hi + 1) // 2 - first), 2))
-    u = buf[:, off:off + m, 0]
-    v = buf[:, off:off + m, 1]
+        # set in place each stage: building a bit generator costs more than
+        # the draw, and the emptied buffer makes each draw start at the counter
+        state = bits.state
+        state["state"]["key"] = state["state"]["key"].tolist()
+        state["buffer"], state["buffer_pos"] = state["buffer"].tolist(), 4
+        streams.append((bits, state, np.random.Generator(bits), buf[h]))
+    u, v = buf[:, off:off + m].transpose(2, 0, 1)
     counts = np.zeros((2, 0 if slot is None else int(slot.max()) + 1), dtype=np.int64)
     last = np.zeros((2, m), dtype=np.int64) if slot is None else None
     wrong = np.empty((2, m), dtype=bool)
+    is_h1 = np.repeat([[False], [True]], m, axis=1)  # row h of a (2, m) array is hypothesis h
     clamps = np.zeros(2, dtype=np.int64)
     dec = np.zeros((2, m, config.stages), dtype=np.int8) if collect else None
     for k in range(1, config.stages + 1):
-        for h, (bits, state, gen) in enumerate(streams):
-            # the state of Philox(key=key, counter=[first, k, phase, h]), set
-            # in place because building a bit generator costs more than the
-            # draw; the emptied buffer makes the next output come from the counter
-            state["state"]["counter"] = np.array([first, k, phase, h], dtype=np.uint64)
-            state["buffer_pos"] = 4
+        for h, (bits, state, gen, out) in enumerate(streams):
+            state["state"]["counter"] = [first, k, phase, h]  # Philox(key=key, counter=this)
             bits.state = state
-            gen.random(out=buf[h])
+            gen.random(out=out)
         d, clamped = step(k, u, v)
         if collect:
             dec[:, :, k - 1] = d
         if slot is None:
-            np.putmask(last, np.not_equal(d, _IS_H1, out=wrong), k)
-        elif slot[k] >= 0:
-            counts[:, slot[k]] = np.count_nonzero(np.not_equal(d, _IS_H1, out=wrong), axis=1)
+            np.putmask(last, np.not_equal(d, is_h1, out=wrong), k)
+        elif slot[k] >= 0:  # the errors: decisions 1 under h = 0, 0 under h = 1
+            counts[0, slot[k]], counts[1, slot[k]] = np.count_nonzero(d[0]), m - np.count_nonzero(d[1])
         if clamped is not None:
             clamps += np.count_nonzero(clamped, axis=1)
     return counts, last, clamps, dec
 
 
 def _flip_full_step(config: ExperimentConfig, m: int):
-    """Buffers are made once per block, O(trials per block).  f[h] holds
-    P(decide 0 | h) at each trial's cutoff, then the likelihoods of the bit."""
+    """Buffers are made once per block, O(trials per block).  f[i, h] holds
+    P(decide 0 | i) at the cutoffs of hypothesis h's trials, then the
+    likelihoods of the bit: decisions read its diagonal row by row."""
     model = config.model
     qs = flip_probs(config.channel, np.arange(1, config.stages + 1))
     b = np.full((2, m), model.prior_1)
     f = np.empty((2, 2, m))
-    work = np.empty((4, 2, m))  # the cutoff and cdf's scratch
-    d = np.empty((2, m), dtype=bool)
-    seen = np.empty((2, m), dtype=bool)
+    work = np.empty((5, 2, m))  # 1 - b, the cutoff and cdfs' scratch
+    rest, bit = work[0], work[2:4]  # the scratch is free once f is filled
+    d, seen = np.empty((2, 2, m), dtype=bool)
 
     def step(k, u, v):
         conditional_decision_probs(b, model, out=f, work=work)
         for h in (0, 1):
             np.greater(u[h], f[h, h], out=d[h])
         q = float(qs[k - 1])
-        np.not_equal(d, np.less(v, q, out=seen), out=seen)
-        public_belief_step(b, q, seen, f[0], f[1], out=b, work=f)
+        np.copyto(bit, np.not_equal(d, np.less(v, q, out=seen), out=seen))
+        public_belief_step(b, q, bit, f, out=b, work=f, rest=rest)
         if BELIEF_FLOOR < b.min() and b.max() < BELIEF_CEIL:
             return d, None
+        clamp_belief(b, out=b)
         return d, (b <= BELIEF_FLOOR) | (b >= BELIEF_CEIL)
 
     return step
@@ -250,17 +250,30 @@ def _window_step(config: ExperimentConfig, m: int):
 
 
 def _scan_step(table, config: ExperimentConfig, m: int):
+    """pos carries each trial's flat table position h * width + code, base that
+    of code 2 * k after stage k.  Codes out of the window are read as code 0
+    but stay in pos: sporadic windows reopen at perfect squares."""
     lv0s, lv1s = erasure_levels(config.channel, np.arange(1, config.stages + 1))
-    ev = np.zeros((2, m), dtype=np.int64)
-    flat = table.ravel()
-    row = np.array([[0], [table.shape[1]]])
+    equal = np.array_equal(lv0s, lv1s)
+    flat, width = table.ravel(), table.shape[1]
+    pos = np.repeat(np.array([[0], [width]]), m, axis=1)
+    base, new = pos.copy(), np.empty_like(pos)
+    f = np.empty((2, m))
+    d, kept, old = np.empty((3, 2, m), dtype=bool)
+    none = None if config.memory.family == "full" else np.repeat(table[:, :1], m, axis=1)  # code 0
 
     def step(k, u, v):
-        nonlocal ev
-        code = np.where(ev >= 2 * (k - memory_size(config.memory, k)), ev, 0)
-        d = u > flat[row + code]
-        lv = np.where(d, lv1s[k - 1], lv0s[k - 1])
-        ev = np.where(v >= lv, 2 * k + d, ev)
+        np.take(flat, pos, out=f, mode="clip")  # positions are in range by construction
+        if none is not None:  # code < 2 * (k - memory) where pos - base < 2 * (1 - memory)
+            np.less(np.subtract(pos, base, out=new), 2 * (1 - memory_size(config.memory, k)), out=old)
+            np.putmask(f, old, none)
+        np.greater(u, f, out=d)
+        np.greater_equal(v, lv0s[k - 1], out=kept)
+        if not equal:  # the level of a broadcast 1 where d
+            np.putmask(kept, d, np.greater_equal(v, lv1s[k - 1], out=old))
+        np.add(base, 2, out=base)
+        np.copyto(new, d)
+        np.putmask(pos, kept, np.add(new, base, out=new))  # code 2 * k + d
         return d, None
 
     return step
@@ -308,7 +321,8 @@ def estimate_error_series(config: ExperimentConfig, threads: int = 1) -> SeriesR
     with a normal-approximation confidence band from the per-hypothesis
     counts.  Byte-identical for fixed (config, seed) whatever `threads` is."""
     grid = np.asarray(config.grid if config.grid is not None else default_grid(config.stages), dtype=np.int64)
-    slot = _grid_slots(grid, config.stages)
+    slot = np.full(config.stages + 1, -1, dtype=np.int64)
+    slot[grid] = np.arange(grid.size)  # the count of stage k goes to column slot[k]
     counts, _, clamps = _collect_blocks(config, slot, threads)
     n = config.trials
     p0 = counts[0] / n

@@ -10,6 +10,7 @@ extremes lemma3_sandwich pins down.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -183,8 +184,10 @@ def lemma3_sandwich(spec: RecursionSpec, k_min: int, stages: int, grid=None) -> 
         i0 = max(k_min - lo, 0)
         if i0 < len(ds):
             ks = np.arange(lo + i0, hi + 1, dtype=np.int64)
-            # float * int64 rounds as d * k does; numpy's SIMD power is not libm's pow
-            factor = darr[i0:] * ks if n == 1 else [(d * k) ** inv_n for d, k in zip(ds[i0:], ks.tolist())]
+            # float * int64 rounds as d * k does; numpy's SIMD power is not libm's pow, the builtin pow is
+            factor = darr[i0:] * ks
+            if n > 1:
+                factor = np.fromiter(map(pow, factor.tolist(), itertools.repeat(inv_n)), float, factor.size)
             r = traj[i0 : len(ds)] * factor
             low, high = min(low, float(r.min())), max(high, float(r.max()))
     return SandwichResult(low, high, k_min, stages, None if grid is None else _series(spec, stages, targets, vals))

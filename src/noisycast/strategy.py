@@ -6,8 +6,9 @@ coordinates with equal priors that is simply 'private belief above one minus
 the public belief'.  The public belief, the posterior probability of
 hypothesis 1 given the corrupted broadcasts, advances one observation at a
 time; a flip at rate q enters through the two-sided mixture
-q + (1 - 2q) * P(decision | .).  Updated beliefs are clamped away from 0 and
-1 so a long one-sided run cannot round them into an absorbing state.
+q + (1 - 2q) * P(decision | .).  clamp_belief keeps updated beliefs away
+from 0 and 1 so a long one-sided run cannot round them into an absorbing
+state.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief_model import BeliefModel, cdf
+from .belief_model import BeliefModel, cdfs
 from .channels import ERASED
 
 BELIEF_FLOOR = 1e-300
@@ -79,60 +80,51 @@ def decide(private_belief: float, cutoff: float) -> int:
     return int(private_belief > cutoff)
 
 
-def conditional_decision_probs(public_belief, model: BeliefModel, out=(None, None), work=(None,) * 4):
-    """(P(decide 0 | hyp 0), P(decide 0 | hyp 1)) at a public belief.  out,
-    (2, *shape), receives the pair; work, (4, *shape), takes the cutoff in
-    work[0] and cdf's scratch in work[1:]."""
-    c = belief_cutoff_from_public(public_belief, model, out=work[0], work=work[1])
-    return cdf(model, 0, c, out=out[0], scratch=work[1:]), cdf(model, 1, c, out=out[1], scratch=work[1:])
+def conditional_decision_probs(public_belief, model: BeliefModel, out=None, work=(None,) * 5):
+    """P(decide 0 | hypothesis h) at a public belief's cutoff in out[h], (2, *shape).
+    work, (5, *shape), takes 1 - b in work[0], the cutoff in work[1] (under
+    equal priors it is work[0]) and cdfs' scratch in work[2:]."""
+    b = np.asarray(public_belief, dtype=float)
+    rest = np.subtract(1.0, b, out=work[0])
+    c = rest if model.prior_1 == 0.5 else belief_cutoff_from_public(b, model, out=work[1], work=work[2])
+    return cdfs(model, c, out=out, scratch=work[2:])
 
 
 def clamp_belief(belief, out=None):
     return np.clip(belief, BELIEF_FLOOR, BELIEF_CEIL, out=out)
 
 
-def public_belief_step(public_belief, flip_probability: float, observed, dec0_h0, dec0_h1, out=None, work=None):
+def public_belief_step(public_belief, flip_probability: float, observed, dec0, out=None, work=None, rest=None):
     """One Bayes step from an observed, possibly flipped, broadcast bit.
 
-    dec0_h0 and dec0_h1 are P(decide 0 | hypothesis) at the cutoff the
-    public belief sets, the same two cdf values a simulated node decides
-    with, so a caller that has them pays for no second cdf evaluation.
-    public_belief, observed and both probabilities may be arrays of matching
-    shape; the flip probability is the single rate of the stage being
-    absorbed.  The result is clamped to [BELIEF_FLOOR, BELIEF_CEIL].
+    dec0[h] is P(decide 0 | hypothesis h) at the cutoff the public belief
+    sets, as conditional_decision_probs returns it and a simulated node
+    decides with it, so a caller pays for no second cdf evaluation.
+    public_belief, observed (boolean, 0/1 floats, or integers compared with
+    0) and dec0[h] may be arrays of matching shape; the flip probability is
+    the single rate of the stage being absorbed.  The result is not
+    clamped: the caller applies clamp_belief where its range test fails.
 
-    out receives the result and may be public_belief itself.  work, a
-    (2, *shape) array, receives the likelihoods of the bit under h = 0, 1: it
-    may be dec0_h0 and dec0_h1 stacked, which it then overwrites, but never
-    public_belief, observed or out.  Both, with a boolean observed, allocate nothing.
+    out receives the result and may be public_belief itself.  work, shaped
+    like dec0, receives the likelihoods of the bit under h = 0, 1: it may be
+    dec0 but never public_belief, observed or out.  rest, if given, is
+    1 - public_belief, as conditional_decision_probs leaves it in work[0].
+    With out, work, rest and observed shaped like dec0, nothing allocates.
     """
     q = float(flip_probability)
     if not 0.0 <= q <= 0.5:
         raise ValueError(f"flip probability must lie in [0, 1/2], got {flip_probability!r}")
     b = np.asarray(public_belief, dtype=float)
-    seen = observed if np.asarray(observed).dtype == bool else np.not_equal(observed, 0)
-    if work is None:
-        work = np.empty((2,) + np.broadcast_shapes(b.shape, np.shape(seen), np.shape(dec0_h0), np.shape(dec0_h1)))
-    like0, like1 = work[0, ...], work[1, ...]  # views even when 0-d
-    np.subtract(seen, dec0_h0, out=like0)  # 1 - dec0 after a 1, -dec0 after a 0
-    np.subtract(seen, dec0_h1, out=like1)
+    seen = observed if np.asarray(observed).dtype.kind in "bf" else np.not_equal(observed, 0)
+    work = np.subtract(seen, dec0, out=work)  # 1 - dec0 after a 1, -dec0 after a 0
     np.abs(work, out=work)
     np.multiply(work, 1.0 - 2.0 * q, out=work)
     np.add(work, q, out=work)  # q + (1 - 2q) * P(decision read | h)
+    like0, like1 = work[0, ...], work[1, ...]  # views even when 0-d
     num = np.multiply(like1, b, out=like1)
-    rest = np.subtract(1.0, b, out=out)  # the last read of b, so out may be b
-    new = np.divide(num, np.add(num, np.multiply(like0, rest, out=like0), out=like0), out=out)
-    if not (BELIEF_FLOOR < new.min() and new.max() < BELIEF_CEIL):
-        new = clamp_belief(new, out=out)
-    return new
-
-
-def update_public_belief(public_belief, flip_probability: float, observed, model: BeliefModel):
-    """public_belief_step with the decision probabilities computed from the
-    model at the public belief's own cutoff."""
-    b = np.asarray(public_belief, dtype=float)
-    dec0_h0, dec0_h1 = conditional_decision_probs(b, model)
-    return public_belief_step(b, flip_probability, observed, dec0_h0, dec0_h1)
+    if rest is None:
+        rest = np.subtract(1.0, b, out=out)  # the last read of b, so out may be b
+    return np.divide(num, np.add(num, np.multiply(like0, rest, out=like0), out=like0), out=out)
 
 
 def tandem_posterior(observed: int, sender_marginals, prior_belief: float) -> float:
@@ -159,20 +151,3 @@ def tandem_posterior(observed: int, sender_marginals, prior_belief: float) -> fl
     if den == 0.0:
         raise ValueError(f"symbol {observed} has probability zero under both hypotheses")
     return num / den
-
-
-@dataclass
-class PublicBeliefState:
-    """Running public belief with bookkeeping for clamp events."""
-
-    belief: float
-    stage: int = 0
-    clamp_count: int = 0
-
-
-def advance_public_belief(
-    state: PublicBeliefState, flip_probability: float, observed: int, model: BeliefModel
-) -> PublicBeliefState:
-    b = float(update_public_belief(state.belief, flip_probability, observed, model))
-    clamped = b <= BELIEF_FLOOR or b >= BELIEF_CEIL
-    return PublicBeliefState(b, state.stage + 1, state.clamp_count + int(clamped))

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from noisycast.belief_model import (
     BeliefModel,
     cdf,
     cdf_pair,
+    cdfs,
     density,
     private_likelihood_ratio,
     sample,
@@ -164,6 +166,39 @@ class TestCdfGeneral:
         scratch = tuple(np.empty_like(r) for _ in range(3))
         assert cdf(model, hypothesis, r, out=out, scratch=scratch) is out
         assert np.array_equal(out, cdf(model, hypothesis, r))
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0, 5.0])
+    def test_pair_is_bit_identical_to_two_cdf_calls(self, beta):
+        """cdfs shares hypothesis 1's terms with hypothesis 0's sum; each
+        row must still be the bits of its own cdf call."""
+        model = BeliefModel(beta)
+        r = np.concatenate([[0.0, 1.0, 5e-324, 1.0 - 2.0**-53], np.random.default_rng(9).random(5000)])
+        got = cdfs(model, r)
+        assert got.shape == (2, r.size)
+        assert np.array_equal(got[0], cdf(model, 0, r)) and np.array_equal(got[1], cdf(model, 1, r))
+        out = np.empty((2, r.size))
+        assert cdfs(model, r, out=out, scratch=np.empty((3, r.size))) is out
+        assert np.array_equal(out, got)
+        rows = cdfs(model, r, out=np.empty((2, r.size))[::-1])  # strided rows, as a decide-1 table takes them
+        assert np.array_equal(rows, got)
+        assert [float(x) for x in cdfs(model, 0.3)] == [float(cdf(model, h, 0.3)) for h in (0, 1)]
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0, 5.0])
+    def test_pair_with_buffers_allocates_nothing(self, beta):
+        model = BeliefModel(beta)
+        r = np.random.default_rng(10).random(4096)
+        out, scratch = np.empty((2, r.size)), np.empty((3, r.size))
+        cdfs(model, r, out=out, scratch=scratch)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(20):
+                cdfs(model, r, out=out, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 4096  # one (4096,) float row would take 32 KB
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0, 3.0, 5.0, 0.5])
     def test_scalar_pair_is_bit_identical_to_array_call(self, beta):

@@ -480,6 +480,82 @@ class TestWindowBitsPinned:
         assert hashlib.sha256(blob.tobytes()).hexdigest() == digest
 
 
+class TestScanBitsPinned:
+    """sha256 of the scan kernel's (err0, err1) counts on the default grid
+    and each trial's last erring stage, recorded from the kernel that
+    rebuilt its evidence codes with np.where every stage: a rewrite that
+    moves one decision fails here."""
+
+    @pytest.mark.parametrize(
+        "channel,memory,digest",
+        [
+            (ErasureSchedule("constant", level=0.9), MemorySchedule("full"),
+             "baf0939c055b792f83773164fc5f65460d0bfd019eb73abdf643f57a77ddaa3a"),
+            (ErasureSchedule("constant", level=0.5), MemorySchedule("power", sigma=0.5),
+             "72c05044faea47a98a1cf6cd0d2150bf8261f748901d53a7cceb6bac3e7bd19b"),
+            (ErasureSchedule("constant", level=0.6), MemorySchedule("sporadic"),
+             "c73c654caf3667036148b6587e5554aba7921fd538c0383428a908ba3e8b6ee8"),
+            (ErasureSchedule("constant", level=0.3, level_one=0.7), MemorySchedule("full"),
+             "e78df211668edc76b482b935e456c23c2f4b36ae334dd17d0cf2a1a2749df2a5"),
+            (ErasureSchedule("theorem4", c=1.0, eps=2.0), MemorySchedule("full"),
+             "fa07569d4450902b5ceacdfc273f2190c05164749ea1e383039229a7ba43be9d"),
+        ],
+        ids=["full", "power", "sporadic", "asymmetric", "theorem4"],
+    )
+    def test_counts_and_last_stages(self, channel, memory, digest):
+        config = ExperimentConfig(
+            BeliefModel(1.0, prior_1=0.3), channel, memory, stages=300, trials=700, seed=99
+        )
+        series = estimate_error_series(config)
+        last = mc._collect_blocks(config, None, 1)[1]
+        blob = np.concatenate([series.extra["err0"], series.extra["err1"], last.ravel()]).astype(np.int64)
+        assert hashlib.sha256(blob.tobytes()).hexdigest() == digest
+
+
+class TestKernelAllocations:
+    """Warm kernel steps work in the buffers made once per block: a (2, m)
+    array made per stage would take 64 KB or more at m = 4096, against the
+    few hundred bytes of a step's small Python objects."""
+
+    M = 4096
+
+    def _traced_peak(self, config, stages=200):
+        step = mc._step_for(config)(config, self.M)
+        rng = np.random.default_rng(3)
+        u, v = rng.random((2, 2, self.M))
+        for k in range(1, 11):
+            step(k, u, v)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            for k in range(11, 11 + stages):
+                assert step(k, u, v)[1] is None  # no clamps
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("model", [MODEL, BeliefModel(2.0, prior_1=0.3)], ids=["beta0", "beta2_prior03"])
+    def test_flip_step(self, model):
+        config = ExperimentConfig(
+            model, FlipSchedule("constant", q=0.1), MemorySchedule("full"), stages=210, trials=self.M, seed=1
+        )
+        assert self._traced_peak(config) < 4096
+
+    @pytest.mark.parametrize(
+        "channel,memory",
+        [
+            (ErasureSchedule("constant", level=0.9), MemorySchedule("full")),
+            (ErasureSchedule("constant", level=0.5), MemorySchedule("power", sigma=0.5)),
+            (ErasureSchedule("constant", level=0.3, level_one=0.7), MemorySchedule("full")),
+        ],
+        ids=["full", "power", "asymmetric"],
+    )
+    def test_scan_step(self, channel, memory):
+        config = ExperimentConfig(MODEL, channel, memory, stages=210, trials=self.M, seed=1)
+        assert self._traced_peak(config) < 4096
+
+
 class TestSeriesShape:
     def test_meta_and_ci(self):
         series = estimate_error_series(_flip_full())

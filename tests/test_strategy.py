@@ -14,9 +14,7 @@ from noisycast.strategy import (
     BELIEF_CEIL,
     BELIEF_FLOOR,
     MAP_RULE,
-    PublicBeliefState,
     ThresholdRule,
-    advance_public_belief,
     belief_cutoff_from_public,
     clamp_belief,
     conditional_decision_probs,
@@ -25,7 +23,6 @@ from noisycast.strategy import (
     map_belief_cutoff,
     public_belief_step,
     tandem_posterior,
-    update_public_belief,
 )
 
 MODEL = BeliefModel(0.0)
@@ -98,32 +95,41 @@ class TestConditionalDecisionProbs:
         assert (float(p0), float(p1)) == (0.0, 0.0)
 
 
+def _update(b, q, observed, model=MODEL):
+    """The clamped Bayes step at the decision probabilities of the belief's own cutoff."""
+    return clamp_belief(public_belief_step(b, q, observed, conditional_decision_probs(b, model)))
+
+
 class TestPublicBeliefUpdate:
     def test_frozen_example(self):
         # even split, quarter flip noise, observing a one:
         # likelihoods are (q + (1-2q) G(cutoff)) with cutoff 0.5
-        assert update_public_belief(0.5, 0.25, 1, MODEL) == pytest.approx(0.625)
-        assert update_public_belief(0.5, 0.25, 0, MODEL) == pytest.approx(0.375)
+        assert _update(0.5, 0.25, 1) == pytest.approx(0.625)
+        assert _update(0.5, 0.25, 0) == pytest.approx(0.375)
 
     def test_pure_noise_is_inert(self):
         for b in (0.1, 0.5, 0.9):
-            assert update_public_belief(b, 0.5, 1, MODEL) == pytest.approx(b)
+            assert _update(b, 0.5, 1) == pytest.approx(b)
 
     def test_vectorised(self):
         b = np.full(4, 0.5)
         obs = np.array([1, 0, 1, 0])
-        out = update_public_belief(b, 0.25, obs, MODEL)
+        out = _update(b, 0.25, obs)
         np.testing.assert_allclose(out, [0.625, 0.375, 0.625, 0.375])
 
     def test_q_domain(self):
         with pytest.raises(ValueError):
-            update_public_belief(0.5, 0.75, 1, MODEL)
+            _update(0.5, 0.75, 1)
         with pytest.raises(ValueError):
-            update_public_belief(0.5, -0.1, 1, MODEL)
+            _update(0.5, -0.1, 1)
 
     def test_clamping(self):
-        assert update_public_belief(0.0, 0.1, 0, MODEL) >= BELIEF_FLOOR
-        assert update_public_belief(1.0, 0.1, 1, MODEL) <= BELIEF_CEIL
+        assert _update(0.0, 0.1, 0) == BELIEF_FLOOR
+        assert _update(1.0, 0.1, 1) == BELIEF_CEIL
+        assert _update(BELIEF_FLOOR, 0.1, 0) == BELIEF_FLOOR
+
+    def test_step_leaves_clamping_to_the_caller(self):
+        assert public_belief_step(0.0, 0.1, 0, conditional_decision_probs(0.0, MODEL)) == 0.0
 
     @given(b=_open_unit, q=st.floats(min_value=0.0, max_value=0.5, allow_nan=False))
     def test_one_step_martingale(self, b, q):
@@ -135,20 +141,21 @@ class TestPublicBeliefUpdate:
         mean = 0.0
         for obs in (0, 1):
             weight = b * like1[obs] + (1 - b) * like0[obs]
-            mean += weight * float(update_public_belief(b, q, obs, MODEL))
+            mean += weight * float(_update(b, q, obs))
         assert mean == pytest.approx(b, abs=1e-10)
 
     @given(b=_open_unit, q=st.floats(min_value=0.0, max_value=0.49, allow_nan=False))
     def test_observing_one_raises_belief(self, b, q):
-        up = float(update_public_belief(b, q, 1, MODEL))
-        down = float(update_public_belief(b, q, 0, MODEL))
+        up = float(_update(b, q, 1))
+        down = float(_update(b, q, 0))
         assert down <= b + 1e-12 <= up + 2e-12
 
 
 class TestBufferedStep:
     """The flip kernel passes output and work buffers, with its belief as
-    the output and its decision probabilities as the work; neither may
-    change a bit of what the allocating calls return."""
+    the output, its decision probabilities as the work and the 1 - b of
+    the cutoff as rest; none may change a bit of what the allocating calls
+    return."""
 
     @pytest.mark.parametrize("model", [MODEL, BeliefModel(2.0, prior_1=0.3)], ids=["beta0", "beta2_prior03"])
     def test_buffers_and_aliases_change_no_bit(self, model):
@@ -156,28 +163,30 @@ class TestBufferedStep:
         b = np.concatenate([[BELIEF_FLOOR, BELIEF_CEIL, 0.5], rng.random(997)]).reshape(2, 500)
         seen = rng.random((2, 500)) < 0.5
         q = 0.15
-        f0, f1 = conditional_decision_probs(b, model)
+        c = belief_cutoff_from_public(b, model)
+        f0, f1 = cdf(model, 0, c), cdf(model, 1, c)
         w = 1.0 - 2.0 * q
         like1 = np.where(seen, q + w * (1.0 - f1), q + w * f1)
         like0 = np.where(seen, q + w * (1.0 - f0), q + w * f0)
         want = np.clip(like1 * b / (like1 * b + like0 * (1.0 - b)), BELIEF_FLOOR, BELIEF_CEIL)
-        assert np.array_equal(public_belief_step(b, q, seen.astype(np.int64), f0, f1), want)
+        assert np.array_equal(clamp_belief(public_belief_step(b, q, seen.astype(np.int64), (f0, f1))), want)
 
         f = np.empty((2,) + b.shape)
-        work = np.empty((4,) + b.shape)
-        got = conditional_decision_probs(b, model, out=f, work=work)
-        assert np.shares_memory(got[0], f[0]) and np.shares_memory(got[1], f[1])
+        work = np.empty((5,) + b.shape)
+        assert conditional_decision_probs(b, model, out=f, work=work) is f
         assert np.array_equal(f[0], f0) and np.array_equal(f[1], f1)
-        np.testing.assert_array_equal(work[0], belief_cutoff_from_public(b, model))
-        out = b.copy()
-        assert public_belief_step(out, q, seen, f[0], f[1], out=out, work=f) is out
-        assert np.array_equal(out, want)
+        np.testing.assert_array_equal(work[0], 1.0 - b)
+        np.testing.assert_array_equal(work[0 if model.prior_1 == 0.5 else 1], c)
+        out, bit = b.copy(), np.empty_like(f)
+        np.copyto(bit, seen)  # as the kernel passes the bit: floats in both likelihood rows
+        assert public_belief_step(out, q, bit, f, out=out, work=f, rest=work[0]) is out
+        assert np.array_equal(clamp_belief(out, out=out), want)
         assert (want == BELIEF_FLOOR).any()  # the clip ran
 
     def test_scalar_belief(self):
-        step = public_belief_step(0.5, 0.25, 1, 0.75, 0.25)
+        step = public_belief_step(0.5, 0.25, 1, (0.75, 0.25))
         assert step == pytest.approx(0.625) and np.ndim(step) == 0
-        assert public_belief_step(0.5, 0.25, True, 0.75, 0.25) == step
+        assert public_belief_step(0.5, 0.25, True, (0.75, 0.25)) == step
 
 
 class TestTandemPosterior:
@@ -212,18 +221,3 @@ class TestStateBookkeeping:
         np.testing.assert_allclose(
             clamp_belief(np.array([-1.0, 0.5, 2.0])), [BELIEF_FLOOR, 0.5, BELIEF_CEIL]
         )
-
-    def test_advance(self):
-        state = PublicBeliefState(0.5)
-        nxt = advance_public_belief(state, 0.25, 1, MODEL)
-        assert nxt.belief == pytest.approx(0.625)
-        assert nxt.stage == 1
-        assert nxt.clamp_count == 0
-
-    def test_advance_counts_clamps(self):
-        state = PublicBeliefState(BELIEF_FLOOR, stage=3)
-        for obs in (0, 0, 0):
-            state = advance_public_belief(state, 0.1, obs, MODEL)
-        assert state.stage == 6
-        assert state.clamp_count >= 1
-        assert state.belief >= BELIEF_FLOOR
