@@ -20,7 +20,7 @@ from .analysis import (
     theta_sandwich,
     write_series_csv,
 )
-from .belief_model import BeliefModel, cdf, density, private_likelihood_ratio, sample, tail_constants
+from .belief_model import BeliefModel, cdf, tail_constants
 from .channels import (
     ERASED,
     Channel,
@@ -28,12 +28,10 @@ from .channels import (
     FlipSchedule,
     erasure_level,
     erasure_levels,
-    flip_for_informativeness,
     flip_prob,
     flip_probs,
     informativeness,
     target_informativeness,
-    transmit,
 )
 from .exact_dp import (
     MAX_CAPACITY,
@@ -78,9 +76,7 @@ from .strategy import (
     belief_cutoff_from_public,
     clamp_belief,
     conditional_decision_probs,
-    decide,
     likelihood_threshold,
-    map_belief_cutoff,
     public_belief_step,
     tandem_posterior,
 )

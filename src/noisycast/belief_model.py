@@ -75,13 +75,6 @@ def _shape(model: BeliefModel, hypothesis: int) -> tuple[float, float]:
     return model.beta + 2.0, model.beta + 1.0
 
 
-def density(model: BeliefModel, hypothesis: int, r):
-    """Conditional density of the private belief at r.  Vectorised in r."""
-    a, b = _shape(model, hypothesis)
-    r = np.asarray(r, dtype=float)
-    return model.norm_constant * r ** (a - 1.0) * (1.0 - r) ** (b - 1.0)
-
-
 def cdf(model: BeliefModel, hypothesis: int, r, out=None, scratch=(None, None, None)):
     """Conditional distribution function of the private belief.
 
@@ -169,28 +162,6 @@ def cdf_pair(model: BeliefModel):
         return f0, f1
 
     return pair
-
-
-def sample(model: BeliefModel, hypothesis: int, rng: np.random.Generator, size=None):
-    """Draw private beliefs from the conditional law using the given generator."""
-    a, b = _shape(model, hypothesis)
-    return rng.beta(a, b, size=size)
-
-
-def private_likelihood_ratio(model: BeliefModel, belief: float) -> float:
-    """Likelihood ratio (hypothesis 1 over 0) of the signal behind a belief.
-
-    belief = prior_1 * L / (prior_0 + prior_1 * L) inverted for L.  The
-    endpoints come back as 0.0 and inf rather than raising: a belief of
-    exactly 0 or 1 encodes an unboundedly strong signal.
-    """
-    if not 0.0 <= belief <= 1.0:
-        raise ValueError(f"belief must lie in [0, 1], got {belief!r}")
-    if belief == 0.0:
-        return 0.0
-    if belief == 1.0:
-        return math.inf
-    return model.prior_ratio * belief / (1.0 - belief)
 
 
 def tail_constants(model: BeliefModel) -> tuple[float, float]:

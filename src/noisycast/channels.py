@@ -108,13 +108,6 @@ def informativeness(q: float) -> float:
     return (1.0 - 2.0 * q) / (1.0 - q)
 
 
-def flip_for_informativeness(target: float) -> float:
-    """Inverse of informativeness: the q that realises a given Q in [0, 1]."""
-    if not 0.0 <= target <= 1.0:
-        raise ValueError(f"informativeness must lie in [0, 1], got {target!r}")
-    return (1.0 - target) / (2.0 - target)
-
-
 def target_informativeness(schedule: FlipSchedule, stages):
     """Q_k for each stage in `stages`, capped at 1.  Vectorised."""
     ks = np.asarray(stages, dtype=float)
@@ -173,14 +166,3 @@ def _erasure_levels_at(schedule: ErasureSchedule, stage: int) -> tuple[float, fl
         raise ValueError(f"stages are 1-based, got {stage!r}")
     lv0, lv1 = erasure_levels(schedule, np.asarray([stage]))
     return float(lv0[0]), float(lv1[0])
-
-
-def transmit(channel: Channel, stage: int, decision: int, rng: np.random.Generator) -> int:
-    """Push one decision bit through the channel at the given stage."""
-    if decision not in (0, 1):
-        raise ValueError(f"decision must be 0 or 1, got {decision!r}")
-    u = rng.random()
-    if isinstance(channel, FlipSchedule):
-        return int(decision) ^ (u < flip_prob(channel, stage))
-    lv0, lv1 = _erasure_levels_at(channel, stage)
-    return ERASED if u < (lv1 if decision else lv0) else int(decision)

@@ -49,7 +49,6 @@ class RunSettings:
     stages: int = 1000
     trials: int = 10_000
     seed: int = 0
-    calibration_trials: int = 2000
     k0_fraction: float = 0.5
 
 
@@ -88,7 +87,6 @@ class ParsedConfig:
                 stages=self.run.stages,
                 trials=self.run.trials,
                 seed=self.run.seed,
-                calibration_trials=self.run.calibration_trials,
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -177,7 +175,7 @@ def parse_config(path, default_task: str | None = None) -> ParsedConfig:
         raise ConfigError(f"{p}: {exc}") from exc
 
     run_doc = doc.get("run", {})
-    _require_keys("run", run_doc, {"stages", "trials", "seed", "calibration_trials", "k0_fraction"})
+    _require_keys("run", run_doc, {"stages", "trials", "seed", "k0_fraction"})
     rec_doc = doc.get("recursion", {})
     _require_keys("recursion", rec_doc, {"initial", "coefficient", "k_min"})
     try:
@@ -187,7 +185,6 @@ def parse_config(path, default_task: str | None = None) -> ParsedConfig:
             stages=int(run.stages),
             trials=int(run.trials),
             seed=int(run.seed),
-            calibration_trials=int(run.calibration_trials),
             k0_fraction=float(run.k0_fraction),
         )
         recursion = RecursionSettings(**rec_doc)
@@ -217,16 +214,10 @@ def parse_config(path, default_task: str | None = None) -> ParsedConfig:
 # task runners
 
 
-def _apply_run_overrides(cfg: ParsedConfig, ns) -> ParsedConfig:
+def _apply_run_overrides(cfg: ParsedConfig, ov: Overrides) -> ParsedConfig:
     """Apply --seed, --trials and --nodes to the run settings and to the
     document's run section, so the config hash names the config that ran."""
-    kw = {}
-    if getattr(ns, "seed", None) is not None:
-        kw["seed"] = ns.seed
-    if getattr(ns, "trials", None) is not None:
-        kw["trials"] = ns.trials
-    if getattr(ns, "nodes", None) is not None:
-        kw["stages"] = ns.nodes
+    kw = {k: v for k, v in (("seed", ov.seed), ("trials", ov.trials), ("stages", ov.stages)) if v is not None}
     if kw:
         cfg.run = replace(cfg.run, **kw)
         cfg.doc = dict(cfg.doc, run={**cfg.doc.get("run", {}), **kw})
@@ -336,14 +327,8 @@ def _run_config(cfg: ParsedConfig, out: Path, threads: int) -> int:
     return 0
 
 
-def _run_named_preset(name: str, out_dir: Path | None, ns) -> int:
+def _run_named_preset(name: str, out_dir: Path | None, ov: Overrides) -> int:
     out = out_dir if out_dir is not None else Path("runs") / name
-    ov = Overrides(
-        seed=getattr(ns, "seed", None),
-        trials=getattr(ns, "trials", None),
-        stages=getattr(ns, "nodes", None),
-        threads=getattr(ns, "threads", 1) or 1,
-    )
     verdict = run_preset(name, out, ov)
     for chk in verdict["checks"]:
         tag = "info" if chk["informational"] else ("PASS" if chk["passed"] else "FAIL")
@@ -413,6 +398,14 @@ def _add_override_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=1, help="Monte Carlo worker threads")
 
 
+def _overrides(parser: argparse.ArgumentParser, ns) -> Overrides:
+    """The override flags, validated once for presets and config runs alike."""
+    try:
+        return Overrides(seed=ns.seed, trials=ns.trials, stages=ns.nodes, threads=ns.threads)
+    except ValueError as exc:
+        parser.error(str(exc))  # exits 2, as for any other usage error
+
+
 def _flag_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="noisycast", description=__doc__)
     g = p.add_mutually_exclusive_group(required=True)
@@ -459,25 +452,25 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         if argv and argv[0] in _SUBCOMMANDS:
-            ns = _subcommand_parser().parse_args(argv)
+            parser = _subcommand_parser()
+            ns = parser.parse_args(argv)
             if ns.command == "list":
                 return _print_preset_list()
-            if ns.command == "preset":
-                return _run_named_preset(ns.name, ns.out, ns)
             if ns.command == "fit":
                 return _run_fit(ns)
-            cfg = _apply_run_overrides(parse_config(ns.config, default_task=ns.command), ns)
-            out = ns.out if ns.out is not None else Path("runs") / cfg.task
-            return _run_config(cfg, out, ns.threads or 1)
-
-        ns = _flag_parser().parse_args(argv)
-        if ns.list:
-            return _print_preset_list()
-        if ns.preset is not None:
-            return _run_named_preset(ns.preset, ns.out, ns)
-        cfg = _apply_run_overrides(parse_config(ns.config), ns)
+            preset, default_task = (ns.name, None) if ns.command == "preset" else (None, ns.command)
+        else:
+            parser = _flag_parser()
+            ns = parser.parse_args(argv)
+            if ns.list:
+                return _print_preset_list()
+            preset, default_task = ns.preset, None
+        ov = _overrides(parser, ns)
+        if preset is not None:
+            return _run_named_preset(preset, ns.out, ov)
+        cfg = _apply_run_overrides(parse_config(ns.config, default_task=default_task), ov)
         out = ns.out if ns.out is not None else Path("runs") / cfg.task
-        return _run_config(cfg, out, ns.threads or 1)
+        return _run_config(cfg, out, ov.threads)
     except SystemExit as exc:
         code = exc.code
         return 0 if code is None else int(code)

@@ -74,8 +74,9 @@ _CI_Z = 1.96
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One Monte Carlo experiment.  calibration_trials is ignored: the
-    erasure scan's table is exact and needs no trials.  The field stays so
-    that configs and scripts that set it keep running."""
+    erasure scan's table is exact and needs no trials.  The field stays
+    because config_hash hashes repr(config): dropping it would change the
+    hash line of every Monte Carlo CSV."""
 
     model: BeliefModel
     channel: Channel

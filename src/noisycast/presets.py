@@ -1,20 +1,30 @@
 """Named experiment presets: one per claimed limit or rate law.
 
-Each preset runs a pinned configuration, writes its series CSVs plus a
-verdict.json into the output directory, and returns the verdict dict.  The
-checks inside a verdict are the preset's acceptance thresholds; entries
-marked informational report a number without gating the verdict (used where
-a rate is known not to be reproducible at feasible horizons and is recorded
-rather than asserted).
+PRESETS is the registry, and each claim is stated once, in its entry: a
+description, the default stages, trials and seed, and a runner.  The runner
+takes the effective settings, an Overrides in which each override replaces
+the default it names; a setting the preset leaves unset stays unset.  It
+returns an Outcome: the tables to write, the checks, and the payload that
+names the run.  run_preset does the rest for every preset: it applies the
+overrides, hashes the payload (canonical JSON, or config_hash of a Monte
+Carlo ExperimentConfig), writes each table as a CSV under a
+``# config_hash producer seed`` line, and writes verdict.json.
+
+A check is one acceptance threshold.  Checks marked informational report a
+number without gating the verdict; they record rates that are known not to
+be reproducible at feasible horizons.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,11 +42,13 @@ from .channels import ErasureSchedule, FlipSchedule, erasure_levels
 from .exact_dp import exact_error_series, martingale_check, scan_error_series
 from .montecarlo import (
     ExperimentConfig,
+    config_hash,
     estimate_chain_success,
     estimate_error_series,
     herding_stats,
 )
 from .recursions import (
+    RecursionSpec,
     _classify_limit,
     _limit_checkpoints,
     iterate_recursion,
@@ -58,20 +70,51 @@ class UnknownPresetError(ValueError):
 @dataclass(frozen=True)
 class Overrides:
     """CLI-level knobs: seed / trials / stages replace the preset defaults
-    when set, threads parallelises the Monte Carlo blocks."""
+    when set, threads parallelises the Monte Carlo blocks.  Stages, trials
+    and threads below 1, or a seed outside uint64, raise ValueError."""
 
     seed: int | None = None
     trials: int | None = None
     stages: int | None = None
     threads: int = 1
 
+    def __post_init__(self) -> None:
+        for name in ("stages", "trials", "threads"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
+        if self.seed is not None and not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be a uint64, got {self.seed!r}")
+
 
 _NO_OVERRIDES = Overrides()
 
 
-def _hash_payload(payload: dict) -> str:
-    import hashlib
+class Outcome(NamedTuple):
+    """What a runner computed: file name -> (producer, columns), the checks,
+    the payload that run_preset hashes, and extra verdict entries."""
 
+    tables: dict
+    checks: list
+    payload: object
+    info: dict = {}
+
+
+@dataclass(frozen=True)
+class Preset:
+    """One registry entry: the claim, its default settings (None where the
+    preset has no such setting) and the runner that checks it."""
+
+    description: str
+    run: Callable[[Overrides], Outcome]
+    stages: int | None = None
+    trials: int | None = None
+    seed: int | None = None
+
+
+def _digest(payload) -> str:
+    if isinstance(payload, ExperimentConfig):
+        return config_hash(payload)
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
@@ -86,186 +129,109 @@ def _jsonable(value):
     return value
 
 
+_OPS = {
+    "<": lambda a, b: a < b,
+    ">": lambda a, b: a > b,
+    "<=": lambda a, b: a <= b,
+    ">=": lambda a, b: a >= b,
+    "==": lambda a, b: a == b,
+}
+
+
 def _check(name: str, value, target, comparator: str, informational: bool = False) -> dict:
-    ops = {
-        "<": lambda a, b: a < b,
-        ">": lambda a, b: a > b,
-        "<=": lambda a, b: a <= b,
-        ">=": lambda a, b: a >= b,
-        "==": lambda a, b: a == b,
-    }
     value = _jsonable(value)
     target = _jsonable(target)
-    passed = True if informational else bool(ops[comparator](value, target))
     return {
         "name": name,
         "value": value,
         "target": target,
         "comparator": comparator,
         "informational": informational,
-        "passed": passed,
+        "passed": True if informational else bool(_OPS[comparator](value, target)),
     }
 
 
-def _series_columns(series: SeriesResult, value_name: str, extras: tuple[str, ...] = ()) -> dict:
-    cols = {"k": series.stages, value_name: series.values}
-    for name in extras:
-        cols[name] = series.extra[name]
-    return cols
+def _band(label: str, value, low, high) -> list[dict]:
+    return [_check(f"{label}_low", value, low, ">="), _check(f"{label}_high", value, high, "<=")]
+
+
+def _exact_columns(series: SeriesResult) -> dict:
+    return {"k": series.stages, "pe_exact": series.values, **{n: series.extra[n] for n in ("p0_type1", "p1_type2")}}
 
 
 def _mc_columns(series: SeriesResult) -> dict:
-    return _series_columns(series, "pe_hat", ("ci_low", "ci_high", "p0_type1_hat", "p1_type2_hat"))
+    extras = ("ci_low", "ci_high", "p0_type1_hat", "p1_type2_hat")
+    return {"k": series.stages, "pe_hat": series.values, **{n: series.extra[n] for n in extras}}
 
 
-def _mc_info(series: SeriesResult) -> dict:
-    return {key: series.meta[key] for key in ("seed", "config_hash", "clamp_events")}
-
-
-def _apply_mc(config: ExperimentConfig, ov: Overrides) -> ExperimentConfig:
-    kw = {}
-    if ov.seed is not None:
-        kw["seed"] = ov.seed
-    if ov.trials is not None:
-        kw["trials"] = ov.trials
-    if ov.stages is not None:
-        kw["stages"] = ov.stages
-    return replace(config, **kw) if kw else config
+def _rows_to_columns(names: str, rows: list) -> dict:
+    return {name: np.asarray(column) for name, column in zip(names.split(), zip(*rows))}
 
 
 # ---------------------------------------------------------------------------
 # exact window recursions
 
 
-def _preset_lemma1_martingale(out: Path, ov: Overrides):
-    k_max = min(ov.stages, 14) if ov.stages is not None else 12
-    model = BeliefModel(0.0)
-    sched = FlipSchedule("constant", q=0.25)
-    rep = martingale_check(sched, model, k_max)
-    meta = {"producer": "martingale", "config_hash": _hash_payload({"q": 0.25, "k_max": k_max}), "seed": 0}
-    write_series_csv(
-        out / "series.csv",
-        {"k": np.arange(1, k_max + 1), "max_deviation": rep.stage_deviations, "tail_mass": rep.tail_mass},
-        meta,
-    )
+def _martingale(p: Overrides) -> Outcome:
+    k_max = min(p.stages, 14)  # the check enumerates 2**k_max broadcast histories
+    rep = martingale_check(FlipSchedule("constant", q=0.25), BeliefModel(0.0), k_max)
+    cols = {"k": np.arange(1, k_max + 1), "max_deviation": rep.stage_deviations, "tail_mass": rep.tail_mass}
     checks = [_check("max_martingale_deviation", rep.max_deviation, 1e-10, "<")]
-    return checks, ["series.csv"], {"seed": 0, "config_hash": meta["config_hash"]}
+    return Outcome({"series.csv": ("martingale", cols)}, checks, {"q": 0.25, "k_max": k_max})
 
 
-def _exact_tail_checks(series: SeriesResult, stages: int, label: str) -> list[dict]:
-    half = series.value_at(stages // 2)
-    full = series.value_at(stages)
-    return [
-        _check(f"{label}_tail_gap", abs(full - half), 1e-6, "<"),
-        _check(f"{label}_positive_floor", full, 0.005, ">"),
-    ]
-
-
-def _preset_thm_flip_bounded(out: Path, ov: Overrides):
-    stages = ov.stages or 2000
-    model = BeliefModel(0.0)
-    sched = FlipSchedule("constant", q=0.2)
-    checks = []
-    files = []
-    payload = {"q": 0.2, "stages": stages, "capacities": [1, 3]}
-    h = _hash_payload(payload)
-    for cap in (1, 3):
-        series = exact_error_series(model, sched, MemorySchedule("bounded", capacity=cap), stages)
-        name = f"series_c{cap}.csv"
-        write_series_csv(
-            out / name,
-            _series_columns(series, "pe_exact", ("p0_type1", "p1_type2")),
-            {"producer": "exact", "config_hash": h, "seed": 0},
-        )
-        files.append(name)
-        checks.extend(_exact_tail_checks(series, stages, f"c{cap}"))
-    return checks, files, {"seed": 0, "config_hash": h}
-
-
-def _preset_thm_erasure_bounded(out: Path, ov: Overrides):
-    stages = ov.stages or 2000
-    model = BeliefModel(0.0)
-    sched = ErasureSchedule("constant", level=0.3)
-    series = exact_error_series(model, sched, MemorySchedule("bounded", capacity=2), stages)
-    h = _hash_payload({"level": 0.3, "capacity": 2, "stages": stages})
-    write_series_csv(
-        out / "series.csv",
-        _series_columns(series, "pe_exact", ("p0_type1", "p1_type2")),
-        {"producer": "exact", "config_hash": h, "seed": 0},
-    )
-    checks = _exact_tail_checks(series, stages, "c2")
-    return checks, ["series.csv"], {"seed": 0, "config_hash": h}
-
-
-def _preset_mc_vs_exact(out: Path, ov: Overrides):
-    stages = ov.stages or 100
-    model = BeliefModel(0.0)
-    sched = FlipSchedule("constant", q=0.2)
-    memory = MemorySchedule("bounded", capacity=1)
-    config = _apply_mc(
-        ExperimentConfig(model, sched, memory, stages=stages, trials=100_000, seed=1105,
-                         grid=tuple(range(1, stages + 1))),
-        ov,
-    )
-    mc = estimate_error_series(config, threads=ov.threads)
-    exact = exact_error_series(model, sched, memory, config.stages)
-    p0 = exact.extra["p0_type1"]
-    p1 = exact.extra["p1_type2"]
-    n = config.trials
-    sigma = np.sqrt(
-        model.prior_0**2 * p0 * (1.0 - p0) / n + model.prior_1**2 * p1 * (1.0 - p1) / n
-    )
-    gap = np.abs(mc.values - exact.values)
-    within = gap <= 3.0 * sigma
-    coverage = float(within.mean())
-    write_series_csv(out / "series.csv", _mc_columns(mc), {
-        "producer": "simulate", "config_hash": mc.meta["config_hash"], "seed": config.seed,
-    })
-    write_series_csv(out / "exact.csv", _series_columns(exact, "pe_exact", ("p0_type1", "p1_type2")), {
-        "producer": "exact", "config_hash": mc.meta["config_hash"], "seed": config.seed,
-    })
-    checks = [_check("three_sigma_coverage", coverage, 0.95, ">=")]
-    return checks, ["series.csv", "exact.csv"], _mc_info(mc)
+def _window_floor(p: Overrides, *, channel, files: dict, payload: dict) -> Outcome:
+    """Bounded memory pins the exact error: flat over the second half, and
+    above a floor.  files maps each window capacity to its CSV."""
+    tables, checks = {}, []
+    for cap, name in files.items():
+        series = exact_error_series(BeliefModel(0.0), channel, MemorySchedule("bounded", capacity=cap), p.stages)
+        tables[name] = ("exact", _exact_columns(series))
+        half, full = series.value_at(p.stages // 2), series.value_at(p.stages)
+        checks += [
+            _check(f"c{cap}_tail_gap", abs(full - half), 1e-6, "<"),
+            _check(f"c{cap}_positive_floor", full, 0.005, ">"),
+        ]
+    return Outcome(tables, checks, dict(payload, stages=p.stages))
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo limits
+# Monte Carlo
 
 
-def _preset_thm_flip_learning(out: Path, ov: Overrides):
-    config = _apply_mc(
-        ExperimentConfig(
-            BeliefModel(0.0), FlipSchedule("constant", q=0.1), MemorySchedule("full"),
-            stages=2000, trials=20_000, seed=1101,
-        ),
-        ov,
-    )
-    series = estimate_error_series(config, threads=ov.threads)
-    early, late = 10, config.stages
-    write_series_csv(out / "series.csv", _mc_columns(series), {
-        "producer": "simulate", "config_hash": series.meta["config_hash"], "seed": config.seed,
-    })
+def _simulate(p: Overrides, channel, memory, grid=None):
+    config = ExperimentConfig(BeliefModel(0.0), channel, memory, stages=p.stages, trials=p.trials, seed=p.seed,
+                              grid=grid)
+    series = estimate_error_series(config, threads=p.threads)
+    return config, series, {"clamp_events": series.meta["clamp_events"]}
+
+
+def _mc_vs_exact(p: Overrides) -> Outcome:
+    channel, memory = FlipSchedule("constant", q=0.2), MemorySchedule("bounded", capacity=1)
+    config, mc, info = _simulate(p, channel, memory, grid=tuple(range(1, p.stages + 1)))
+    exact = exact_error_series(config.model, channel, memory, p.stages)
+    p0, p1, n = exact.extra["p0_type1"], exact.extra["p1_type2"], config.trials
+    prior_0, prior_1 = config.model.prior_0, config.model.prior_1
+    sigma = np.sqrt(prior_0**2 * p0 * (1.0 - p0) / n + prior_1**2 * p1 * (1.0 - p1) / n)
+    coverage = float((np.abs(mc.values - exact.values) <= 3.0 * sigma).mean())
+    tables = {"series.csv": ("simulate", _mc_columns(mc)), "exact.csv": ("exact", _exact_columns(exact))}
+    return Outcome(tables, [_check("three_sigma_coverage", coverage, 0.95, ">=")], config, info)
+
+
+def _flip_learning(p: Overrides) -> Outcome:
+    config, series, info = _simulate(p, FlipSchedule("constant", q=0.1), MemorySchedule("full"))
+    early, late = 10, p.stages
     checks = [
         _check("error_drops_fivefold", series.value_at(late), series.value_at(early) / 5.0, "<"),
         _check("ci_disjoint", series.extra_at("ci_high", late), series.extra_at("ci_low", early), "<"),
     ]
-    return checks, ["series.csv"], _mc_info(series)
+    return Outcome({"series.csv": ("simulate", _mc_columns(series))}, checks, config, info)
 
 
-def _preset_thm_erasure_unbounded(out: Path, ov: Overrides):
-    config = _apply_mc(
-        ExperimentConfig(
-            BeliefModel(0.0), ErasureSchedule("constant", level=0.9), MemorySchedule("full"),
-            stages=2000, trials=20_000, seed=1102,
-        ),
-        ov,
-    )
-    series = estimate_error_series(config, threads=ov.threads)
-    exact, _ = scan_error_series(config.model, config.channel, config.memory, config.stages)
-    early, late = 10, config.stages
-    write_series_csv(out / "series.csv", _mc_columns(series), {
-        "producer": "simulate", "config_hash": series.meta["config_hash"], "seed": config.seed,
-    })
+def _erasure_unbounded(p: Overrides) -> Outcome:
+    config, series, info = _simulate(p, ErasureSchedule("constant", level=0.9), MemorySchedule("full"))
+    exact, _ = scan_error_series(config.model, config.channel, config.memory, p.stages)
+    early, late = 10, p.stages
     checks = [
         _check("error_decreases", series.value_at(late), series.value_at(early), "<"),
         _check("ci_disjoint", series.extra_at("ci_high", late), series.extra_at("ci_low", early), "<"),
@@ -275,390 +241,248 @@ def _preset_thm_erasure_unbounded(out: Path, ov: Overrides):
         _check("exact_final_error", exact.value_at(late), None, "==", informational=True),
         _check("exact_decay_exponent", fit_power(exact, k_min=100).slope, None, "==", informational=True),
     ]
-    return checks, ["series.csv"], _mc_info(series)
+    return Outcome({"series.csv": ("simulate", _mc_columns(series))}, checks, config, info)
 
 
-def _preset_thm_erasure_to_one(out: Path, ov: Overrides):
-    trials = ov.trials or 100_000
-    seed = ov.seed if ov.seed is not None else 1103
-    hops = 10
-    lv_fixed = 0.5
-    lv_rising = float(erasure_levels(ErasureSchedule("theorem4", c=1.0, eps=2.0), np.asarray([hops]))[0][0])
-    rows = []
-    checks = []
-    for idx, lv in enumerate((lv_fixed, lv_rising), start=1):
+def _erasure_to_one(p: Overrides) -> Outcome:
+    hops, rising = 10, ErasureSchedule("theorem4", c=1.0, eps=2.0)
+    levels = [0.5, float(erasure_levels(rising, np.asarray([hops]))[0][0])]
+    rows, checks = [], []
+    for idx, lv in enumerate(levels, start=1):
         bound = chain_success_probability(lv, hops)
-        est = estimate_chain_success(lv, hops, trials, seed + idx)
-        sigma = math.sqrt(max(est.p_hat * (1.0 - est.p_hat), 1e-12) / trials)
+        est = estimate_chain_success(lv, hops, p.trials, p.seed + idx)
+        sigma = math.sqrt(max(est.p_hat * (1.0 - est.p_hat), 1e-12) / p.trials)
         rows.append((idx, lv, hops, est.p_hat, est.ci_low, est.ci_high, bound))
         checks.append(_check(f"case{idx}_chain_success", est.p_hat, bound - 3.0 * sigma, ">="))
     # the scan itself over levels that climb to one: the exact error keeps
     # falling, decade after decade
     decades = [10**i for i in range(1, 6)]
-    scan, _ = scan_error_series(BeliefModel(0.0), ErasureSchedule("theorem4", c=1.0, eps=2.0),
-                                MemorySchedule("full"), decades[-1])
+    scan, _ = scan_error_series(BeliefModel(0.0), rising, MemorySchedule("full"), decades[-1])
     pe = [scan.value_at(k) for k in decades]
     checks.append(_check("scan_error_falls_each_decade", all(np.diff(pe) < 0), True, "=="))
     checks.append(_check("scan_error_at_decades", pe, None, "==", informational=True))
-    h = _hash_payload({"hops": hops, "levels": [lv_fixed, lv_rising], "trials": trials, "seed": seed})
-    cols = list(zip(*rows))
-    write_series_csv(
-        out / "series.csv",
-        {
-            "case": np.asarray(cols[0]), "level": np.asarray(cols[1]), "hops": np.asarray(cols[2]),
-            "p_hat": np.asarray(cols[3]), "ci_low": np.asarray(cols[4]), "ci_high": np.asarray(cols[5]),
-            "bound": np.asarray(cols[6]),
-        },
-        {"producer": "chain", "config_hash": h, "seed": seed},
-    )
-    return checks, ["series.csv"], {"seed": seed, "config_hash": h}
+    tables = {"series.csv": ("chain", _rows_to_columns("case level hops p_hat ci_low ci_high bound", rows))}
+    return Outcome(tables, checks, {"hops": hops, "levels": levels, "trials": p.trials, "seed": p.seed})
 
 
-def _preset_thm9_herding(out: Path, ov: Overrides):
-    stages = ov.stages or 5000
-    trials = ov.trials or 10_000
-    seed = ov.seed if ov.seed is not None else 1104
-    model = BeliefModel(0.0)
-    memory = MemorySchedule("full")
-    horizons = (stages // 2, stages)
-    cases = {
-        "slowing": FlipSchedule("power", p=0.4),
-        "constant": FlipSchedule("constant", q=0.05),
-    }
-    late = {}
-    rows = []
-    row_idx = 0
+def _herding(p: Overrides) -> Outcome:
+    horizons = (p.stages // 2, p.stages)
+    cases = {"slowing": FlipSchedule("power", p=0.4), "constant": FlipSchedule("constant", q=0.05)}
+    late, rows = {}, []
     for case_idx, (label, sched) in enumerate(cases.items(), start=1):
         for horizon in horizons:
-            config = ExperimentConfig(model, sched, memory, stages=horizon, trials=trials, seed=seed)
-            rep = herding_stats(config, threads=ov.threads)
-            late[(label, horizon)] = rep.combined_late_fraction
+            config = ExperimentConfig(BeliefModel(0.0), sched, MemorySchedule("full"), stages=horizon,
+                                      trials=p.trials, seed=p.seed)
+            rep = herding_stats(config, threads=p.threads)
+            late[label, horizon] = rep.combined_late_fraction
             for h, row in enumerate(rep.rows):
-                row_idx += 1
-                rows.append((row_idx, case_idx, horizon, h, row.late_error_fraction, row.q50, row.q90, row.q99))
-    hash_ = _hash_payload({"stages": stages, "trials": trials, "seed": seed})
-    cols = list(zip(*rows))
-    write_series_csv(
-        out / "series.csv",
-        {
-            "row": np.asarray(cols[0]), "case": np.asarray(cols[1]), "stages": np.asarray(cols[2]),
-            "hypothesis": np.asarray(cols[3]), "late_error_fraction": np.asarray(cols[4]),
-            "q50": np.asarray(cols[5]), "q90": np.asarray(cols[6]), "q99": np.asarray(cols[7]),
-        },
-        {"producer": "herding", "config_hash": hash_, "seed": seed},
-    )
+                rows.append((len(rows) + 1, case_idx, horizon, h, row.late_error_fraction, row.q50, row.q90, row.q99))
+    half, full = horizons
     checks = [
-        _check(
-            "slowing_channel_stays_late",
-            late[("slowing", horizons[1])],
-            late[("slowing", horizons[0])] - 0.05,
-            ">=",
-        ),
-        _check(
-            "constant_channel_recovers",
-            late[("constant", horizons[1])],
-            late[("constant", horizons[0])],
-            "<",
-        ),
+        _check("slowing_channel_stays_late", late["slowing", full], late["slowing", half] - 0.05, ">="),
+        _check("constant_channel_recovers", late["constant", full], late["constant", half], "<"),
     ]
-    return checks, ["series.csv"], {"seed": seed, "config_hash": hash_}
+    names = "row case stages hypothesis late_error_fraction q50 q90 q99"
+    tables = {"series.csv": ("herding", _rows_to_columns(names, rows))}
+    return Outcome(tables, checks, {"stages": p.stages, "trials": p.trials, "seed": p.seed})
 
 
 # ---------------------------------------------------------------------------
 # deterministic rate recursions
 
 
-def _recursion_preset(out: Path, ov: Overrides, *, model, sched, initial, stages, checks_fn, payload):
-    stages = ov.stages or stages
-    spec = rate_recursion(model, sched, initial)
-    series = iterate_recursion(spec, stages)
-    bound = type1_lower_bound(series, model)
-    h = _hash_payload(dict(payload, stages=stages, initial=initial))
-    write_series_csv(
-        out / "series.csv",
-        {"k": series.stages, "b_k": series.values, "type1_bound": bound.values},
-        {"producer": "recursion", "config_hash": h, "seed": 0},
-    )
-    checks = checks_fn(series, bound)
-    return checks, ["series.csv"], {"seed": 0, "config_hash": h}
+def _rate_law(p: Overrides, *, beta: int, initial: float, belief: tuple, bound: tuple) -> Outcome:
+    """Belief and type-1 bound both decay like powers of k; belief and bound
+    are the (low, high) bands of the two fitted slopes."""
+    model = BeliefModel(float(beta))
+    series = iterate_recursion(rate_recursion(model, FlipSchedule("constant", q=0.1), initial), p.stages)
+    lower = type1_lower_bound(series, model)
+    checks = (_band("belief_slope", fit_power(series, k_min=1000).slope, *belief)
+              + _band("bound_slope", fit_power(lower, k_min=1000).slope, *bound))
+    cols = {"k": series.stages, "b_k": series.values, "type1_bound": lower.values}
+    payload = {"channel": "constant_q_0.1", "beta": beta, "stages": p.stages, "initial": initial}
+    return Outcome({"series.csv": ("recursion", cols)}, checks, payload)
 
 
-def _preset_thm_rate_k2(out: Path, ov: Overrides):
-    def checks_fn(series, bound):
-        belief_fit = fit_power(series, k_min=1000)
-        bound_fit = fit_power(bound, k_min=1000)
-        return [
-            _check("belief_slope_low", belief_fit.slope, -1.05, ">="),
-            _check("belief_slope_high", belief_fit.slope, -0.95, "<="),
-            _check("bound_slope_low", bound_fit.slope, -2.1, ">="),
-            _check("bound_slope_high", bound_fit.slope, -1.9, "<="),
-        ]
-
-    return _recursion_preset(
-        out, ov, model=BeliefModel(0.0), sched=FlipSchedule("constant", q=0.1),
-        initial=0.5, stages=1_000_000, checks_fn=checks_fn,
-        payload={"channel": "constant_q_0.1", "beta": 0},
-    )
-
-
-def _preset_thm10_poly(out: Path, ov: Overrides):
-    def checks_fn(series, bound):
-        belief_fit = fit_power(series, k_min=1000)
-        bound_fit = fit_power(bound, k_min=1000)
-        return [
-            _check("belief_slope_low", belief_fit.slope, -0.55, ">="),
-            _check("belief_slope_high", belief_fit.slope, -0.45, "<="),
-            _check("bound_slope_low", bound_fit.slope, -1.6, ">="),
-            _check("bound_slope_high", bound_fit.slope, -1.4, "<="),
-        ]
-
-    return _recursion_preset(
-        out, ov, model=BeliefModel(1.0), sched=FlipSchedule("constant", q=0.1),
-        initial=0.3, stages=1_000_000, checks_fn=checks_fn,
-        payload={"channel": "constant_q_0.1", "beta": 1},
-    )
-
-
-def _preset_thm7_plateau(out: Path, ov: Overrides):
-    stages = ov.stages or 10_000_000
-    model = BeliefModel(0.0)
-    sched = FlipSchedule("log_power", p=2.0)
-    spec = rate_recursion(model, sched, initial=0.3)
+def _plateau(p: Overrides) -> Outcome:
+    spec = rate_recursion(BeliefModel(0.0), FlipSchedule("log_power", p=2.0), initial=0.3)
     # one pass serves both the lemma4 checkpoints and the default-grid series
     tol = 5e-3
-    cps, grid = _limit_checkpoints(stages, tol), default_grid(stages)
-    run = iterate_recursion(spec, stages, grid=np.union1d(grid, cps))
+    cps, grid = _limit_checkpoints(p.stages, tol), default_grid(p.stages)
+    run = iterate_recursion(spec, p.stages, grid=np.union1d(grid, cps))
     cls = _classify_limit(cps, run.values[np.isin(run.stages, cps)], spec.initial, tol)
     on_grid = np.isin(run.stages, grid)
-    h = _hash_payload({"family": "log_power", "p": 2.0, "stages": stages})
-    write_series_csv(out / "series.csv", {"k": run.stages[on_grid], "b_k": run.values[on_grid]},
-                     {"producer": "recursion", "config_hash": h, "seed": 0})
     checks = [
         _check("label", cls.label, "positive_limit", "=="),
         _check("plateau_above_tenth_of_start", cls.estimate, 0.1 * 0.3, ">"),
     ]
-    info = {"seed": 0, "config_hash": h, "checkpoints": list(cls.checkpoints), "checkpoint_values": list(cls.values)}
-    return checks, ["series.csv"], info
+    cols = {"k": run.stages[on_grid], "b_k": run.values[on_grid]}
+    info = {"checkpoints": list(cls.checkpoints), "checkpoint_values": list(cls.values)}
+    payload = {"family": "log_power", "p": 2.0, "stages": p.stages}
+    return Outcome({"series.csv": ("recursion", cols)}, checks, payload, info)
 
 
-def _thm8_run(out: Path, ov: Overrides, sched: FlipSchedule, stages: int):
-    stages = ov.stages or stages
-    model = BeliefModel(0.0)
-    spec = rate_recursion(model, sched, initial=0.3)
-    series = iterate_recursion(spec, stages)
-    h = _hash_payload({"family": sched.family, "p": sched.p, "stages": stages})
-    write_series_csv(out / "series.csv", {"k": series.stages, "b_k": series.values},
-                     {"producer": "recursion", "config_hash": h, "seed": 0})
-    return series, h
+def _slowing(p: Overrides, *, sched: FlipSchedule, checks: Callable, info: dict = {}) -> Outcome:
+    """A flip rate that slows towards 1/2; checks(series) states the law."""
+    series = iterate_recursion(rate_recursion(BeliefModel(0.0), sched, initial=0.3), p.stages)
+    payload = {"family": sched.family, "p": sched.p, "stages": p.stages}
+    cols = {"k": series.stages, "b_k": series.values}
+    return Outcome({"series.csv": ("recursion", cols)}, checks(series), payload, info)
 
 
-def _preset_thm8_i(out: Path, ov: Overrides):
-    series, h = _thm8_run(out, ov, FlipSchedule("power", p=0.5), 1_000_000)
-    fit = fit_power(series, k_min=1000)
-    checks = [
-        _check("belief_slope_low", fit.slope, -0.55, ">="),
-        _check("belief_slope_high", fit.slope, -0.45, "<="),
-    ]
-    return checks, ["series.csv"], {"seed": 0, "config_hash": h}
-
-
-def _preset_thm8_ii(out: Path, ov: Overrides):
-    series, h = _thm8_run(out, ov, FlipSchedule("reciprocal"), 1_000_000)
-    fit = fit_reciprocal_log(series, "log", k_min=1000)
-    checks = [
-        _check("reciprocal_in_log_r2", fit.r2, 0.999, ">"),
-        _check("log_coefficient", fit.slope, None, "==", informational=True),
-    ]
-    return checks, ["series.csv"], {"seed": 0, "config_hash": h}
-
-
-def _preset_thm8_iii(out: Path, ov: Overrides):
-    series, h = _thm8_run(out, ov, FlipSchedule("log_power", p=0.5), 10_000_000)
+def _log_power_growth(series: SeriesResult) -> list[dict]:
     # fit the accumulated growth of 1/b: the starting value is an additive
     # constant inside the log and would drag the fitted exponent down at any
     # reachable horizon
     growth = SeriesResult(series.stages, 1.0 / series.values - 1.0 / series.values[0])
-    fit = fit_power_of_log(growth, k_min=1000)
     raw_fit = fit_power_of_log(SeriesResult(series.stages, 1.0 / series.values), k_min=1000)
-    checks = [
-        _check("growth_exponent_low", fit.slope, 0.5 - 0.07, ">="),
-        _check("growth_exponent_high", fit.slope, 0.5 + 0.07, "<="),
+    return _band("growth_exponent", fit_power_of_log(growth, k_min=1000).slope, 0.5 - 0.07, 0.5 + 0.07) + [
         _check("raw_exponent_with_offset", raw_fit.slope, None, "==", informational=True),
     ]
-    info = {
-        "seed": 0,
-        "config_hash": h,
-        "note": (
-            "the growth of 1/b is fitted against powers of log k and compared "
-            "to 1 - p; no exponent s with 1/s + 1/p = 1 exists for p inside "
-            "(0, 1), so 1 - p is the comparison target"
-        ),
-    }
-    return checks, ["series.csv"], info
 
 
-def _preset_thm8_iv(out: Path, ov: Overrides):
-    series, h = _thm8_run(out, ov, FlipSchedule("log"), 1_000_000)
-    fit = fit_reciprocal_log(series, "loglog", k_min=1000)
-    checks = [
-        _check("reciprocal_in_loglog_r2", fit.r2, 0.99, ">"),
-    ]
-    return checks, ["series.csv"], {"seed": 0, "config_hash": h}
+_LOG_POWER_NOTE = (
+    "the growth of 1/b is fitted against powers of log k and compared "
+    "to 1 - p; no exponent s with 1/s + 1/p = 1 exists for p inside "
+    "(0, 1), so 1 - p is the comparison target"
+)
 
 
-def _preset_lemma3_n1(out: Path, ov: Overrides):
-    return _lemma3_common(out, ov, exponent=1, delta=1.0, slope_target=-1.0)
+def _reciprocal_log(series: SeriesResult, transform: str, r2: float, coefficient: bool = False) -> list[dict]:
+    fit = fit_reciprocal_log(series, transform, k_min=1000)
+    checks = [_check(f"reciprocal_in_{transform}_r2", fit.r2, r2, ">")]
+    return checks + ([_check("log_coefficient", fit.slope, None, "==", informational=True)] if coefficient else [])
 
 
-def _preset_lemma3_n2(out: Path, ov: Overrides):
-    return _lemma3_common(out, ov, exponent=2, delta=0.5, slope_target=-0.5)
-
-
-def _lemma3_common(out: Path, ov: Overrides, *, exponent, delta, slope_target):
-    from .recursions import RecursionSpec
-
-    stages = ov.stages or 1_000_000
-    k_min = min(1000, max(10, stages // 100))
+def _lemma3(p: Overrides, *, exponent: int, delta: float, slope: float) -> Outcome:
+    k_min = min(1000, max(10, p.stages // 100))
     spec = RecursionSpec(initial=0.5, exponent=exponent, delta=delta)
-    sandwich = lemma3_sandwich(spec, k_min, stages, grid=default_grid(stages))
+    sandwich = lemma3_sandwich(spec, k_min, p.stages, grid=default_grid(p.stages))
     series = sandwich.series
-    fit = fit_power(series, k_min=k_min)
-    h = _hash_payload({"exponent": exponent, "delta": delta, "stages": stages})
-    write_series_csv(out / "series.csv", {"k": series.stages, "c_k": series.values},
-                     {"producer": "recursion", "config_hash": h, "seed": 0})
-    checks = [
-        _check("sandwich_band", sandwich.high / sandwich.low, 2.0, "<"),
-        _check("slope_low", fit.slope, slope_target - 0.02, ">="),
-        _check("slope_high", fit.slope, slope_target + 0.02, "<="),
-    ]
-    return checks, ["series.csv"], {"seed": 0, "config_hash": h}
+    checks = [_check("sandwich_band", sandwich.high / sandwich.low, 2.0, "<")]
+    checks += _band("slope", fit_power(series, k_min=k_min).slope, slope - 0.02, slope + 0.02)
+    cols = {"k": series.stages, "c_k": series.values}
+    payload = {"exponent": exponent, "delta": delta, "stages": p.stages}
+    return Outcome({"series.csv": ("recursion", cols)}, checks, payload)
 
 
-def _preset_lemma4_div(out: Path, ov: Overrides):
-    return _lemma4_common(out, ov, kind="divergent", expected="converges_to_zero")
-
-
-def _preset_lemma4_sum(out: Path, ov: Overrides):
-    return _lemma4_common(out, ov, kind="summable", expected="positive_limit")
-
-
-def _lemma4_common(out: Path, ov: Overrides, *, kind, expected):
-    from .recursions import RecursionSpec
-
-    stages = ov.stages or 10_000_000
+def _lemma4(p: Overrides, *, kind: str, expected: str) -> Outcome:
     delta = (lambda ks: 1.0 / ks) if kind == "divergent" else (lambda ks: ks**-1.5)
-    spec = RecursionSpec(initial=0.5, exponent=1, delta=delta)
-    cls = lemma4_classify(spec, stages, tol=1e-3)
-    h = _hash_payload({"kind": kind, "stages": stages})
-    write_series_csv(
-        out / "series.csv",
-        {"k": np.asarray(cls.checkpoints), "c_k": np.asarray(cls.values)},
-        {"producer": "recursion", "config_hash": h, "seed": 0},
-    )
-    checks = [_check("label", cls.label, expected, "==")]
-    info = {"seed": 0, "config_hash": h, "estimate": cls.estimate, "relative_changes": list(cls.relative_changes)}
-    return checks, ["series.csv"], info
+    cls = lemma4_classify(RecursionSpec(initial=0.5, exponent=1, delta=delta), p.stages, tol=1e-3)
+    cols = {"k": np.asarray(cls.checkpoints), "c_k": np.asarray(cls.values)}
+    info = {"estimate": cls.estimate, "relative_changes": list(cls.relative_changes)}
+    payload = {"kind": kind, "stages": p.stages}
+    return Outcome({"series.csv": ("recursion", cols)}, [_check("label", cls.label, expected, "==")], payload, info)
 
 
 # ---------------------------------------------------------------------------
 # relay-depth scaling
 
 
-def _prop1_series(schedule: MemorySchedule, stages: int) -> SeriesResult:
+def _depths(schedule: MemorySchedule, stages: int) -> SeriesResult:
     grid = default_grid(stages)
-    vals = np.asarray([backward_search_depth(schedule, int(k)) for k in grid], dtype=float)
-    return SeriesResult(grid, vals, meta={"producer": "depth"})
+    return SeriesResult(grid, np.asarray([backward_search_depth(schedule, int(k)) for k in grid], dtype=float))
 
 
-def _preset_prop1_full(out: Path, ov: Overrides):
-    stages = ov.stages or 1_000_000
+def _depth_full(p: Overrides) -> Outcome:
     schedule = MemorySchedule("full")
-    exact = all(
-        backward_search_depth(schedule, k) == math.isqrt(k - 1) for k in range(2, stages + 1)
-    )
-    series = _prop1_series(schedule, stages)
-    h = _hash_payload({"family": "full", "stages": stages})
-    write_series_csv(out / "series.csv", {"k": series.stages, "depth": series.values},
-                     {"producer": "depth", "config_hash": h, "seed": 0})
+    exact = all(backward_search_depth(schedule, k) == math.isqrt(k - 1) for k in range(1, p.stages + 1))
+    series = _depths(schedule, p.stages)
     checks = [_check("depth_is_isqrt_everywhere", exact, True, "==")]
-    return checks, ["series.csv"], {"seed": 0, "config_hash": h}
+    payload = {"family": "full", "stages": p.stages}
+    return Outcome({"series.csv": ("depth", {"k": series.stages, "depth": series.values})}, checks, payload)
 
 
-def _prop1_band(out: Path, ov: Overrides, *, schedule, rate, label, stages_default=1_000_000):
-    stages = ov.stages or stages_default
-    series = _prop1_series(schedule, stages)
-    k_min = min(1000, max(10, stages // 100))
-    low, high = theta_sandwich(series, rate, k_min=k_min)
-    h = _hash_payload({"family": schedule.family, "sigma": schedule.sigma, "stages": stages})
-    write_series_csv(out / "series.csv", {"k": series.stages, "depth": series.values},
-                     {"producer": "depth", "config_hash": h, "seed": 0})
-    checks = [_check(f"{label}_band", high / low, 3.0, "<")]
-    return checks, ["series.csv"], {"seed": 0, "config_hash": h}
-
-
-def _preset_prop1_sigma03(out: Path, ov: Overrides):
-    return _prop1_band(
-        out, ov, schedule=MemorySchedule("power", sigma=0.3),
-        rate=lambda ks: ks**0.3, label="sigma03",
-    )
-
-
-def _preset_prop1_sigma05(out: Path, ov: Overrides):
-    return _prop1_band(
-        out, ov, schedule=MemorySchedule("power", sigma=0.5),
-        rate=np.sqrt, label="sigma05",
-    )
+def _depth_bands(p: Overrides, *, bands: tuple) -> Outcome:
+    """Each (label, sigma, rate) band: depth with k**sigma windows stays
+    within a factor 3 of rate(k).  The first band's series is written."""
+    k_min = min(1000, max(10, p.stages // 100))
+    depths = [_depths(MemorySchedule("power", sigma=sigma), p.stages) for _, sigma, _ in bands]
+    checks = []
+    for (label, _, rate), series in zip(bands, depths):
+        low, high = theta_sandwich(series, rate, k_min=k_min)
+        checks.append(_check(f"{label}_band", high / low, 3.0, "<"))
+    payload = {"family": "power", "sigma": bands[0][1], "stages": p.stages}
+    return Outcome({"series.csv": ("depth", {"k": depths[0].stages, "depth": depths[0].values})}, checks, payload)
 
 
 PRESETS = {
-    "lemma1_martingale": _preset_lemma1_martingale,
-    "lemma3_n1": _preset_lemma3_n1,
-    "lemma3_n2": _preset_lemma3_n2,
-    "lemma4_div": _preset_lemma4_div,
-    "lemma4_sum": _preset_lemma4_sum,
-    "mc_vs_exact": _preset_mc_vs_exact,
-    "prop1_full": _preset_prop1_full,
-    "prop1_sigma03": _preset_prop1_sigma03,
-    "prop1_sigma05": _preset_prop1_sigma05,
-    "thm10_poly": _preset_thm10_poly,
-    "thm7_plateau": _preset_thm7_plateau,
-    "thm8_i": _preset_thm8_i,
-    "thm8_ii": _preset_thm8_ii,
-    "thm8_iii": _preset_thm8_iii,
-    "thm8_iv": _preset_thm8_iv,
-    "thm9_herding": _preset_thm9_herding,
-    "thm_erasure_bounded": _preset_thm_erasure_bounded,
-    "thm_erasure_to_one": _preset_thm_erasure_to_one,
-    "thm_erasure_unbounded": _preset_thm_erasure_unbounded,
-    "thm_flip_bounded": _preset_thm_flip_bounded,
-    "thm_flip_learning": _preset_thm_flip_learning,
-    "thm_rate_k2": _preset_thm_rate_k2,
+    "lemma1_martingale": Preset(
+        "exhaustive check that the noisy public likelihood ratio is a martingale", _martingale, stages=12),
+    "lemma3_n1": Preset(
+        "constant-delta recursion, exponent 1: tight 1/k band",
+        partial(_lemma3, exponent=1, delta=1.0, slope=-1.0), stages=1_000_000),
+    "lemma3_n2": Preset(
+        "constant-delta recursion, exponent 2: tight 1/sqrt(k) band",
+        partial(_lemma3, exponent=2, delta=0.5, slope=-0.5), stages=1_000_000),
+    "lemma4_div": Preset(
+        "divergent delta sum drives the recursion to zero",
+        partial(_lemma4, kind="divergent", expected="converges_to_zero"), stages=10_000_000),
+    "lemma4_sum": Preset(
+        "summable delta sum leaves a positive limit",
+        partial(_lemma4, kind="summable", expected="positive_limit"), stages=10_000_000),
+    "mc_vs_exact": Preset(
+        "Monte Carlo tandem agrees with the exact window recursion", _mc_vs_exact,
+        stages=100, trials=100_000, seed=1105),
+    "prop1_full": Preset(
+        "relay depth with full memory equals isqrt(k - 1) exactly", _depth_full, stages=1_000_000),
+    "prop1_sigma03": Preset(
+        "relay depth with k**0.3 windows scales like k**0.3",
+        partial(_depth_bands, bands=(("sigma03", 0.3, lambda ks: ks**0.3),)), stages=1_000_000),
+    "prop1_sigma05": Preset(
+        "relay depth with k**0.5 and k**0.7 windows scales like sqrt(k)",
+        partial(_depth_bands, bands=(("sigma05", 0.5, np.sqrt), ("sigma07", 0.7, np.sqrt))), stages=1_000_000),
+    "thm10_poly": Preset(
+        "polynomial signal tails: belief decays like 1/sqrt(k), bound like k**-1.5",
+        partial(_rate_law, beta=1, initial=0.3, belief=(-0.55, -0.45), bound=(-1.6, -1.4)), stages=1_000_000),
+    "thm7_plateau": Preset(
+        "flips growing at the summability edge still leave a positive plateau", _plateau, stages=10_000_000),
+    "thm8_i": Preset(
+        "power informativeness p=0.5: belief decays like k**-0.5",
+        partial(_slowing, sched=FlipSchedule("power", p=0.5),
+                checks=lambda s: _band("belief_slope", fit_power(s, k_min=1000).slope, -0.55, -0.45)),
+        stages=1_000_000),
+    "thm8_ii": Preset(
+        "reciprocal informativeness: 1/belief is affine in log k",
+        partial(_slowing, sched=FlipSchedule("reciprocal"),
+                checks=partial(_reciprocal_log, transform="log", r2=0.999, coefficient=True)),
+        stages=1_000_000),
+    "thm8_iii": Preset(
+        "log_power informativeness p=0.5: 1/belief grows like a power of log k",
+        partial(_slowing, sched=FlipSchedule("log_power", p=0.5), checks=_log_power_growth,
+                info={"note": _LOG_POWER_NOTE}),
+        stages=10_000_000),
+    "thm8_iv": Preset(
+        "log informativeness: 1/belief is affine in log log k",
+        partial(_slowing, sched=FlipSchedule("log"), checks=partial(_reciprocal_log, transform="loglog", r2=0.99)),
+        stages=1_000_000),
+    "thm9_herding": Preset(
+        "late-error mass persists under slowing flips, vanishes under constant ones", _herding,
+        stages=5000, trials=10_000, seed=1104),
+    "thm_erasure_bounded": Preset(
+        "bounded memory over an erasure channel pins the error above a floor",
+        partial(_window_floor, channel=ErasureSchedule("constant", level=0.3), files={2: "series.csv"},
+                payload={"level": 0.3, "capacity": 2}),
+        stages=2000),
+    "thm_erasure_to_one": Preset(
+        "relay chains survive erasure levels that climb to one", _erasure_to_one, trials=100_000, seed=1103),
+    "thm_erasure_unbounded": Preset(
+        "unbounded memory defeats constant erasure: error keeps falling", _erasure_unbounded,
+        stages=2000, trials=20_000, seed=1102),
+    "thm_flip_bounded": Preset(
+        "bounded memory over a flip channel pins the error above a floor",
+        partial(_window_floor, channel=FlipSchedule("constant", q=0.2),
+                files={1: "series_c1.csv", 3: "series_c3.csv"}, payload={"q": 0.2, "capacities": [1, 3]}),
+        stages=2000),
+    "thm_flip_learning": Preset(
+        "full memory over a flip channel: error falls and keeps falling", _flip_learning,
+        stages=2000, trials=20_000, seed=1101),
+    "thm_rate_k2": Preset(
+        "constant informativeness: belief decays like 1/k, bound like 1/k**2",
+        partial(_rate_law, beta=0, initial=0.5, belief=(-1.05, -0.95), bound=(-2.1, -1.9)), stages=1_000_000),
 }
 
-PRESET_INFO = {
-    "lemma1_martingale": "exhaustive check that the noisy public likelihood ratio is a martingale",
-    "lemma3_n1": "constant-delta recursion, exponent 1: tight 1/k band",
-    "lemma3_n2": "constant-delta recursion, exponent 2: tight 1/sqrt(k) band",
-    "lemma4_div": "divergent delta sum drives the recursion to zero",
-    "lemma4_sum": "summable delta sum leaves a positive limit",
-    "mc_vs_exact": "Monte Carlo tandem agrees with the exact window recursion",
-    "prop1_full": "relay depth with full memory equals isqrt(k - 1) exactly",
-    "prop1_sigma03": "relay depth with k**0.3 windows scales like k**0.3",
-    "prop1_sigma05": "relay depth with k**0.5 windows scales like sqrt(k)",
-    "thm10_poly": "polynomial signal tails: belief decays like 1/sqrt(k), bound like k**-1.5",
-    "thm7_plateau": "flips growing at the summability edge still leave a positive plateau",
-    "thm8_i": "power informativeness p=0.5: belief decays like k**-0.5",
-    "thm8_ii": "reciprocal informativeness: 1/belief is affine in log k",
-    "thm8_iii": "log_power informativeness p=0.5: 1/belief grows like a power of log k",
-    "thm8_iv": "log informativeness: 1/belief is affine in log log k",
-    "thm9_herding": "late-error mass persists under slowing flips, vanishes under constant ones",
-    "thm_erasure_bounded": "bounded memory over an erasure channel pins the error above a floor",
-    "thm_erasure_to_one": "relay chains survive erasure levels that climb to one",
-    "thm_erasure_unbounded": "unbounded memory defeats constant erasure: error keeps falling",
-    "thm_flip_bounded": "bounded memory over a flip channel pins the error above a floor",
-    "thm_flip_learning": "full memory over a flip channel: error falls and keeps falling",
-    "thm_rate_k2": "constant informativeness: belief decays like 1/k, bound like 1/k**2",
-}
+PRESET_INFO = {name: preset.description for name, preset in PRESETS.items()}
 
 
 def list_presets() -> list[str]:
@@ -670,18 +494,35 @@ def run_preset(name: str, out_dir, overrides: Overrides = _NO_OVERRIDES) -> dict
     return the verdict dict."""
     if name not in PRESETS:
         raise UnknownPresetError(name, list_presets())
+    preset = PRESETS[name]
+
+    def pick(given, default):  # a setting the preset does not declare stays unset
+        return default if given is None or default is None else given
+
+    settings = Overrides(
+        seed=pick(overrides.seed, preset.seed),
+        trials=pick(overrides.trials, preset.trials),
+        stages=pick(overrides.stages, preset.stages),
+        threads=overrides.threads,
+    )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    checks, files, info = PRESETS[name](out, overrides)
+    outcome = preset.run(settings)
+    digest = _digest(outcome.payload)
+    seed = 0 if settings.seed is None else settings.seed  # 0 when nothing is drawn
+    for file_name, (producer, columns) in outcome.tables.items():
+        write_series_csv(out / file_name, columns, {"producer": producer, "config_hash": digest, "seed": seed})
     verdict = {
         "preset": name,
-        "passed": all(c["passed"] for c in checks),
-        "checks": checks,
-        "files": files,
+        "passed": all(c["passed"] for c in outcome.checks),
+        "checks": outcome.checks,
+        "files": list(outcome.tables),
         "runtime_seconds": round(time.perf_counter() - t0, 3),
+        "seed": seed,
+        "config_hash": digest,
+        **outcome.info,
     }
-    verdict.update(info)
     with open(out / "verdict.json", "w", encoding="utf-8") as fh:
         json.dump(verdict, fh, indent=2, sort_keys=True)
         fh.write("\n")

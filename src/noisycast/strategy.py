@@ -13,7 +13,6 @@ state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,32 +51,17 @@ def likelihood_threshold(rule: ThresholdRule, model: BeliefModel) -> float:
     return rule.threshold
 
 
-def map_belief_cutoff(public_likelihood: float) -> float:
-    """Private-belief cutoff of the MAP test given the public likelihood ratio.
-
-    Decide 1 when the private belief exceeds 1 / (1 + L).  The prior cancels:
-    it enters the private belief and the threshold in exactly opposite ways.
-    """
-    if math.isnan(public_likelihood) or public_likelihood < 0.0:
-        raise ValueError(f"likelihood ratio must be >= 0, got {public_likelihood!r}")
-    if math.isinf(public_likelihood):
-        return 0.0
-    return 1.0 / (1.0 + public_likelihood)
-
-
 def belief_cutoff_from_public(public_belief, model: BeliefModel, out=None, work=None):
-    """Same cutoff in public-belief coordinates, vectorised; out and work, shaped like b, are buffers."""
+    """Private-belief cutoff of the MAP test at a public belief b: decide 1
+    above it.  Under equal priors it is 1 - b, i.e. 1 / (1 + L) for the
+    public likelihood ratio L = b / (1 - b).  Vectorised; out and work,
+    shaped like b, are buffers."""
     b = np.asarray(public_belief, dtype=float)
     pi1 = model.prior_1
     if pi1 == 0.5:
         return np.subtract(1.0, b, out=out)
     top = np.multiply(pi1, np.subtract(1.0, b, out=out), out=out)
     return np.divide(top, np.add(top, np.multiply(1.0 - pi1, b, out=work), out=work), out=out)
-
-
-def decide(private_belief: float, cutoff: float) -> int:
-    """1 when the private belief strictly exceeds the cutoff, else 0."""
-    return int(private_belief > cutoff)
 
 
 def conditional_decision_probs(public_belief, model: BeliefModel, out=None, work=(None,) * 5):

@@ -14,17 +14,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from noisycast.channels import (
-    ERASED,
     ErasureSchedule,
     FlipSchedule,
     erasure_level,
     erasure_levels,
-    flip_for_informativeness,
     flip_prob,
     flip_probs,
     informativeness,
     target_informativeness,
-    transmit,
 )
 
 
@@ -36,19 +33,19 @@ class TestInformativeness:
         assert informativeness(0.1) == pytest.approx(8.0 / 9.0)
 
     def test_inversion_frozen(self):
-        assert flip_for_informativeness(8.0 / 9.0) == pytest.approx(0.1)
-        assert flip_for_informativeness(0.0) == pytest.approx(0.5)
-        assert flip_for_informativeness(1.0) == pytest.approx(0.0)
+        # Q_1 = scale under the reciprocal family, inverted by flip_probs
+        assert flip_prob(FlipSchedule("reciprocal", scale=8.0 / 9.0), 1) == pytest.approx(0.1)
+        assert flip_prob(FlipSchedule("reciprocal"), 1) == 0.0
+        assert flip_prob(FlipSchedule("reciprocal"), 10**9) == pytest.approx(0.5)
 
     @given(q=st.floats(min_value=0.0, max_value=0.5, allow_nan=False))
     def test_roundtrip(self, q):
-        assert flip_for_informativeness(informativeness(q)) == pytest.approx(q, abs=1e-12)
+        # the constant family maps q to Q and flip_probs maps it back
+        assert flip_prob(FlipSchedule("constant", q=q), 3) == pytest.approx(q, abs=1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):
             informativeness(0.6)
-        with pytest.raises(ValueError):
-            flip_for_informativeness(1.5)
 
 
 class TestFlipScheduleValidation:
@@ -177,33 +174,3 @@ class TestErasureSchedule:
         with pytest.raises(ValueError):
             ErasureSchedule("theorem4", c=1.0, eps=2.0, level=0.5)
 
-
-class TestTransmit:
-    def test_noiseless_flip(self):
-        rng = np.random.default_rng(0)
-        sched = FlipSchedule("constant", q=0.0)
-        for d in (0, 1):
-            assert transmit(sched, 1, d, rng) == d
-
-    def test_always_flip(self):
-        # after folding q = 1 the channel is again deterministic
-        with pytest.warns(UserWarning):
-            sched = FlipSchedule("constant", q=1.0)
-        rng = np.random.default_rng(0)
-        assert transmit(sched, 1, 0, rng) == 0
-
-    def test_full_erasure(self):
-        sched = ErasureSchedule("theorem4", c=1.0, eps=2.0)
-        rng = np.random.default_rng(0)
-        assert transmit(sched, 1, 1, rng) == ERASED
-
-    def test_never_erase(self):
-        sched = ErasureSchedule("constant", level=0.0)
-        rng = np.random.default_rng(3)
-        assert transmit(sched, 5, 1, rng) == 1
-
-    def test_flip_rate_empirical(self):
-        sched = FlipSchedule("constant", q=0.2)
-        rng = np.random.default_rng(11)
-        flips = sum(transmit(sched, 1, 0, rng) for _ in range(20_000))
-        assert flips / 20_000 == pytest.approx(0.2, abs=0.01)

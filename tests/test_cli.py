@@ -245,6 +245,9 @@ class TestConfigErrors:
     def test_unknown_run_key(self, tmp_path, capsys):
         self._expect_2(tmp_path, capsys, run={"stages": 10, "burn_in": 5})
 
+    def test_calibration_trials_is_an_unknown_run_key(self, tmp_path, capsys):
+        self._expect_2(tmp_path, capsys, run={"stages": 10, "calibration_trials": 2000})
+
     def test_unknown_channel_key(self, tmp_path, capsys):
         self._expect_2(tmp_path, capsys, channel={"kind": "flip", "q": 0.1, "rate": 2})
 
@@ -260,6 +263,32 @@ class TestConfigErrors:
 
     def test_bad_capacity_rejected(self, tmp_path, capsys):
         self._expect_2(tmp_path, capsys, memory={"family": "bounded", "capacity": 0})
+
+
+class TestOverrideFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["preset", "lemma3_n1", "--nodes", "0"],
+            ["preset", "mc_vs_exact", "--trials", "0"],
+            ["preset", "lemma3_n1", "--threads", "-2"],
+            ["preset", "lemma3_n1", "--threads", "0"],
+            ["preset", "mc_vs_exact", "--seed", "-1"],
+            ["preset", "mc_vs_exact", "--seed", str(2**64)],
+            ["--preset", "lemma3_n1", "--nodes", "0"],
+        ],
+    )
+    def test_out_of_range_override_is_a_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_run_validates_overrides_too(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path / "c.json")
+        out = tmp_path / "o"
+        assert main(["exact", "--config", str(cfg), "--nodes", "0", "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestParseConfig:

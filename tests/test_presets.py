@@ -84,6 +84,11 @@ class TestRunPreset:
         assert short != long
         assert long.splitlines()[-1].startswith("40000,")
 
+    def test_seed_override_leaves_a_deterministic_preset_at_seed_0(self, tmp_path):
+        verdict = run_preset("lemma3_n1", tmp_path, Overrides(stages=20_000, seed=3))
+        assert verdict["seed"] == 0
+        assert (tmp_path / "series.csv").read_text().splitlines()[0].endswith("seed=0")
+
     def test_monte_carlo_verdict_records_clamp_events(self, tmp_path):
         verdict = run_preset("thm_flip_learning", tmp_path, Overrides(trials=200, stages=30))
         assert isinstance(verdict["clamp_events"], int) and verdict["clamp_events"] >= 0
@@ -91,3 +96,11 @@ class TestRunPreset:
     def test_overrides_defaults(self):
         ov = Overrides()
         assert (ov.seed, ov.trials, ov.stages, ov.threads) == (None, None, None, 1)
+
+    @pytest.mark.parametrize(
+        "kw", [{"stages": 0}, {"trials": 0}, {"threads": 0}, {"threads": -2}, {"seed": -1}, {"seed": 2**64}]
+    )
+    def test_overrides_reject_out_of_range_values(self, kw):
+        with pytest.raises(ValueError):
+            Overrides(**kw)
+        Overrides(seed=2**64 - 1, trials=1, stages=1, threads=1)

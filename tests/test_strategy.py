@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -18,9 +16,7 @@ from noisycast.strategy import (
     belief_cutoff_from_public,
     clamp_belief,
     conditional_decision_probs,
-    decide,
     likelihood_threshold,
-    map_belief_cutoff,
     public_belief_step,
     tandem_posterior,
 )
@@ -32,16 +28,11 @@ _open_unit = st.floats(min_value=1e-6, max_value=1.0 - 1e-6, allow_nan=False)
 
 class TestThresholds:
     def test_map_cutoff_frozen(self):
-        assert map_belief_cutoff(1.0) == pytest.approx(0.5)
-        assert map_belief_cutoff(3.0) == pytest.approx(0.25)
-        assert map_belief_cutoff(math.inf) == 0.0
-        assert map_belief_cutoff(0.0) == 1.0
-
-    def test_map_cutoff_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            map_belief_cutoff(-1.0)
-        with pytest.raises(ValueError):
-            map_belief_cutoff(math.nan)
+        # public likelihood ratio L = b / (1 - b): the cutoff is 1 / (1 + L)
+        assert belief_cutoff_from_public(0.5, MODEL) == pytest.approx(0.5)
+        assert belief_cutoff_from_public(0.75, MODEL) == pytest.approx(0.25)
+        assert belief_cutoff_from_public(1.0, MODEL) == 0.0
+        assert belief_cutoff_from_public(0.0, MODEL) == 1.0
 
     def test_cutoff_from_public_equal_priors(self):
         # with symmetric priors the cutoff mirrors the public belief
@@ -72,10 +63,6 @@ class TestThresholds:
             ThresholdRule("map", threshold=2.0)
         with pytest.raises(ValueError):
             ThresholdRule("fixed", threshold=-1.0)
-
-    def test_decide_breaks_ties_down(self):
-        assert decide(0.7, 0.7) == 0
-        assert decide(0.71, 0.7) == 1
 
 
 class TestConditionalDecisionProbs:
