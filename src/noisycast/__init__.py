@@ -22,11 +22,9 @@ from .analysis import (
 )
 from .belief_model import BeliefModel, cdf, tail_constants
 from .channels import (
-    ERASED,
     Channel,
     ErasureSchedule,
     FlipSchedule,
-    erasure_level,
     erasure_levels,
     flip_prob,
     flip_probs,
@@ -57,7 +55,7 @@ from .montecarlo import (
     herding_stats,
     run_trial,
 )
-from .presets import Overrides, PRESET_INFO, UnknownPresetError, list_presets, run_preset
+from .presets import Overrides, PRESET_INFO, PresetError, UnknownPresetError, list_presets, run_preset
 from .recursions import (
     LimitClassification,
     RecursionSpec,
@@ -78,7 +76,6 @@ from .strategy import (
     conditional_decision_probs,
     likelihood_threshold,
     public_belief_step,
-    tandem_posterior,
 )
 from .topology import (
     MemorySchedule,

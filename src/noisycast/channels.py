@@ -2,8 +2,8 @@
 
 Each broadcast decision is corrupted independently of everything else.  A
 flip channel replaces the bit with its complement with probability q_k, a
-half at most; an erasure channel replaces it with the sentinel ERASED with a
-stage-dependent probability.  Flip schedules are parametrised through the
+half at most; an erasure channel drops it with a stage-dependent
+probability, so the receiver sees no symbol.  Flip schedules are parametrised through the
 informativeness Q = (1 - 2q) / (1 - q), the scale on which the learning-rate
 laws are additive, and mapped back through q = (1 - Q) / (2 - Q).
 """
@@ -14,8 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-ERASED = 2
 
 _FLIP_FAMILIES = ("constant", "power", "reciprocal", "log_power", "log")
 _ERASURE_FAMILIES = ("constant", "theorem4")
@@ -151,18 +149,3 @@ def erasure_levels(schedule: ErasureSchedule, stages):
         return lv0, lv1
     lv = np.minimum((schedule.c * ks) ** (-schedule.eps / ks), 1.0)
     return lv, lv.copy()
-
-
-def erasure_level(schedule: ErasureSchedule, stage: int) -> float:
-    """Symmetric erasure level at one stage; rejects per-input schedules."""
-    lv0, lv1 = _erasure_levels_at(schedule, stage)
-    if lv0 != lv1:
-        raise ValueError("schedule has per-input levels, use erasure_levels")
-    return lv0
-
-
-def _erasure_levels_at(schedule: ErasureSchedule, stage: int) -> tuple[float, float]:
-    if stage < 1:
-        raise ValueError(f"stages are 1-based, got {stage!r}")
-    lv0, lv1 = erasure_levels(schedule, np.asarray([stage]))
-    return float(lv0[0]), float(lv1[0])

@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Two entry styles share one implementation: bare flags
-(``--preset NAME | --config FILE | --list``) and subcommands
-(``list / preset / simulate / exact / recursion / fit``).  Exit codes:
-0 run completed and every check passed, 1 a check failed or the run
-errored, 2 usage or config problems.
+One parser of subcommands: list, preset, run, simulate, exact, recursion
+and fit.  The flag form (one of --list, --preset NAME and --config FILE,
+among the override flags) is read as its subcommand twin: list,
+preset NAME, run --config FILE.  Exit codes: 0 run completed and every
+check passed, 1 a check failed or the run errored, 2 usage or config
+problems.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    SeriesResult,
     fit_power,
     fit_power_of_log,
     fit_reciprocal_log,
@@ -31,17 +33,23 @@ from .belief_model import BeliefModel
 from .channels import Channel, ErasureSchedule, FlipSchedule
 from .exact_dp import exact_error_series, martingale_check
 from .montecarlo import ExperimentConfig, estimate_error_series, herding_stats
-from .presets import Overrides, PRESET_INFO, UnknownPresetError, list_presets, run_preset
+from .presets import (
+    PRESET_INFO,
+    Overrides,
+    PresetError,
+    exact_columns,
+    list_presets,
+    martingale_columns,
+    mc_columns,
+    recursion_columns,
+    run_preset,
+)
 from .recursions import iterate_recursion, rate_recursion, type1_lower_bound
 from .topology import MemorySchedule
 
 
 class ConfigError(ValueError):
     pass
-
-
-_TASKS = ("simulate", "exact", "recursion", "martingale", "herding")
-_SUBCOMMANDS = ("list", "preset", "simulate", "exact", "recursion", "fit")
 
 
 @dataclass(frozen=True)
@@ -56,7 +64,6 @@ class RunSettings:
 class RecursionSettings:
     initial: float = 0.5
     coefficient: str = "beta_plus_one"
-    k_min: int = 1000
 
 
 @dataclass
@@ -177,7 +184,7 @@ def parse_config(path, default_task: str | None = None) -> ParsedConfig:
     run_doc = doc.get("run", {})
     _require_keys("run", run_doc, {"stages", "trials", "seed", "k0_fraction"})
     rec_doc = doc.get("recursion", {})
-    _require_keys("recursion", rec_doc, {"initial", "coefficient", "k_min"})
+    _require_keys("recursion", rec_doc, {"initial", "coefficient"})
     try:
         run = RunSettings(**run_doc)
         run = replace(
@@ -188,7 +195,7 @@ def parse_config(path, default_task: str | None = None) -> ParsedConfig:
             k0_fraction=float(run.k0_fraction),
         )
         recursion = RecursionSettings(**rec_doc)
-        recursion = replace(recursion, initial=float(recursion.initial), k_min=int(recursion.k_min))
+        recursion = replace(recursion, initial=float(recursion.initial))
     except TypeError as exc:
         raise ConfigError(f"{p}: {exc}") from exc
     if run.stages < 1:
@@ -224,106 +231,53 @@ def _apply_run_overrides(cfg: ParsedConfig, ov: Overrides) -> ParsedConfig:
     return cfg
 
 
-def _meta(cfg: ParsedConfig) -> dict:
-    return {"config_hash": cfg.digest, "seed": cfg.run.seed, "producer": cfg.task}
-
-
-def _task_simulate(cfg: ParsedConfig, out: Path, threads: int) -> list[str]:
+def _simulate(cfg: ParsedConfig, threads: int):
     series = estimate_error_series(cfg.experiment(), threads=threads)
-    meta = dict(_meta(cfg), clamp_events=series.meta["clamp_events"])
-    write_series_csv(
-        out / "series.csv",
-        {
-            "k": series.stages,
-            "pe_hat": series.values,
-            "ci_low": series.extra["ci_low"],
-            "ci_high": series.extra["ci_high"],
-            "p0_type1_hat": series.extra["p0_type1_hat"],
-            "p1_type2_hat": series.extra["p1_type2_hat"],
-        },
-        meta,
-    )
-    return ["series.csv"]
+    return mc_columns(series), {"clamp_events": series.meta["clamp_events"]}
 
 
-def _task_herding(cfg: ParsedConfig, out: Path, threads: int) -> list[str]:
+def _herding(cfg: ParsedConfig, threads: int):
     rep = herding_stats(cfg.experiment(), k0_fraction=cfg.run.k0_fraction, threads=threads)
     n = len(rep.rows)
-    write_series_csv(
-        out / "series.csv",
-        {
-            "hypothesis": np.arange(n),
-            "late_error_fraction": np.asarray([r.late_error_fraction for r in rep.rows]),
-            "q50": np.asarray([r.q50 for r in rep.rows]),
-            "q90": np.asarray([r.q90 for r in rep.rows]),
-            "q99": np.asarray([r.q99 for r in rep.rows]),
-            "K": np.full(n, rep.stages),
-            "N": np.full(n, rep.trials),
-            "seed": np.full(n, rep.seed),
-        },
-        _meta(cfg),
-    )
-    return ["series.csv"]
+    columns = {
+        "hypothesis": np.arange(n),
+        "late_error_fraction": np.asarray([r.late_error_fraction for r in rep.rows]),
+        "q50": np.asarray([r.q50 for r in rep.rows]),
+        "q90": np.asarray([r.q90 for r in rep.rows]),
+        "q99": np.asarray([r.q99 for r in rep.rows]),
+        "K": np.full(n, rep.stages),
+        "N": np.full(n, rep.trials),
+        "seed": np.full(n, rep.seed),
+    }
+    return columns, {}
 
 
-def _task_exact(cfg: ParsedConfig, out: Path) -> list[str]:
-    series = exact_error_series(cfg.model, cfg.channel, cfg.memory, cfg.run.stages)
-    write_series_csv(
-        out / "series.csv",
-        {
-            "k": series.stages,
-            "pe_exact": series.values,
-            "p0_type1": series.extra["p0_type1"],
-            "p1_type2": series.extra["p1_type2"],
-        },
-        _meta(cfg),
-    )
-    return ["series.csv"]
+def _exact(cfg: ParsedConfig, threads: int):
+    return exact_columns(exact_error_series(cfg.model, cfg.channel, cfg.memory, cfg.run.stages)), {}
 
 
-def _task_martingale(cfg: ParsedConfig, out: Path) -> list[str]:
-    k_max = min(cfg.run.stages, 14)
-    rep = martingale_check(cfg.channel, cfg.model, k_max)
-    write_series_csv(
-        out / "series.csv",
-        {
-            "k": np.arange(1, k_max + 1),
-            "max_deviation": rep.stage_deviations,
-            "tail_mass": rep.tail_mass,
-        },
-        _meta(cfg),
-    )
-    return ["series.csv"]
+def _martingale(cfg: ParsedConfig, threads: int):
+    return martingale_columns(martingale_check(cfg.channel, cfg.model, cfg.run.stages)), {}
 
 
-def _task_recursion(cfg: ParsedConfig, out: Path) -> list[str]:
+def _recursion(cfg: ParsedConfig, threads: int):
     spec = rate_recursion(cfg.model, cfg.channel, cfg.recursion.initial, cfg.recursion.coefficient)
     series = iterate_recursion(spec, cfg.run.stages)
-    bound = type1_lower_bound(series, cfg.model)
-    write_series_csv(
-        out / "series.csv",
-        {"k": series.stages, "b_k": series.values, "type1_bound": bound.values},
-        _meta(cfg),
-    )
-    return ["series.csv"]
+    return recursion_columns(series, type1_lower_bound(series, cfg.model)), {}
+
+
+# task -> runner(config, threads) returning (columns, extra header entries)
+_TASKS = {"simulate": _simulate, "exact": _exact, "recursion": _recursion, "martingale": _martingale, "herding": _herding}
 
 
 def _run_config(cfg: ParsedConfig, out: Path, threads: int) -> int:
-    out.mkdir(parents=True, exist_ok=True)
     for note in cfg.warnings:
         print(f"note: {note}", file=sys.stderr)
-    if cfg.task == "simulate":
-        files = _task_simulate(cfg, out, threads)
-    elif cfg.task == "herding":
-        files = _task_herding(cfg, out, threads)
-    elif cfg.task == "exact":
-        files = _task_exact(cfg, out)
-    elif cfg.task == "martingale":
-        files = _task_martingale(cfg, out)
-    else:
-        files = _task_recursion(cfg, out)
-    for name in files:
-        print(f"wrote {out / name}")
+    columns, extra = _TASKS[cfg.task](cfg, threads)
+    out.mkdir(parents=True, exist_ok=True)
+    meta = {"config_hash": cfg.digest, "producer": cfg.task, "seed": cfg.run.seed, **extra}
+    write_series_csv(out / "series.csv", columns, meta)
+    print(f"wrote {out / 'series.csv'}")
     return 0
 
 
@@ -347,8 +301,6 @@ def _print_preset_list() -> int:
 def _run_fit(ns) -> int:
     series = series_from_csv(ns.series, column=ns.column)
     if ns.reciprocal:
-        from .analysis import SeriesResult
-
         series = SeriesResult(series.stages, 1.0 / series.values)
     k_min = ns.k_min
     if ns.kind == "power":
@@ -406,18 +358,29 @@ def _overrides(parser: argparse.ArgumentParser, ns) -> Overrides:
         parser.error(str(exc))  # exits 2, as for any other usage error
 
 
-def _flag_parser() -> argparse.ArgumentParser:
+_FLAG_FORMS = {"--list": "list", "--preset": "preset", "--config": "run"}
+
+
+def _subcommand_argv(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """argv with its flag form read as the subcommand twin: --list becomes
+    list, --preset NAME becomes preset NAME and --config FILE becomes
+    run --config FILE.  Every other argument stays where it was."""
+    head = argv[0] if argv else "-"
+    if not head.startswith("-") or head in ("-h", "--help"):
+        return argv
+    at = [i for i, arg in enumerate(argv) if arg.partition("=")[0] in _FLAG_FORMS]
+    if len(at) != 1:
+        parser.error("give a subcommand, or one of --list, --preset NAME and --config FILE")
+    i = at[0]
+    flag, _, value = argv[i].partition("=")
+    command = _FLAG_FORMS[flag]
+    # the run subcommand takes --config itself; NAME may follow --preset or be joined by '='
+    form = argv[i:i + 1] if command == "run" else [value] if value else []
+    return [command, *argv[:i], *form, *argv[i + 1:]]
+
+
+def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="noisycast", description=__doc__)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--list", action="store_true", help="list the preset registry")
-    g.add_argument("--preset", metavar="NAME", help="run a named preset")
-    g.add_argument("--config", metavar="FILE", type=Path, help="run a JSON config file")
-    _add_override_flags(p)
-    return p
-
-
-def _subcommand_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="noisycast")
     sub = p.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list the preset registry")
@@ -427,6 +390,7 @@ def _subcommand_parser() -> argparse.ArgumentParser:
     _add_override_flags(sp)
 
     for cmd, blurb in (
+        ("run", "any task from a config file"),
         ("simulate", "Monte Carlo error series from a config file"),
         ("exact", "exact window-recursion error series from a config file"),
         ("recursion", "deterministic rate recursion from a config file"),
@@ -434,6 +398,7 @@ def _subcommand_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(cmd, help=blurb)
         sp.add_argument("--config", type=Path, required=True)
         _add_override_flags(sp)
+        sp.set_defaults(task=None if cmd == "run" else cmd)
 
     sp = sub.add_parser("fit", help="fit a rate law to a series CSV")
     sp.add_argument("--series", type=Path, required=True, help="CSV written by another subcommand")
@@ -450,37 +415,26 @@ def _subcommand_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    parser = _parser()
     try:
-        if argv and argv[0] in _SUBCOMMANDS:
-            parser = _subcommand_parser()
-            ns = parser.parse_args(argv)
-            if ns.command == "list":
-                return _print_preset_list()
-            if ns.command == "fit":
-                return _run_fit(ns)
-            preset, default_task = (ns.name, None) if ns.command == "preset" else (None, ns.command)
-        else:
-            parser = _flag_parser()
-            ns = parser.parse_args(argv)
-            if ns.list:
-                return _print_preset_list()
-            preset, default_task = ns.preset, None
+        ns = parser.parse_args(_subcommand_argv(parser, argv))
+        if ns.command == "list":
+            return _print_preset_list()
+        if ns.command == "fit":
+            return _run_fit(ns)
         ov = _overrides(parser, ns)
-        if preset is not None:
-            return _run_named_preset(preset, ns.out, ov)
-        cfg = _apply_run_overrides(parse_config(ns.config, default_task=default_task), ov)
+        if ns.command == "preset":
+            return _run_named_preset(ns.name, ns.out, ov)
+        cfg = _apply_run_overrides(parse_config(ns.config, default_task=ns.task), ov)
         out = ns.out if ns.out is not None else Path("runs") / cfg.task
         return _run_config(cfg, out, ov.threads)
     except SystemExit as exc:
         code = exc.code
         return 0 if code is None else int(code)
-    except UnknownPresetError as exc:
+    except PresetError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -269,7 +269,7 @@ def exact_error_series(
 def _scan_column(pair, l0: float, l1: float) -> tuple[float, float, float, float]:
     """P(decide 0 | h), h = 0, 1, then P(decide 1 | h), after one symbol of
     likelihood l_h under h.  The MAP cutoff is c = l0 / (l0 + l1) whatever
-    the prior (as tandem_posterior then belief_cutoff_from_public give it);
+    the prior (belief_cutoff_from_public at the posterior the symbol leaves);
     both cdfs are taken at min(c, 1 - c), where they are at most 3/4, so no
     complement loses relative precision.  An impossible symbol gets c = 1/2."""
     den = l0 + l1

@@ -122,14 +122,9 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(repr(config).encode()).hexdigest()[:12]
 
 
-def _trial_rng(seed: int, phase: int, hypothesis: int, trial: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(seed, spawn_key=(phase, hypothesis, trial))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 @lru_cache(maxsize=64)
-def _stream_key(seed: int, phase: int, hypothesis: int) -> np.ndarray:
-    return np.random.SeedSequence(seed, spawn_key=(phase, hypothesis)).generate_state(2, np.uint64)
+def _stream_key(seed: int, *spawn_key: int) -> np.ndarray:
+    return np.random.SeedSequence(seed, spawn_key=spawn_key).generate_state(2, np.uint64)
 
 
 def _run_block(config: ExperimentConfig, phase: int, lo: int, hi: int, step, slot=None, collect=False):
@@ -425,7 +420,7 @@ def estimate_chain_success(erasure_level: float, hops: int, trials: int, seed: i
         raise ValueError(f"hops must be >= 1, got {hops!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
-    g = _trial_rng(seed, _PHASE_AUX, 0, 0)
+    g = np.random.Generator(np.random.Philox(key=_stream_key(seed, _PHASE_AUX, 0, 0)))
     chunk = max(1, (1 << 20) // (hops * hops))
     successes = 0
     done = 0

@@ -3,11 +3,12 @@
 PRESETS is the registry, and each claim is stated once, in its entry: a
 description, the default stages, trials and seed, and a runner.  The runner
 takes the effective settings, an Overrides in which each override replaces
-the default it names; a setting the preset leaves unset stays unset.  It
-returns an Outcome: the tables to write, the checks, and the payload that
-names the run.  run_preset does the rest for every preset: it applies the
-overrides, hashes the payload (canonical JSON, or config_hash of a Monte
-Carlo ExperimentConfig), writes each table as a CSV under a
+the default it names; an override of a setting the preset leaves unset is
+refused with a PresetError before anything runs.  It returns an Outcome:
+the tables to write, the checks, and the payload that names the run.
+run_preset does the rest for every preset: it applies the overrides,
+hashes the payload (canonical JSON, or config_hash of a Monte Carlo
+ExperimentConfig), writes each table as a CSV under a
 ``# config_hash producer seed`` line, and writes verdict.json.
 
 A check is one acceptance threshold.  Checks marked informational report a
@@ -39,7 +40,7 @@ from .analysis import (
 )
 from .belief_model import BeliefModel
 from .channels import ErasureSchedule, FlipSchedule, erasure_levels
-from .exact_dp import exact_error_series, martingale_check, scan_error_series
+from .exact_dp import MartingaleReport, exact_error_series, martingale_check, scan_error_series
 from .montecarlo import (
     ExperimentConfig,
     config_hash,
@@ -60,7 +61,11 @@ from .recursions import (
 from .topology import MemorySchedule, backward_search_depth, chain_success_probability
 
 
-class UnknownPresetError(ValueError):
+class PresetError(ValueError):
+    """A preset name or override that run_preset refuses before it runs."""
+
+
+class UnknownPresetError(PresetError):
     def __init__(self, name: str, known: list[str]):
         self.name = name
         self.known = known
@@ -70,8 +75,9 @@ class UnknownPresetError(ValueError):
 @dataclass(frozen=True)
 class Overrides:
     """CLI-level knobs: seed / trials / stages replace the preset defaults
-    when set, threads parallelises the Monte Carlo blocks.  Stages, trials
-    and threads below 1, or a seed outside uint64, raise ValueError."""
+    when set (run_preset refuses one the preset does not declare), threads
+    parallelises the Monte Carlo blocks.  Stages, trials and threads below
+    1, or a seed outside uint64, raise ValueError."""
 
     seed: int | None = None
     trials: int | None = None
@@ -155,13 +161,26 @@ def _band(label: str, value, low, high) -> list[dict]:
     return [_check(f"{label}_low", value, low, ">="), _check(f"{label}_high", value, high, "<=")]
 
 
-def _exact_columns(series: SeriesResult) -> dict:
+# CSV layouts, shared with the config tasks of the CLI
+
+
+def exact_columns(series: SeriesResult) -> dict:
     return {"k": series.stages, "pe_exact": series.values, **{n: series.extra[n] for n in ("p0_type1", "p1_type2")}}
 
 
-def _mc_columns(series: SeriesResult) -> dict:
+def mc_columns(series: SeriesResult) -> dict:
     extras = ("ci_low", "ci_high", "p0_type1_hat", "p1_type2_hat")
     return {"k": series.stages, "pe_hat": series.values, **{n: series.extra[n] for n in extras}}
+
+
+def martingale_columns(rep: MartingaleReport) -> dict:
+    k = np.arange(1, len(rep.stage_deviations) + 1)
+    return {"k": k, "max_deviation": rep.stage_deviations, "tail_mass": rep.tail_mass}
+
+
+def recursion_columns(series: SeriesResult, bound: SeriesResult | None = None) -> dict:
+    """The belief recursion b_k, and its type-1 lower bound when given."""
+    return {"k": series.stages, "b_k": series.values, **({} if bound is None else {"type1_bound": bound.values})}
 
 
 def _rows_to_columns(names: str, rows: list) -> dict:
@@ -173,11 +192,9 @@ def _rows_to_columns(names: str, rows: list) -> dict:
 
 
 def _martingale(p: Overrides) -> Outcome:
-    k_max = min(p.stages, 14)  # the check enumerates 2**k_max broadcast histories
-    rep = martingale_check(FlipSchedule("constant", q=0.25), BeliefModel(0.0), k_max)
-    cols = {"k": np.arange(1, k_max + 1), "max_deviation": rep.stage_deviations, "tail_mass": rep.tail_mass}
+    rep = martingale_check(FlipSchedule("constant", q=0.25), BeliefModel(0.0), p.stages)
     checks = [_check("max_martingale_deviation", rep.max_deviation, 1e-10, "<")]
-    return Outcome({"series.csv": ("martingale", cols)}, checks, {"q": 0.25, "k_max": k_max})
+    return Outcome({"series.csv": ("martingale", martingale_columns(rep))}, checks, {"q": 0.25, "k_max": p.stages})
 
 
 def _window_floor(p: Overrides, *, channel, files: dict, payload: dict) -> Outcome:
@@ -186,7 +203,7 @@ def _window_floor(p: Overrides, *, channel, files: dict, payload: dict) -> Outco
     tables, checks = {}, []
     for cap, name in files.items():
         series = exact_error_series(BeliefModel(0.0), channel, MemorySchedule("bounded", capacity=cap), p.stages)
-        tables[name] = ("exact", _exact_columns(series))
+        tables[name] = ("exact", exact_columns(series))
         half, full = series.value_at(p.stages // 2), series.value_at(p.stages)
         checks += [
             _check(f"c{cap}_tail_gap", abs(full - half), 1e-6, "<"),
@@ -214,7 +231,7 @@ def _mc_vs_exact(p: Overrides) -> Outcome:
     prior_0, prior_1 = config.model.prior_0, config.model.prior_1
     sigma = np.sqrt(prior_0**2 * p0 * (1.0 - p0) / n + prior_1**2 * p1 * (1.0 - p1) / n)
     coverage = float((np.abs(mc.values - exact.values) <= 3.0 * sigma).mean())
-    tables = {"series.csv": ("simulate", _mc_columns(mc)), "exact.csv": ("exact", _exact_columns(exact))}
+    tables = {"series.csv": ("simulate", mc_columns(mc)), "exact.csv": ("exact", exact_columns(exact))}
     return Outcome(tables, [_check("three_sigma_coverage", coverage, 0.95, ">=")], config, info)
 
 
@@ -225,7 +242,7 @@ def _flip_learning(p: Overrides) -> Outcome:
         _check("error_drops_fivefold", series.value_at(late), series.value_at(early) / 5.0, "<"),
         _check("ci_disjoint", series.extra_at("ci_high", late), series.extra_at("ci_low", early), "<"),
     ]
-    return Outcome({"series.csv": ("simulate", _mc_columns(series))}, checks, config, info)
+    return Outcome({"series.csv": ("simulate", mc_columns(series))}, checks, config, info)
 
 
 def _erasure_unbounded(p: Overrides) -> Outcome:
@@ -241,7 +258,7 @@ def _erasure_unbounded(p: Overrides) -> Outcome:
         _check("exact_final_error", exact.value_at(late), None, "==", informational=True),
         _check("exact_decay_exponent", fit_power(exact, k_min=100).slope, None, "==", informational=True),
     ]
-    return Outcome({"series.csv": ("simulate", _mc_columns(series))}, checks, config, info)
+    return Outcome({"series.csv": ("simulate", mc_columns(series))}, checks, config, info)
 
 
 def _erasure_to_one(p: Overrides) -> Outcome:
@@ -299,9 +316,8 @@ def _rate_law(p: Overrides, *, beta: int, initial: float, belief: tuple, bound: 
     lower = type1_lower_bound(series, model)
     checks = (_band("belief_slope", fit_power(series, k_min=1000).slope, *belief)
               + _band("bound_slope", fit_power(lower, k_min=1000).slope, *bound))
-    cols = {"k": series.stages, "b_k": series.values, "type1_bound": lower.values}
     payload = {"channel": "constant_q_0.1", "beta": beta, "stages": p.stages, "initial": initial}
-    return Outcome({"series.csv": ("recursion", cols)}, checks, payload)
+    return Outcome({"series.csv": ("recursion", recursion_columns(series, lower))}, checks, payload)
 
 
 def _plateau(p: Overrides) -> Outcome:
@@ -316,7 +332,7 @@ def _plateau(p: Overrides) -> Outcome:
         _check("label", cls.label, "positive_limit", "=="),
         _check("plateau_above_tenth_of_start", cls.estimate, 0.1 * 0.3, ">"),
     ]
-    cols = {"k": run.stages[on_grid], "b_k": run.values[on_grid]}
+    cols = recursion_columns(SeriesResult(run.stages[on_grid], run.values[on_grid]))
     info = {"checkpoints": list(cls.checkpoints), "checkpoint_values": list(cls.values)}
     payload = {"family": "log_power", "p": 2.0, "stages": p.stages}
     return Outcome({"series.csv": ("recursion", cols)}, checks, payload, info)
@@ -326,8 +342,7 @@ def _slowing(p: Overrides, *, sched: FlipSchedule, checks: Callable, info: dict 
     """A flip rate that slows towards 1/2; checks(series) states the law."""
     series = iterate_recursion(rate_recursion(BeliefModel(0.0), sched, initial=0.3), p.stages)
     payload = {"family": sched.family, "p": sched.p, "stages": p.stages}
-    cols = {"k": series.stages, "b_k": series.values}
-    return Outcome({"series.csv": ("recursion", cols)}, checks(series), payload, info)
+    return Outcome({"series.csv": ("recursion", recursion_columns(series))}, checks(series), payload, info)
 
 
 def _log_power_growth(series: SeriesResult) -> list[dict]:
@@ -491,20 +506,17 @@ def list_presets() -> list[str]:
 
 def run_preset(name: str, out_dir, overrides: Overrides = _NO_OVERRIDES) -> dict:
     """Run one preset, write its CSVs and verdict.json under out_dir, and
-    return the verdict dict."""
+    return the verdict dict.  An unknown name, or an override of a setting
+    the preset does not declare, raises PresetError before anything runs."""
     if name not in PRESETS:
         raise UnknownPresetError(name, list_presets())
     preset = PRESETS[name]
-
-    def pick(given, default):  # a setting the preset does not declare stays unset
-        return default if given is None or default is None else given
-
-    settings = Overrides(
-        seed=pick(overrides.seed, preset.seed),
-        trials=pick(overrides.trials, preset.trials),
-        stages=pick(overrides.stages, preset.stages),
-        threads=overrides.threads,
-    )
+    declared = {key: getattr(preset, key) for key in ("seed", "trials", "stages")}
+    given = {key: getattr(overrides, key) for key in declared if getattr(overrides, key) is not None}
+    undeclared = [key for key in given if declared[key] is None]
+    if undeclared:
+        raise PresetError(f"preset {name!r} has no {' or '.join(undeclared)} setting to override")
+    settings = Overrides(threads=overrides.threads, **{**declared, **given})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief_model import BeliefModel, cdfs
-from .channels import ERASED
 
 BELIEF_FLOOR = 1e-300
 BELIEF_CEIL = 1.0 - 1e-16
@@ -109,29 +108,3 @@ def public_belief_step(public_belief, flip_probability: float, observed, dec0, o
     if rest is None:
         rest = np.subtract(1.0, b, out=out)  # the last read of b, so out may be b
     return np.divide(num, np.add(num, np.multiply(like0, rest, out=like0), out=like0), out=out)
-
-
-def tandem_posterior(observed: int, sender_marginals, prior_belief: float) -> float:
-    """Posterior on hypothesis 1 after one relayed symbol from a known sender.
-
-    sender_marginals = (P(sent 1 | hyp 0), P(sent 1 | hyp 1)).  An erased
-    symbol returns the prior untouched.  The survival factor of a symbol
-    that did arrive is hypothesis-independent, so erasure levels cancel out
-    of the posterior whatever they are, and the channel is not an argument.
-    """
-    if observed == ERASED:
-        return float(prior_belief)
-    if observed not in (0, 1):
-        raise ValueError(f"observed symbol must be 0, 1, or ERASED, got {observed!r}")
-    if not 0.0 <= prior_belief <= 1.0:
-        raise ValueError(f"prior belief must lie in [0, 1], got {prior_belief!r}")
-    m0, m1 = float(sender_marginals[0]), float(sender_marginals[1])
-    if not (0.0 <= m0 <= 1.0 and 0.0 <= m1 <= 1.0):
-        raise ValueError(f"sender marginals must lie in [0, 1], got {sender_marginals!r}")
-    l1 = m1 if observed == 1 else 1.0 - m1
-    l0 = m0 if observed == 1 else 1.0 - m0
-    num = l1 * prior_belief
-    den = num + l0 * (1.0 - prior_belief)
-    if den == 0.0:
-        raise ValueError(f"symbol {observed} has probability zero under both hypotheses")
-    return num / den

@@ -16,7 +16,6 @@ from hypothesis import given, strategies as st
 from noisycast.channels import (
     ErasureSchedule,
     FlipSchedule,
-    erasure_level,
     erasure_levels,
     flip_prob,
     flip_probs,
@@ -139,22 +138,21 @@ class TestErasureSchedule:
         lv0, lv1 = erasure_levels(ErasureSchedule("constant", level=0.3), np.arange(1, 5))
         np.testing.assert_allclose(lv0, 0.3)
         np.testing.assert_allclose(lv1, 0.3)
-        assert erasure_level(ErasureSchedule("constant", level=0.3), 2) == pytest.approx(0.3)
+        assert erasure_levels(ErasureSchedule("constant", level=0.3), [2])[0][0] == pytest.approx(0.3)
 
     def test_asymmetric_levels(self):
         sched = ErasureSchedule("constant", level=0.2, level_one=0.6)
         lv0, lv1 = erasure_levels(sched, np.arange(1, 4))
         np.testing.assert_allclose(lv0, 0.2)
         np.testing.assert_allclose(lv1, 0.6)
-        with pytest.raises(ValueError):
-            erasure_level(sched, 1)
 
     def test_growing_family_frozen_value(self):
         sched = ErasureSchedule("theorem4", c=1.0, eps=2.0)
-        assert erasure_level(sched, 10) == pytest.approx(10.0 ** (-0.2))
-        assert erasure_level(sched, 10) == pytest.approx(0.6309573444801932, abs=1e-15)
+        (lv10,), (lv10_one,) = erasure_levels(sched, [10])
+        assert lv10 == lv10_one == pytest.approx(10.0 ** (-0.2))
+        assert lv10 == pytest.approx(0.6309573444801932, abs=1e-15)
         # (c n)^(-eps/n) exceeds one near the origin and is capped
-        assert erasure_level(sched, 1) == pytest.approx(1.0)
+        assert erasure_levels(sched, [1])[0][0] == pytest.approx(1.0)
 
     def test_growing_family_approaches_one(self):
         sched = ErasureSchedule("theorem4", c=1.0, eps=2.0)

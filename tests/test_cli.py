@@ -6,6 +6,7 @@ and configuration problems.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from noisycast.analysis import read_series_csv, write_series_csv
-from noisycast.cli import ConfigError, main, parse_config
+from noisycast.cli import ConfigError, _parser, _subcommand_argv, main, parse_config
 from noisycast.presets import list_presets
 
 
@@ -194,6 +195,45 @@ class TestConfigRuns:
         assert (a / "series.csv").read_bytes() != (b / "series.csv").read_bytes()
 
 
+# One small config per task and the sha256 of the series.csv it wrote before
+# the config tasks shared their column layouts with the presets.
+_PINNED_CONFIGS = {
+    "simulate": (
+        {"channel": {"kind": "flip", "q": 0.1}, "memory": {"family": "full"},
+         "run": {"stages": 30, "trials": 200, "seed": 4}},
+        "23e30dc2922d9bc60bf494acae8d4f7e3bb718d10ba4546a50e00052cfc8a792",
+    ),
+    "herding": (
+        {"channel": {"kind": "flip", "q": 0.1}, "memory": {"family": "full"},
+         "run": {"stages": 40, "trials": 200, "seed": 2}},
+        "f4c0283fb033f076a988f8cf9da2f6c37706183b264368af86dc93cc1623e1be",
+    ),
+    "exact": (
+        {"channel": {"kind": "erasure", "level": 0.3}, "memory": {"family": "bounded", "capacity": 2},
+         "run": {"stages": 50}},
+        "545f8f551101af86e4f2f555637d941e2b6060e690b385f6d6cd441d5554584c",
+    ),
+    "martingale": (
+        {"channel": {"kind": "flip", "q": 0.25}, "memory": {"family": "full"}, "run": {"stages": 8}},
+        "a54a72c66ba937584cdb1f1915953d30736933af8c74824fb980faaf07193391",
+    ),
+    "recursion": (
+        {"channel": {"kind": "flip", "q": 0.1}, "run": {"stages": 2000}, "recursion": {"initial": 0.5}},
+        "96ab18903542a595369bfb97c7de56ee3442aac11ef80ade13141f5c878c4d0b",
+    ),
+}
+
+
+@pytest.mark.parametrize("task", sorted(_PINNED_CONFIGS))
+def test_config_run_csv_is_pinned(tmp_path, task):
+    body, digest = _PINNED_CONFIGS[task]
+    cfg = tmp_path / f"{task}.json"
+    cfg.write_text(json.dumps({"schema": 1, "task": task, **body}), encoding="utf-8")
+    out = tmp_path / task
+    assert main(["--config", str(cfg), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "series.csv").read_bytes()).hexdigest() == digest
+
+
 class TestConfigErrors:
     def _expect_2(self, tmp_path, capsys, **overrides):
         cfg = _write_config(tmp_path / "c.json", **overrides)
@@ -248,6 +288,17 @@ class TestConfigErrors:
     def test_calibration_trials_is_an_unknown_run_key(self, tmp_path, capsys):
         self._expect_2(tmp_path, capsys, run={"stages": 10, "calibration_trials": 2000})
 
+    def test_recursion_k_min_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = _write_config(
+            tmp_path / "c.json",
+            task="recursion",
+            channel={"kind": "flip", "q": 0.1},
+            memory=None,
+            recursion={"initial": 0.5, "k_min": 1000},
+        )
+        assert main(["recursion", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown key(s) in recursion: k_min" in capsys.readouterr().err
+
     def test_unknown_channel_key(self, tmp_path, capsys):
         self._expect_2(tmp_path, capsys, channel={"kind": "flip", "q": 0.1, "rate": 2})
 
@@ -283,6 +334,30 @@ class TestOverrideFlags:
         assert main(argv + ["--out", str(out)]) == 2
         assert "must be" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["preset", "thm_rate_k2", "--trials", "7", "--seed", "3"],
+            ["preset", "thm_erasure_to_one", "--nodes", "5"],
+            ["--preset", "lemma3_n1", "--seed", "3"],
+        ],
+    )
+    def test_override_the_preset_does_not_declare_is_a_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "setting to override" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_martingale_beyond_its_enumeration_bound_is_refused(self, tmp_path, capsys):
+        assert main(["preset", "lemma1_martingale", "--nodes", "20", "--out", str(tmp_path / "p")]) == 1
+        assert "k_max must lie in [1, 14]" in capsys.readouterr().err
+        cfg = _write_config(
+            tmp_path / "c.json", task="martingale", channel={"kind": "flip", "q": 0.25}, memory={"family": "full"}
+        )
+        assert main(["exact", "--config", str(cfg), "--nodes", "20", "--out", str(tmp_path / "c")]) == 1
+        assert "k_max must lie in [1, 14]" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
     def test_config_run_validates_overrides_too(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "c.json")
@@ -384,6 +459,47 @@ class TestUsage:
 
     def test_conflicting_flags(self, tmp_path, capsys):
         assert main(["--preset", "x", "--config", str(tmp_path / "c.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--preset", "lemma3_n1", "preset", "lemma3_n2"],
+            ["preset", "lemma3_n1", "--preset", "lemma3_n2"],
+            ["--config", "c.json", "simulate", "--config", "c.json"],
+            ["simulate", "--config", "c.json", "--list"],
+            ["--list", "list"],
+        ],
+    )
+    def test_flag_form_mixed_with_a_subcommand(self, tmp_path, argv):
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--out", "OUT", "preset", "lemma3_n1"],
+            ["--nodes", "20000", "preset", "lemma3_n1"],
+            ["--threads", "2", "list"],
+            ["--seed", "3", "simulate", "--config", "c.json"],
+        ],
+    )
+    def test_override_flags_before_a_subcommand(self, tmp_path, argv):
+        out = tmp_path / "o"
+        assert main([str(out) if a == "OUT" else a for a in argv]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag_form, twin",
+        [
+            (["--list"], ["list"]),
+            (["--nodes", "20000", "--preset", "lemma3_n1"], ["preset", "lemma3_n1", "--nodes", "20000"]),
+            (["--preset=lemma3_n1", "--nodes=20000"], ["preset", "lemma3_n1", "--nodes=20000"]),
+            (["--config", "c.json", "--seed", "3"], ["run", "--config", "c.json", "--seed", "3"]),
+        ],
+    )
+    def test_flag_form_parses_as_its_subcommand_twin(self, flag_form, twin):
+        parser = _parser()
+        assert parser.parse_args(_subcommand_argv(parser, flag_form)) == parser.parse_args(twin)
 
     def test_console_module(self):
         proc = subprocess.run(

@@ -30,7 +30,7 @@ import pytest
 
 from noisycast.belief_model import BeliefModel, cdf
 from noisycast.belief_model import cdf_pair
-from noisycast.channels import ErasureSchedule, FlipSchedule, _erasure_levels_at, erasure_levels, flip_prob
+from noisycast.channels import ErasureSchedule, FlipSchedule, erasure_levels, flip_prob
 from noisycast.exact_dp import (
     MAX_CAPACITY,
     StageErrors,
@@ -121,7 +121,7 @@ def _loop_evolve(dist, stage, model, channel, rule):
         q = flip_prob(channel, stage)
         law = [[1.0 - q, q], [q, 1.0 - q]]
     else:
-        lv0, lv1 = _erasure_levels_at(channel, stage)
+        (lv0,), (lv1,) = erasure_levels(channel, [stage])
         law = [[1.0 - lv0, lv0, 0.0], [0.0, lv1, 1.0 - lv1]]
     new_len = min(dist.capacity, stage)
     new_rows, sums = [], []

@@ -9,6 +9,7 @@ from noisycast.presets import (
     PRESET_INFO,
     PRESETS,
     Overrides,
+    PresetError,
     UnknownPresetError,
     list_presets,
     run_preset,
@@ -84,8 +85,11 @@ class TestRunPreset:
         assert short != long
         assert long.splitlines()[-1].startswith("40000,")
 
-    def test_seed_override_leaves_a_deterministic_preset_at_seed_0(self, tmp_path):
-        verdict = run_preset("lemma3_n1", tmp_path, Overrides(stages=20_000, seed=3))
+    def test_seed_override_of_a_deterministic_preset_is_refused(self, tmp_path):
+        with pytest.raises(PresetError, match="has no seed setting"):
+            run_preset("lemma3_n1", tmp_path / "refused", Overrides(stages=20_000, seed=3))
+        assert not (tmp_path / "refused").exists()
+        verdict = run_preset("lemma3_n1", tmp_path, Overrides(stages=20_000))
         assert verdict["seed"] == 0
         assert (tmp_path / "series.csv").read_text().splitlines()[0].endswith("seed=0")
 

@@ -1,0 +1,73 @@
+"""Every exported name has a caller outside the tests.
+
+A name in noisycast.__all__ passes when its home module loads it outside
+the def or class that defines it, when another package module (not
+__init__) imports it, or when a perfbench script imports it or reaches it
+as an attribute.  A parameter or local that happens to share the name does
+not count, so only these three forms are read.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import noisycast
+
+PACKAGE = Path(noisycast.__file__).resolve().parent
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _home_modules() -> dict[str, str]:
+    """Exported name -> the module __init__ imports it from."""
+    homes = {}
+    for node in _tree(PACKAGE / "__init__.py").body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            homes.update({alias.name: node.module for alias in node.names})
+    return homes
+
+
+def _loaded_outside_own_definition(tree: ast.AST, name: str) -> bool:
+    def walk(node: ast.AST) -> bool:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name == name:
+            return False
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+            return True
+        return any(walk(child) for child in ast.iter_child_nodes(node))
+
+    return walk(tree)
+
+
+def _imported_names(tree: ast.AST) -> set[str]:
+    return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _attribute_names(tree: ast.AST) -> set[str]:
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_every_exported_name_has_a_caller():
+    homes = _home_modules()
+    assert set(homes) == set(noisycast.__all__)
+    modules = {path.stem: _tree(path) for path in PACKAGE.glob("*.py") if path.stem != "__init__"}
+    imported_by = {stem: _imported_names(tree) for stem, tree in modules.items()}
+    bench = [_tree(path) for path in sorted(PERFBENCH.glob("*.py"))]
+    bench_reach = set().union(*(_imported_names(t) | _attribute_names(t) for t in bench))
+    uncalled = [
+        name
+        for name, home in sorted(homes.items())
+        if not _loaded_outside_own_definition(modules[home], name)
+        and not any(name in names for stem, names in imported_by.items() if stem != home)
+        and name not in bench_reach
+    ]
+    assert uncalled == []
+
+
+def test_a_self_reference_is_not_a_caller():
+    tree = ast.parse("def g():\n    return g()\n\n\ndef h():\n    return g\n")
+    assert not _loaded_outside_own_definition(ast.Module(body=tree.body[:1], type_ignores=[]), "g")
+    assert _loaded_outside_own_definition(tree, "g")

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from noisycast.belief_model import BeliefModel, cdf
-from noisycast.channels import ERASED
 from noisycast.strategy import (
     BELIEF_CEIL,
     BELIEF_FLOOR,
@@ -18,7 +17,6 @@ from noisycast.strategy import (
     conditional_decision_probs,
     likelihood_threshold,
     public_belief_step,
-    tandem_posterior,
 )
 
 MODEL = BeliefModel(0.0)
@@ -174,30 +172,6 @@ class TestBufferedStep:
         step = public_belief_step(0.5, 0.25, 1, (0.75, 0.25))
         assert step == pytest.approx(0.625) and np.ndim(step) == 0
         assert public_belief_step(0.5, 0.25, True, (0.75, 0.25)) == step
-
-
-class TestTandemPosterior:
-    def test_erasure_returns_prior(self):
-        assert tandem_posterior(ERASED, (0.2, 0.8), 0.41) == pytest.approx(0.41)
-
-    def test_frozen_example(self):
-        # sender emits one w.p. 0.2 under 0 and 0.8 under 1, no erasure
-        post = tandem_posterior(1, (0.2, 0.8), 0.5)
-        assert post == pytest.approx(0.8)
-        post = tandem_posterior(0, (0.2, 0.8), 0.5)
-        assert post == pytest.approx(0.2)
-
-    def test_zero_probability_symbol(self):
-        with pytest.raises(ValueError, match="probability zero"):
-            tandem_posterior(1, (0.0, 0.0), 0.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            tandem_posterior(3, (0.2, 0.8), 0.5)
-        with pytest.raises(ValueError):
-            tandem_posterior(1, (0.2, 1.4), 0.5)
-        with pytest.raises(ValueError):
-            tandem_posterior(1, (0.2, 0.8), 1.5)
 
 
 class TestStateBookkeeping:
