@@ -8,6 +8,8 @@ recursion, Monte Carlo) and fits the observed decay laws.
 
 import types
 
+__version__ = "0.1.0"  # set before the submodules load: presets records it in every verdict
+
 from .analysis import (
     FitResult,
     SeriesResult,
@@ -83,8 +85,6 @@ from .topology import (
     chain_success_probability,
     memory_size,
 )
-
-__version__ = "0.1.0"
 
 # the public API is every name imported above; deriving it keeps the two from drifting apart
 __all__ = sorted(

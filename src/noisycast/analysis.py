@@ -11,8 +11,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 
 import numpy as np
+
+# rows formatted or parsed at a time: the CSV layer holds one chunk of Python
+# objects, whatever the row count
+_CSV_CHUNK = 256
 
 
 @dataclass
@@ -185,12 +191,15 @@ def write_series_csv(path, columns: dict, meta: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("# " + " ".join(f"{k}={meta[k]}" for k in sorted(meta)) + "\n")
         fh.write(",".join(names) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*map(_column_cells, arrays)))
+        for lo in range(0, length, _CSV_CHUNK):
+            cells = [_column_cells(a[lo : lo + _CSV_CHUNK]) for a in arrays]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def read_series_csv(path) -> tuple[dict, dict]:
     """Inverse of write_series_csv: (columns, meta).  The first column comes
-    back as int64, the rest as float."""
+    back as int64, the rest as float.  A count of line ends sizes the columns,
+    which are then filled a chunk of rows at a time."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         first = fh.readline()
         meta = {}
@@ -202,17 +211,23 @@ def read_series_csv(path) -> tuple[dict, dict]:
         else:
             header_line = first
         names = next(csv.reader([header_line]))
-        rows = list(csv.reader(fh))
-    if not rows:
+        start = fh.tell()
+        # every row but the last ends in a line break, so this bounds the row count
+        bound = 1 + sum(b.count("\n") + b.count("\r") for b in iter(partial(fh.read, 1 << 16), ""))
+        fh.seek(start)
+        cols = [np.empty(bound, dtype=np.int64)] + [np.empty(bound) for _ in names[1:]]
+        parse = [int] + [float] * (len(names) - 1)
+        reader, n = csv.reader(fh), 0
+        while rows := list(islice(reader, _CSV_CHUNK)):
+            ragged = [i for i, row in enumerate(rows, start=n + 1) if len(row) != len(names)]
+            if ragged:  # zip(*rows) would cut every row to the shortest
+                raise ValueError(f"{path}: data row {ragged[0]} does not have {len(names)} cells")
+            for col, conv, cells in zip(cols, parse, zip(*rows)):
+                col[n : n + len(rows)] = list(map(conv, cells))
+            n += len(rows)
+    if n == 0:
         raise ValueError(f"{path} contains no data rows")
-    columns = {}
-    for j, name in enumerate(names):
-        raw = [row[j] for row in rows]
-        if j == 0:
-            columns[name] = np.asarray([int(v) for v in raw], dtype=np.int64)
-        else:
-            columns[name] = np.asarray([float(v) for v in raw], dtype=float)
-    return columns, meta
+    return {name: col[:n] for name, col in zip(names, cols)}, meta
 
 
 def series_from_csv(path, column: str | None = None) -> SeriesResult:

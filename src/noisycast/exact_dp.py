@@ -370,7 +370,7 @@ def scan_error_series(model: BeliefModel, channel: ErasureSchedule, memory: Memo
     table[:, 0] = table[:, 1] = pair(0.5)
     t1, t2 = np.empty(stages), np.empty(stages)
     if np.array_equal(lv0s, lv1s):
-        _scan_symmetric(pair, lv0s.tolist(), memory, table, t1.data)
+        _scan_symmetric(pair, memoryview(lv0s), memory, table, t1.data)
         t2[:] = t1
     else:
         _scan_general(pair, lv0s, lv1s, memory, table, t1, t2)

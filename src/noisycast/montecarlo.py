@@ -227,19 +227,24 @@ def _window_step(config: ExperimentConfig, m: int):
         for h in (0, 1):
             np.take(dec0[h], state[h], out=f[h], mode="clip")  # states are in range by construction
         np.greater(u, f, out=d)
+        # a ufunc that casts between the uint8 digits and bool or int64 fills a
+        # cast buffer of its own each call; copyto casts without one
         digit = ring[(k - 1) % cap]
         if k > cap:
-            np.subtract(state, np.multiply(digit, a_size ** (cap - 1), out=drop, dtype=np.int64), out=state)
+            np.copyto(drop, digit)
+            np.subtract(state, np.multiply(drop, a_size ** (cap - 1), out=drop), out=state)
         if flip:
-            np.not_equal(d, np.less(v, qs[k - 1], out=hit), out=digit)
+            np.copyto(digit, np.not_equal(d, np.less(v, qs[k - 1], out=hit), out=hit))
         else:  # digit 1 where erased, else 2 * d
             np.less(v, lv0s[k - 1], out=hit)
             if lv1s[k - 1] != lv0s[k - 1]:
-                np.copyto(hit, np.less(v, lv1s[k - 1], out=other), where=d)
-            np.multiply(d, np.uint8(2), out=digit)
+                np.putmask(hit, d, np.less(v, lv1s[k - 1], out=other))
+            np.copyto(digit, d)
+            np.add(digit, digit, out=digit)
             np.putmask(digit, hit, 1)
         np.multiply(state, a_size, out=state)
-        np.add(state, digit, out=state)
+        np.copyto(drop, digit)
+        np.add(state, drop, out=state)
         return d, None
 
     return step

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -29,6 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import __version__
 from .analysis import (
     SeriesResult,
     default_grid,
@@ -504,6 +506,36 @@ def list_presets() -> list[str]:
     return sorted(PRESETS)
 
 
+def _run_record() -> dict:
+    """The versions a verdict depends on and, where the `resource` module
+    exists, the peak resident set of the whole process so far: a later run
+    in the same process reports an earlier, larger run's peak, and on Linux
+    a process started by a larger one begins at its parent's peak.  scipy's
+    version is read from its metadata, so recording it does not import
+    scipy; `importlib.metadata` loads only when a verdict is written."""
+    from importlib import metadata
+
+    try:
+        scipy_version = metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        scipy_version = None
+    record = {
+        "versions": {
+            "noisycast": __version__,
+            "python": "%d.%d.%d" % sys.version_info[:3],
+            "numpy": np.__version__,
+            "scipy": scipy_version,
+        }
+    }
+    try:
+        import resource
+    except ImportError:  # not on Windows
+        return record
+    kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    record["process_peak_rss_mb"] = round(kib * 1024 / 1e6, 1)
+    return record
+
+
 def run_preset(name: str, out_dir, overrides: Overrides = _NO_OVERRIDES) -> dict:
     """Run one preset, write its CSVs and verdict.json under out_dir, and
     return the verdict dict.  An unknown name, or an override of a setting
@@ -534,6 +566,7 @@ def run_preset(name: str, out_dir, overrides: Overrides = _NO_OVERRIDES) -> dict
         "seed": seed,
         "config_hash": digest,
         **outcome.info,
+        **_run_record(),
     }
     with open(out / "verdict.json", "w", encoding="utf-8") as fh:
         json.dump(verdict, fh, indent=2, sort_keys=True)

@@ -115,34 +115,37 @@ def iterate_recursion(spec: RecursionSpec, stages: int, grid=None) -> SeriesResu
     if stages < 1:
         raise ValueError(f"stages must be >= 1, got {stages!r}")
     targets = _grid_targets(default_grid(stages) if grid is None else grid, stages)
+    vals = np.empty(targets.size)
+    ts, out = memoryview(targets), memoryview(vals)
     n, c = spec.exponent, float(spec.initial)
-    vals = [c] if targets[0] == 1 else []
-    ti = len(vals)
+    ti = 0
+    if ts[0] == 1:
+        out[0], ti = c, 1
     # the deltas of stages lo..hi carry c_lo to c_{hi + 1}
     for lo, hi, darr in _chunks(spec.delta, stages - 1):
         ds = memoryview(darr)
         k = lo
-        while ti < len(targets) and targets[ti] <= hi + 1:
-            c = _advance(c, n, ds[k - lo : targets[ti] - lo], k)
-            k = targets[ti]
-            vals.append(c)
+        while ti < len(ts) and ts[ti] <= hi + 1:
+            c = _advance(c, n, ds[k - lo : ts[ti] - lo], k)
+            k = ts[ti]
+            out[ti] = c
             ti += 1
         c = _advance(c, n, ds[k - lo :], k)
     return _series(spec, stages, targets, vals)
 
 
-def _grid_targets(grid, stages: int) -> list:
-    """The grid as a list of int stages, checked to be strictly increasing inside [1, stages]."""
+def _grid_targets(grid, stages: int) -> np.ndarray:
+    """The grid as a new int64 array of stages, checked to be strictly increasing inside [1, stages]."""
     raw = np.asarray(grid)
     integral = raw.dtype.kind in "iu" or (raw.dtype.kind == "f" and np.isfinite(raw).all() and (raw % 1 == 0).all())
     if raw.ndim != 1 or raw.size == 0 or not integral:
         raise ValueError(f"grid must be a non-empty 1-d array of integer stages, got {raw.dtype} {raw.shape}")
     if raw[0] < 1 or raw[-1] > stages or (np.diff(raw) <= 0).any():
         raise ValueError("grid must be strictly increasing inside [1, stages]")
-    return raw.astype(np.int64).tolist()
+    return raw.astype(np.int64)
 
 
-def _series(spec: RecursionSpec, stages: int, targets: list, vals: list) -> SeriesResult:
+def _series(spec: RecursionSpec, stages: int, targets: np.ndarray, vals: np.ndarray) -> SeriesResult:
     meta = {"producer": "recursion", "exponent": spec.exponent, "initial": spec.initial, "stages": stages}
     return SeriesResult(targets, vals, meta=meta)
 
@@ -166,8 +169,8 @@ def lemma3_sandwich(spec: RecursionSpec, k_min: int, stages: int, grid=None) -> 
     """
     if not 1 <= k_min <= stages:
         raise ValueError(f"need 1 <= k_min <= stages, got {k_min!r}, {stages!r}")
-    targets = [] if grid is None else _grid_targets(grid, stages)
-    vals, ti = [], 0
+    targets = np.empty(0, dtype=np.int64) if grid is None else _grid_targets(grid, stages)
+    vals, ti = np.empty(targets.size), 0
     n, inv_n, c = spec.exponent, 1.0 / spec.exponent, float(spec.initial)
     low, high = math.inf, -math.inf
     for lo, hi, darr in _chunks(spec.delta, stages):
@@ -178,9 +181,9 @@ def lemma3_sandwich(spec: RecursionSpec, k_min: int, stages: int, grid=None) -> 
         if not traj.min() > 0.0:
             _advance(c, n, steps, lo)  # fails the same way and raises StepSizeError
         c = float(traj[-1])
-        while ti < len(targets) and targets[ti] <= hi:
-            vals.append(float(traj[targets[ti] - lo]))
-            ti += 1
+        tj = int(np.searchsorted(targets, hi, side="right"))
+        vals[ti:tj] = traj[targets[ti:tj] - lo]
+        ti = tj
         i0 = max(k_min - lo, 0)
         if i0 < len(ds):
             ks = np.arange(lo + i0, hi + 1, dtype=np.int64)

@@ -6,9 +6,12 @@ fitted, so slopes and intercepts are known in advance.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from noisycast import analysis
 from noisycast.analysis import (
     FitResult,
     SeriesResult,
@@ -238,11 +241,64 @@ class TestCsv:
         # bool cells read as floats, an object column's bool as an integer
         assert rows[2].split(",")[3:] == ["1.0", "1"]
 
+    def test_chunk_seams(self, tmp_path):
+        """Two full chunks and one row: the bytes are the per-row rendering of
+        _format_cell, and every value reads back bit for bit."""
+        n = 2 * analysis._CSV_CHUNK + 1
+        rng = np.random.default_rng(5)
+        cols = {
+            "k": np.cumsum(rng.integers(1, 2**20, n)),
+            "pe": rng.random(n) * 10.0 ** rng.integers(-300, 3, n),
+            "flag": rng.random(n) < 0.5,
+        }
+        path = tmp_path / "seams.csv"
+        write_series_csv(path, cols, meta={"seed": 5})
+        rows = "".join(",".join(analysis._format_cell(cols[c][i]) for c in cols) + "\n" for i in range(n))
+        assert path.read_bytes() == ("# seed=5\nk,pe,flag\n" + rows).encode()
+        back, _ = read_series_csv(path)
+        assert back["k"].dtype == np.int64 and back["pe"].dtype == back["flag"].dtype == np.float64
+        np.testing.assert_array_equal(back["k"], cols["k"])
+        assert back["pe"].tobytes() == cols["pe"].tobytes()
+        np.testing.assert_array_equal(back["flag"], cols["flag"].astype(float))
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_series_csv(path, {"k": np.array([], dtype=np.int64)}, meta={})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no data rows"):
             read_series_csv(path)
+
+    @pytest.mark.parametrize("bad", ["7", "7,0.5,1.0", "", "7,0.5\n8"], ids=["short", "long", "blank", "last"])
+    def test_ragged_row_rejected(self, tmp_path, bad):
+        """A row of the wrong length raises wherever it falls, in the second
+        chunk here, rather than being cut or padded."""
+        body = "".join(f"{k},0.25\n" for k in range(1, analysis._CSV_CHUNK + 5))
+        path = tmp_path / "ragged.csv"
+        path.write_text("# seed=1\nk,pe\n" + body + bad + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="does not have 2 cells"):
+            read_series_csv(path)
+
+    def test_round_trip_heap_does_not_grow_with_rows(self, tmp_path):
+        """The CSV layer holds one chunk of Python objects, so the heap peak of
+        a write and a read, above the arrays read back, is the same at 12,500
+        and at 50,000 rows, both many chunks long.  A per-row list of cells
+        would take about 15 MB more at 50,000 rows.  Tracing slows the round
+        trip about tenfold, which sets the row counts."""
+
+        def excess(n):
+            cols = {"k": np.arange(1, n + 1), "pe": np.arange(n) / 7.0, "flag": np.arange(n) % 3 == 0}
+            path = tmp_path / f"rows{n}.csv"
+            tracemalloc.start()
+            try:
+                write_series_csv(path, cols, meta={"seed": 1})
+                back, _ = read_series_csv(path)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert back["k"][-1] == n
+            return peak - current
+
+        small, large = excess(12_500), excess(50_000)
+        assert large <= 1.25 * small + 16_384, (small, large)
 
     def test_column_validation(self, tmp_path):
         with pytest.raises(ValueError):

@@ -257,11 +257,13 @@ def test_tail_constants():
 
 
 def test_integer_beta_runs_without_scipy():
-    """Importing the package and running all three engines at integer beta
-    loads no scipy module: scipy is only needed for non-integer beta."""
+    """Importing the package, running all three engines at integer beta and
+    writing a preset's verdict load no scipy module: scipy is only needed
+    for non-integer beta."""
     code = textwrap.dedent(
         """
         import sys
+        import tempfile
         import noisycast as nc
 
         model = nc.BeliefModel(1.0, prior_1=0.4)
@@ -275,6 +277,8 @@ def test_integer_beta_runs_without_scipy():
         ]:
             nc.estimate_error_series(nc.ExperimentConfig(model, channel, memory, stages=20, trials=100, seed=3))
         nc.iterate_recursion(nc.rate_recursion(model, flip, 0.4), 1000)
+        with tempfile.TemporaryDirectory() as out:  # the verdict records scipy's version
+            nc.run_preset("lemma3_n1", out, nc.Overrides(stages=2000))
         loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
         assert not loaded, loaded
         """

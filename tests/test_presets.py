@@ -2,9 +2,17 @@
 end-to-end smoke run."""
 
 import json
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+from importlib import metadata
 
+import numpy as np
 import pytest
 
+import noisycast
 from noisycast.presets import (
     PRESET_INFO,
     PRESETS,
@@ -76,6 +84,46 @@ class TestRunPreset:
             on_disk = json.load(fh)
         assert on_disk == verdict
         assert all({"name", "value", "target", "comparator", "passed"} <= set(c) for c in verdict["checks"])
+        assert verdict["versions"] == {
+            "noisycast": noisycast.__version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": metadata.version("scipy"),
+        }
+        # the interpreter and numpy alone take more than 10 MB; a KiB/byte mix-up is off by 1024
+        assert 10.0 < verdict["process_peak_rss_mb"] < 10_000.0
+
+    def test_peak_rss_is_the_process_peak(self):
+        """The recorded peak covers the whole process, not the one run: a
+        small run after 64 MB were touched and freed reports them.  On Linux
+        a child also starts from its parent's peak, so the small run's own
+        reading is not asserted: in a large pytest process it reads the
+        parent's 80 MB."""
+        code = textwrap.dedent(
+            """
+            import json
+            import tempfile
+            import numpy as np
+            import noisycast as nc
+
+            def peak():
+                with tempfile.TemporaryDirectory() as out:
+                    return nc.run_preset("lemma3_n1", out, nc.Overrides(stages=2000))["process_peak_rss_mb"]
+
+            before = peak()
+            big = np.ones(8_000_000)  # 64 MB, every page touched
+            del big
+            print(json.dumps([before, peak()]))
+            """
+        )
+        src = os.path.dirname(os.path.dirname(noisycast.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        before, after = json.loads(proc.stdout)
+        # the array plus the 10 MB or more of the interpreter and numpy; the run itself peaks near 50 MB
+        assert after > 64.0 + 10.0
+        assert after >= before
 
     def test_stage_override_changes_the_series(self, tmp_path):
         run_preset("lemma3_n1", tmp_path / "short", Overrides(stages=20_000))

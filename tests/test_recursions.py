@@ -430,6 +430,15 @@ class TestBitsPinned:
         series = iterate_recursion(spec, 200_000)
         assert _sha256(series.values) == "ed5f638002398e05c93e963aca7dede88d6e2f63c3dcfcb49d93ee8f835b36eb"
 
+    def test_plateau_iterate_dense_grid(self):
+        """20,000 grid targets, recorded one by one in the iterate's loop and
+        taken in one gather from each chunk of the sandwich's pass."""
+        spec = rate_recursion(BeliefModel(0.0), FlipSchedule("log_power", p=2.0), initial=0.3)
+        grid = np.arange(7, 200_001, 10)
+        pin = "ca80b8eb00085ea17a72345f0af54f4b9b6d3fe7106649896e746487a351f879"
+        assert _sha256(iterate_recursion(spec, 200_000, grid=grid).values) == pin
+        assert _sha256(lemma3_sandwich(spec, 1000, 200_000, grid=grid).series.values) == pin
+
     def test_sandwich_n1(self):
         res = lemma3_sandwich(RecursionSpec(0.5, 1, 1.0), 1000, 200_000)
         assert _sha256([res.low, res.high]) == "fd44b16f99355d661ee5352c4cbd4e69cde1e54b24343ac92c1b74a30c9561ca"
