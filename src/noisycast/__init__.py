@@ -71,12 +71,9 @@ from .recursions import (
     type1_lower_bound,
 )
 from .strategy import (
-    MAP_RULE,
-    ThresholdRule,
     belief_cutoff_from_public,
     clamp_belief,
     conditional_decision_probs,
-    likelihood_threshold,
     public_belief_step,
 )
 from .topology import (

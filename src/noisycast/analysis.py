@@ -19,6 +19,8 @@ import numpy as np
 # rows formatted or parsed at a time: the CSV layer holds one chunk of Python
 # objects, whatever the row count
 _CSV_CHUNK = 256
+_GRID_DENSE = 100  # default_grid keeps every stage up to here
+_GRID_GEOMETRIC = 100
 
 
 @dataclass
@@ -62,14 +64,15 @@ class SeriesResult:
         return float(self.extra[name][idx])
 
 
-def default_grid(last_stage: int, dense_upto: int = 100, geometric_points: int = 100) -> np.ndarray:
-    """Every stage up to dense_upto, then geometrically spaced up to last_stage."""
+def default_grid(last_stage: int) -> np.ndarray:
+    """Every stage up to _GRID_DENSE, then _GRID_GEOMETRIC points spaced
+    geometrically up to last_stage."""
     if last_stage < 1:
         raise ValueError(f"last_stage must be >= 1, got {last_stage!r}")
-    dense = np.arange(1, min(last_stage, dense_upto) + 1, dtype=np.int64)
-    if last_stage <= dense_upto:
+    dense = np.arange(1, min(last_stage, _GRID_DENSE) + 1, dtype=np.int64)
+    if last_stage <= _GRID_DENSE:
         return dense
-    geo = np.rint(np.geomspace(dense_upto, last_stage, geometric_points)).astype(np.int64)
+    geo = np.rint(np.geomspace(_GRID_DENSE, last_stage, _GRID_GEOMETRIC)).astype(np.int64)
     return np.unique(np.concatenate([dense, geo]))
 
 

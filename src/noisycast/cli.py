@@ -31,7 +31,7 @@ from .analysis import (
 )
 from .belief_model import BeliefModel
 from .channels import Channel, ErasureSchedule, FlipSchedule
-from .exact_dp import exact_error_series, martingale_check
+from .exact_dp import MAX_MARTINGALE_DEPTH, exact_error_series, martingale_check
 from .montecarlo import ExperimentConfig, estimate_error_series, herding_stats
 from .presets import (
     PRESET_INFO,
@@ -223,11 +223,14 @@ def parse_config(path, default_task: str | None = None) -> ParsedConfig:
 
 def _apply_run_overrides(cfg: ParsedConfig, ov: Overrides) -> ParsedConfig:
     """Apply --seed, --trials and --nodes to the run settings and to the
-    document's run section, so the config hash names the config that ran."""
+    document's run section, so the config hash names the config that ran,
+    then check the bound that the stages in effect must keep."""
     kw = {k: v for k, v in (("seed", ov.seed), ("trials", ov.trials), ("stages", ov.stages)) if v is not None}
     if kw:
         cfg.run = replace(cfg.run, **kw)
         cfg.doc = dict(cfg.doc, run={**cfg.doc.get("run", {}), **kw})
+    if cfg.task == "martingale" and cfg.run.stages > MAX_MARTINGALE_DEPTH:
+        raise ConfigError(f"task 'martingale' enumerates at most {MAX_MARTINGALE_DEPTH} stages, got {cfg.run.stages}")
     return cfg
 
 

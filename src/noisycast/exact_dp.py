@@ -7,11 +7,12 @@ swapping 0s and 1s maps state s to its mirror A**L - 1 - s.  The pair of
 window distributions conditional on each hypothesis is pushed forward one
 stage at a time; the deciding node's cutoffs are computed from those same
 distributions, so the recursion reproduces exactly the strategy the
-simulated nodes follow and serves as their oracle.  Under the MAP
-threshold with a flip channel or equal erasure levels for 0s and 1s,
-swapping hypotheses, decisions and symbols maps the chain onto itself
+simulated nodes follow and serves as their oracle.  Each state's cutoff is
+m0 / (m0 + m1) whatever the prior (strategy's rule, the MAP test only at
+prior_1 = 1/2), so with a flip channel or equal erasure levels for 0s and
+1s, swapping hypotheses, decisions and symbols maps the chain onto itself
 (f1(r) = f0(1 - r)): P(s | h = 1) = P(mirror s | h = 0), so only the row
-of h = 0 is carried.  Other laws carry both rows through the same step.
+of h = 0 is carried.  Unequal levels carry both rows through the same step.
 window_stages hands each node's errors and its table of P(decide 0 |
 hypothesis, window state) to exact_error_series and the Monte Carlo window
 kernel one stage at a time, so memory is O(alphabet**capacity).  Window
@@ -22,7 +23,7 @@ state is the last unerased broadcast, and builds the scan kernel's table.
 martingale_check enumerates full broadcast histories instead of windows and
 verifies two structural facts of the noisy public likelihood ratio: it is a
 martingale under hypothesis 0 up to floating-point error, and the mass it
-places above any fixed threshold trends downward.
+places above 1/2 trends downward.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ import numpy as np
 
 from .belief_model import BeliefModel, cdf_pair, cdfs
 from .channels import Channel, ErasureSchedule, FlipSchedule, erasure_levels, flip_prob, flip_probs
-from .strategy import MAP_RULE, ThresholdRule, likelihood_threshold
 from .topology import MemorySchedule, memory_size
 from .analysis import SeriesResult
 
 MAX_CAPACITY = 12
+MAX_MARTINGALE_DEPTH = 14  # martingale_check enumerates 2**k_max histories
 
 
 class _Workspace:
@@ -126,23 +127,25 @@ def _channel_laws(channel: Channel, ks):
             yield (1.0 - lv0, lv0, 0.0), (0.0, lv1, 1.0 - lv1)
 
 
-def _mirrored(law, threshold: float, model: BeliefModel) -> bool:
-    """Whether one mass row determines the other: the MAP threshold, so that
-    mirrored masses give cutoffs tau and 1 - tau, and a law that swapping
-    decisions and digits maps onto itself."""
-    return threshold == model.prior_ratio and law[0][::-1] == law[1]
+def _mirrored(law) -> bool:
+    """Whether one mass row determines the other: a law that swapping
+    decisions and digits maps onto itself, so that mirrored masses give
+    cutoffs tau and 1 - tau."""
+    return law[0][::-1] == law[1]
 
 
-def _cutoffs(mass0, mass1, threshold: float, prior_1: float, out=None, num=None, den=None, upper=None):
-    """Per-state private-belief cutoffs of the likelihood-ratio test, in out
-    (and the scratch num and den) when given.  With upper, also
+def _cutoffs(mass0, mass1, model: BeliefModel, out=None, num=None, den=None, upper=None):
+    """Per-state private-belief cutoffs tw * mass0 / den of strategy's rule,
+    den = tw * mass0 + pz * mass1, in out (and the scratch num and den) when
+    given.  tw, the MAP threshold times prior_1, and pz both equal prior_0,
+    so tau is mass0 / (mass0 + mass1) at any prior.  With upper, also
     pz * mass1 / den there: 1 - tau without the cancellation.
 
     States with zero mass under both hypotheses are unreachable; they get
     the neutral cutoff so downstream arrays stay finite.
     """
-    tw = threshold * prior_1
-    pz = 1.0 - prior_1
+    tw = model.prior_ratio * model.prior_1
+    pz = 1.0 - model.prior_1
     num = np.multiply(tw, mass0, out=num)
     side = np.multiply(pz, mass1, out=den if upper is None else upper)
     den = np.add(num, side, out=den)
@@ -160,7 +163,6 @@ def evolve_window(
     stage: int,
     model: BeliefModel,
     channel: Channel,
-    rule: ThresholdRule = MAP_RULE,
     law=None,
 ) -> tuple[WindowDistribution, StageErrors]:
     """Decide at `stage` against the current window, then absorb the broadcast.
@@ -180,13 +182,12 @@ def evolve_window(
     if new_len not in (dist.length, dist.length + 1):
         raise ValueError(f"window of length {dist.length} cannot evolve to length {new_len}")
     law = next(_channel_laws(channel, [stage])) if law is None else law
-    threshold = likelihood_threshold(rule, model)
-    if rows == 1 and not _mirrored(law, threshold, model):
-        raise ValueError("one mass row needs the MAP threshold and a mirrored channel law")
+    if rows == 1 and not _mirrored(law):
+        raise ValueError("one mass row needs a mirrored channel law")
     masses = dist.masses
     s0, s1, s2 = _rows(ws.scratch, 3, n)
     tau, upper = ws.tau[:n], (ws.tau[n : 2 * n] if rows == 2 else None)
-    _cutoffs(masses[0], dist.mass1, threshold, model.prior_1, tau, s0, s1, upper)
+    _cutoffs(masses[0], dist.mass1, model, tau, s0, s1, upper)
     dec0 = cdfs(model, tau, out=_rows(ws.dec0, 2, n), scratch=(s0, s1, s2))
     # P(decide 1 | h, s) = 1 - F_h(tau) = F_(1-h)(1 - tau): the other cdf at
     # the upper side or, with one row, the decide-0 row of h = 1 mirrored
@@ -217,9 +218,7 @@ def evolve_window(
     return WindowDistribution(a_size, dist.capacity, new_len, new, ws), StageErrors(type1, type2, dec0)
 
 
-def window_stages(
-    model: BeliefModel, channel: Channel, capacity: int, stages: int, rule: ThresholdRule = MAP_RULE
-):
+def window_stages(model: BeliefModel, channel: Channel, capacity: int, stages: int):
     """Yield the StageErrors of nodes 1..stages, one stage at a time.
 
     Only the current window distribution and decision table are live, so
@@ -227,21 +226,14 @@ def window_stages(
     stage's law is mirrored, one mass row is carried.
     """
     ks = np.arange(1, stages + 1)
-    threshold = likelihood_threshold(rule, model)
-    rows = 1 if all(_mirrored(law, threshold, model) for law in _channel_laws(channel, ks)) else 2
+    rows = 1 if all(_mirrored(law) for law in _channel_laws(channel, ks)) else 2
     dist = initial_window(window_alphabet(channel), capacity, rows)
     for k, law in enumerate(_channel_laws(channel, ks), start=1):
-        dist, errs = evolve_window(dist, k, model, channel, rule, law)
+        dist, errs = evolve_window(dist, k, model, channel, law)
         yield errs
 
 
-def exact_error_series(
-    model: BeliefModel,
-    channel: Channel,
-    memory: MemorySchedule,
-    stages: int,
-    rule: ThresholdRule = MAP_RULE,
-) -> SeriesResult:
+def exact_error_series(model: BeliefModel, channel: Channel, memory: MemorySchedule, stages: int) -> SeriesResult:
     """Exact error probability of every node 1..stages under bounded memory.
 
     Returns a SeriesResult over all stages with extra columns p0_type1 and
@@ -254,7 +246,7 @@ def exact_error_series(
     pe = np.empty(stages)
     t1 = np.empty(stages)
     t2 = np.empty(stages)
-    for i, errs in enumerate(window_stages(model, channel, memory.capacity, stages, rule)):
+    for i, errs in enumerate(window_stages(model, channel, memory.capacity, stages)):
         t1[i] = errs.type1
         t2[i] = errs.type2
         pe[i] = model.prior_0 * errs.type1 + model.prior_1 * errs.type2
@@ -385,29 +377,26 @@ class MartingaleReport:
     max_deviation: float
     stage_deviations: np.ndarray
     tail_mass: np.ndarray
-    tail_threshold: float
 
 
-def martingale_check(
-    schedule: FlipSchedule, model: BeliefModel, k_max: int, tail_threshold: float = 0.5
-) -> MartingaleReport:
+def martingale_check(schedule: FlipSchedule, model: BeliefModel, k_max: int) -> MartingaleReport:
     """Enumerate all flip-channel broadcast histories up to depth k_max.
 
     stage_deviations[k-1] is the largest one-step martingale defect of the
     public likelihood ratio when extending histories of length k - 1, and
     tail_mass[k-1] the hypothesis-0 mass on histories of length k whose
-    likelihood ratio exceeds tail_threshold.
+    likelihood ratio exceeds 1/2.
     """
     if not isinstance(schedule, FlipSchedule):
         raise ValueError("martingale enumeration is defined for flip channels")
-    if not 1 <= k_max <= 14:
-        raise ValueError(f"k_max must lie in [1, 14], got {k_max!r}")
+    if not 1 <= k_max <= MAX_MARTINGALE_DEPTH:
+        raise ValueError(f"k_max must lie in [1, {MAX_MARTINGALE_DEPTH}], got {k_max!r}")
     p0 = np.ones(1)
     p1 = np.ones(1)
     devs = np.empty(k_max)
     masses = np.empty(k_max)
     for k in range(1, k_max + 1):
-        tau = _cutoffs(p0, p1, model.prior_ratio, model.prior_1)
+        tau = _cutoffs(p0, p1, model)
         dec0_h0, dec0_h1 = cdfs(model, tau)
         q = flip_prob(schedule, k)
         w = 1.0 - 2.0 * q
@@ -418,5 +407,5 @@ def martingale_check(
         devs[k - 1] = float(np.abs((c1.sum(axis=1) - p1) / p0).max())
         p0 = c0.ravel()
         p1 = c1.ravel()
-        masses[k - 1] = float(p0[(p1 / p0) > tail_threshold].sum())
-    return MartingaleReport(float(devs.max()), devs, masses, tail_threshold)
+        masses[k - 1] = float(p0[(p1 / p0) > 0.5].sum())
+    return MartingaleReport(float(devs.max()), devs, masses)

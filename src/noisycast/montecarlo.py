@@ -127,7 +127,7 @@ def _stream_key(seed: int, *spawn_key: int) -> np.ndarray:
     return np.random.SeedSequence(seed, spawn_key=spawn_key).generate_state(2, np.uint64)
 
 
-def _run_block(config: ExperimentConfig, phase: int, lo: int, hi: int, step, slot=None, collect=False):
+def _run_block(config: ExperimentConfig, lo: int, hi: int, step, slot=None, collect=False):
     """Advance trials lo..hi-1 of both hypotheses in lockstep through every
     stage.  step(k, u, v) returns the (2, m) boolean decisions of stage k
     and either None or the mask of public beliefs clamped by the stage; the
@@ -145,7 +145,7 @@ def _run_block(config: ExperimentConfig, phase: int, lo: int, hi: int, step, slo
     buf = np.empty((2, 2 * ((hi + 1) // 2 - first), 2))
     streams = []
     for h in (0, 1):
-        bits = np.random.Philox(key=_stream_key(config.seed, phase, h))
+        bits = np.random.Philox(key=_stream_key(config.seed, _PHASE_MEASURE, h))
         # set in place each stage: building a bit generator costs more than
         # the draw, and the emptied buffer makes each draw start at the counter
         state = bits.state
@@ -161,7 +161,7 @@ def _run_block(config: ExperimentConfig, phase: int, lo: int, hi: int, step, slo
     dec = np.zeros((2, m, config.stages), dtype=np.int8) if collect else None
     for k in range(1, config.stages + 1):
         for h, (bits, state, gen, out) in enumerate(streams):
-            state["state"]["counter"] = [first, k, phase, h]  # Philox(key=key, counter=this)
+            state["state"]["counter"] = [first, k, _PHASE_MEASURE, h]  # Philox(key=key, counter=this)
             bits.state = state
             gen.random(out=out)
         d, clamped = step(k, u, v)
@@ -304,7 +304,7 @@ def _collect_blocks(config: ExperimentConfig, slot, threads: int):
 
     def run(job):
         lo, hi = job
-        counts, last, clamps, _ = _run_block(config, _PHASE_MEASURE, lo, hi, make_step(config, hi - lo), slot)
+        counts, last, clamps, _ = _run_block(config, lo, hi, make_step(config, hi - lo), slot)
         return counts, last, clamps
 
     if threads > 1 and len(jobs) > 1:
@@ -403,7 +403,7 @@ def run_trial(config: ExperimentConfig, trial_index: int, hypothesis: int) -> Tr
     if trial_index < 0:
         raise ValueError(f"trial_index must be >= 0, got {trial_index!r}")
     step = _step_for(config)(config, 1)
-    _, last, clamps, dec = _run_block(config, _PHASE_MEASURE, trial_index, trial_index + 1, step, collect=True)
+    _, last, clamps, dec = _run_block(config, trial_index, trial_index + 1, step, collect=True)
     return TrialRecord(dec[hypothesis, 0], int(last[hypothesis, 0]), int(clamps[hypothesis]))
 
 

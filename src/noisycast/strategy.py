@@ -1,19 +1,18 @@
 """Per-node decision rule and the shared public-belief update.
 
 A node decides 1 when its private likelihood ratio times the public
-likelihood ratio clears the prior odds; ties go to 0.  Expressed in belief
-coordinates with equal priors that is simply 'private belief above one minus
-the public belief'.  The public belief, the posterior probability of
-hypothesis 1 given the corrupted broadcasts, advances one observation at a
-time; a flip at rate q enters through the two-sided mixture
-q + (1 - 2q) * P(decision | .).  clamp_belief keeps updated beliefs away
-from 0 and 1 so a long one-sided run cannot round them into an absorbing
-state.
+likelihood ratio exceeds one; ties go to 0.  The prior drops out: in belief
+coordinates the cutoff is m0 / (m0 + m1) for the masses m_h of what the
+node sees under hypothesis h, and 1 - b at a public belief b with equal
+priors.  Only at prior_1 = 1/2 is this the MAP test for belief_model's
+densities.  The public belief, the posterior probability of hypothesis 1
+given the corrupted broadcasts, advances one observation at a time; a flip
+at rate q enters through the two-sided mixture q + (1 - 2q) * P(decision | .).
+clamp_belief keeps updated beliefs away from 0 and 1 so a long one-sided
+run cannot round them into an absorbing state.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,38 +22,11 @@ BELIEF_FLOOR = 1e-300
 BELIEF_CEIL = 1.0 - 1e-16
 
 
-@dataclass(frozen=True)
-class ThresholdRule:
-    """Likelihood-ratio threshold: MAP (prior odds), ML (1), or a fixed value."""
-
-    mode: str = "map"
-    threshold: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("map", "ml", "fixed"):
-            raise ValueError(f"mode must be map, ml, or fixed, got {self.mode!r}")
-        if self.mode == "fixed" and (self.threshold is None or not self.threshold > 0.0):
-            raise ValueError(f"fixed mode needs a positive threshold, got {self.threshold!r}")
-        if self.mode != "fixed" and self.threshold is not None:
-            raise ValueError(f"{self.mode} mode takes no explicit threshold")
-
-
-MAP_RULE = ThresholdRule()
-
-
-def likelihood_threshold(rule: ThresholdRule, model: BeliefModel) -> float:
-    if rule.mode == "map":
-        return model.prior_ratio
-    if rule.mode == "ml":
-        return 1.0
-    return rule.threshold
-
-
 def belief_cutoff_from_public(public_belief, model: BeliefModel, out=None, work=None):
-    """Private-belief cutoff of the MAP test at a public belief b: decide 1
-    above it.  Under equal priors it is 1 - b, i.e. 1 / (1 + L) for the
-    public likelihood ratio L = b / (1 - b).  Vectorised; out and work,
-    shaped like b, are buffers."""
+    """Private-belief cutoff of the decision rule at a public belief b that
+    started at prior_1: decide 1 above it.  Under equal priors it is 1 - b,
+    i.e. 1 / (1 + L) for the public likelihood ratio L = b / (1 - b).
+    Vectorised; out and work, shaped like b, are buffers."""
     b = np.asarray(public_belief, dtype=float)
     pi1 = model.prior_1
     if pi1 == 0.5:

@@ -355,9 +355,21 @@ class TestOverrideFlags:
         cfg = _write_config(
             tmp_path / "c.json", task="martingale", channel={"kind": "flip", "q": 0.25}, memory={"family": "full"}
         )
-        assert main(["exact", "--config", str(cfg), "--nodes", "20", "--out", str(tmp_path / "c")]) == 1
-        assert "k_max must lie in [1, 14]" in capsys.readouterr().err
+        assert main(["exact", "--config", str(cfg), "--nodes", "20", "--out", str(tmp_path / "c")]) == 2
+        assert "at most 14 stages, got 20" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
+
+    def test_martingale_config_without_stages_is_refused(self, tmp_path, capsys):
+        """run.stages defaults to 1000; --nodes can bring it within the bound."""
+        cfg = _write_config(
+            tmp_path / "c.json", task="martingale", channel={"kind": "flip", "q": 0.25}, memory={"family": "full"}, run={}
+        )
+        out = tmp_path / "c"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "at most 14 stages, got 1000" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["run", "--config", str(cfg), "--nodes", "14", "--out", str(out)]) == 0
+        assert len(read_series_csv(out / "series.csv")[0]["k"]) == 14
 
     def test_config_run_validates_overrides_too(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "c.json")

@@ -45,7 +45,6 @@ from noisycast.exact_dp import (
     window_alphabet,
     window_stages,
 )
-from noisycast.strategy import MAP_RULE, ThresholdRule, likelihood_threshold
 from noisycast.topology import MemorySchedule, memory_size
 
 
@@ -57,12 +56,11 @@ def _g1(r: Fraction) -> Fraction:
     return r * r
 
 
-def _oracle_series(stages, capacity, channel, prior_1=Fraction(1, 2), threshold=None):
+def _oracle_series(stages, capacity, channel, prior_1=Fraction(1, 2)):
     """Per-stage (type1, type2) as exact Fractions, windows kept as tuples.
-    Nodes decide 1 when the likelihood ratio clears threshold, by default
-    the MAP threshold prior_0 / prior_1."""
+    Nodes decide 1 when the private times the public likelihood ratio
+    exceeds one."""
     prior_0 = 1 - prior_1
-    tw = prior_0 if threshold is None else threshold * prior_1
     states = {(): (Fraction(1), Fraction(1))}
     rows = []
     for k in range(1, stages + 1):
@@ -70,9 +68,8 @@ def _oracle_series(stages, capacity, channel, prior_1=Fraction(1, 2), threshold=
         t2 = Fraction(0)
         nxt = defaultdict(lambda: [Fraction(0), Fraction(0)])
         for w, (m0, m1) in states.items():
-            # private-belief cutoff; at the MAP threshold tw = prior_0 and
-            # the prior drops out
-            tau = tw * m0 / (tw * m0 + prior_0 * m1)
+            # private-belief cutoff: the prior drops out
+            tau = m0 / (m0 + m1)
             g0, g1 = _g0(tau), _g1(tau)
             t1 += m0 * (1 - g0)
             t2 += m1 * g1
@@ -99,7 +96,7 @@ def _oracle_series(stages, capacity, channel, prior_1=Fraction(1, 2), threshold=
     return rows
 
 
-def _loop_evolve(dist, stage, model, channel, rule):
+def _loop_evolve(dist, stage, model, channel):
     """The window step written out longhand, in the fused step's arithmetic
     and digit coding (0, the erasure, then 1): the reference that the fused
     step must match bit for bit.  Each hypothesis row's mass is split by
@@ -108,7 +105,7 @@ def _loop_evolve(dist, stage, model, channel, rule):
     window, the two error probabilities and the (2, states) decision table."""
     a_size = dist.alphabet
     rows = dist.masses.shape[0]
-    tw = likelihood_threshold(rule, model) * model.prior_1
+    tw = model.prior_ratio * model.prior_1
     pz = 1.0 - model.prior_1
     den = tw * dist.mass0 + pz * dist.mass1
     tau = tw * dist.mass0 / den
@@ -142,7 +139,6 @@ def _loop_evolve(dist, stage, model, channel, rule):
 
 
 class TestFusedStepMatchesLoop:
-    @pytest.mark.parametrize("rule", [MAP_RULE, ThresholdRule("fixed", threshold=1.7)], ids=["map", "fixed"])
     @pytest.mark.parametrize("capacity", [1, 2, 3, 4])
     @pytest.mark.parametrize(
         "channel",
@@ -153,18 +149,18 @@ class TestFusedStepMatchesLoop:
         ],
         ids=["flip", "erasure", "equal_erasure"],
     )
-    def test_bit_identical(self, channel, capacity, rule):
-        """MAP over a flip or an equal-level erasure carries one row; the
-        fixed threshold and unequal levels carry two."""
+    def test_bit_identical(self, channel, capacity):
+        """A flip or an equal-level erasure carries one row; unequal levels
+        carry two."""
         model = BeliefModel(0.0, prior_1=0.3)
         stages = 30
-        series = exact_error_series(model, channel, MemorySchedule("bounded", capacity=capacity), stages, rule)
-        rows = 1 if rule == MAP_RULE and getattr(channel, "level_one", None) is None else 2
+        series = exact_error_series(model, channel, MemorySchedule("bounded", capacity=capacity), stages)
+        rows = 1 if getattr(channel, "level_one", None) is None else 2
         dist = initial_window(window_alphabet(channel), capacity, rows)
         t1 = np.empty(stages)
         t2 = np.empty(stages)
-        for k, errs in enumerate(window_stages(model, channel, capacity, stages, rule), start=1):
-            dist, t1[k - 1], t2[k - 1], table = _loop_evolve(dist, k, model, channel, rule)
+        for k, errs in enumerate(window_stages(model, channel, capacity, stages), start=1):
+            dist, t1[k - 1], t2[k - 1], table = _loop_evolve(dist, k, model, channel)
             assert np.array_equal(errs.decide0, table)
         assert np.array_equal(series.extra["p0_type1"], t1)
         assert np.array_equal(series.extra["p1_type2"], t2)
@@ -327,7 +323,7 @@ class TestAgainstOracle:
         "channel", [FlipSchedule("constant", q=0.2), ErasureSchedule("constant", level=0.3)], ids=["flip", "erasure"]
     )
     def test_skewed_prior_one_row(self, channel, capacity):
-        """MAP at prior_1 = 0.3 over a flip or equal-level erasure channel,
+        """prior_1 = 0.3 over a flip or equal-level erasure channel,
         where the recursion carries one mass row and mirrors it."""
         stages = 6
         model = BeliefModel(0.0, prior_1=0.3)
@@ -338,39 +334,19 @@ class TestAgainstOracle:
             assert series.extra_at("p1_type2", k) == pytest.approx(float(t2), rel=1e-12, abs=0.0)
             assert series.value_at(k) == pytest.approx(float(pe), rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize(
-        "channel",
-        [FlipSchedule("constant", q=0.2), ErasureSchedule("constant", level=0.2, level_one=0.6)],
-        ids=["flip", "asymmetric_erasure"],
-    )
-    def test_fixed_threshold(self, channel):
-        model = BeliefModel(0.0, prior_1=0.3)
-        rule = ThresholdRule("fixed", threshold=1.7)
-        series = exact_error_series(model, channel, MemorySchedule("bounded", capacity=2), 6, rule)
-        rows = _oracle_series(6, 2, channel, prior_1=Fraction(3, 10), threshold=Fraction(17, 10))
-        for k, (t1, t2, pe) in enumerate(rows, start=1):
-            assert series.extra_at("p0_type1", k) == pytest.approx(float(t1), rel=1e-12, abs=0.0)
-            assert series.extra_at("p1_type2", k) == pytest.approx(float(t2), rel=1e-12, abs=0.0)
-            assert series.value_at(k) == pytest.approx(float(pe), rel=1e-12, abs=0.0)
-
-    @pytest.mark.parametrize("threshold", [1e6, 1e7])
-    def test_far_threshold_keeps_type1_digits(self, threshold):
-        """Node 1 sees nothing: its cutoff is t / (t + 1) and, at beta = 0,
-        its type-1 error 1 - F0(t / (t + 1)) = 1 / (t + 1)**2.  Formed as
-        1 - P(decide 0) it would lose about 1e-16 * (t + 1)**2 of its
-        relative precision; the cdf at the upper side 1 / (t + 1) keeps it."""
-        channel = FlipSchedule("constant", q=0.2)
-        rule = ThresholdRule("fixed", threshold=threshold)
-        series = exact_error_series(BeliefModel(0.0), channel, MemorySchedule("bounded", capacity=2), 4, rule)
-        assert series.extra_at("p0_type1", 1) == pytest.approx(1.0 / (threshold + 1.0) ** 2, rel=1e-12, abs=0.0)
-        rows = _oracle_series(4, 2, channel, threshold=Fraction(int(threshold)))
-        for k, (t1, t2, _) in enumerate(rows, start=1):
-            assert series.extra_at("p0_type1", k) == pytest.approx(float(t1), rel=1e-12, abs=0.0)
-            assert series.extra_at("p1_type2", k) == pytest.approx(float(t2), rel=1e-12, abs=0.0)
+    def test_lopsided_masses_keep_type1_digits(self):
+        """A two-row window with masses (1, 1e-7) has cutoff tau = 1 / (1 + 1e-7)
+        and, at beta = 0, type-1 error (1 - tau)**2 = (1e-7 / (1 + 1e-7))**2.
+        Formed as 1 - P(decide 0) it would keep about three of its digits; the
+        cdf at the upper side 1e-7 / (1 + 1e-7) keeps them all."""
+        dist = initial_window(3, 2, rows=2)
+        dist.masses[1] = 1e-7
+        _, errs = evolve_window(dist, 1, BeliefModel(0.0), ErasureSchedule("constant", level=0.2, level_one=0.6))
+        assert errs.type1 == pytest.approx((1e-7 / (1.0 + 1e-7)) ** 2, rel=1e-12, abs=0.0)
 
 
 class TestOneRow:
-    """A mirrored law (MAP, a flip or equal erasure levels) carries mass row
+    """A mirrored law (a flip or equal erasure levels) carries mass row
     0 alone and reads row 1 as its mirror, stepping the same function."""
 
     @pytest.mark.parametrize("capacity", [1, 2, 3, 4, 5])
@@ -392,18 +368,11 @@ class TestOneRow:
             np.testing.assert_allclose(one.decide0, two.decide0, rtol=1e-13, atol=0.0)
         assert dist.masses.shape == (2, window_alphabet(channel) ** capacity)
 
-    @pytest.mark.parametrize(
-        "channel,rule",
-        [
-            (ErasureSchedule("constant", level=0.2, level_one=0.6), MAP_RULE),
-            (FlipSchedule("constant", q=0.2), ThresholdRule("fixed", threshold=1.7)),
-        ],
-        ids=["unequal_levels", "fixed_threshold"],
-    )
-    def test_rejects_unmirrored_law(self, channel, rule):
+    @pytest.mark.parametrize("channel", [ErasureSchedule("constant", level=0.2, level_one=0.6)], ids=["unequal_levels"])
+    def test_rejects_unmirrored_law(self, channel):
         dist = initial_window(window_alphabet(channel), 2, rows=1)
         with pytest.raises(ValueError, match="one mass row"):
-            evolve_window(dist, 1, BeliefModel(0.0, prior_1=0.3), channel, rule)
+            evolve_window(dist, 1, BeliefModel(0.0, prior_1=0.3), channel)
 
     def test_mass1_is_the_mirror_view(self):
         model = BeliefModel(0.0, prior_1=0.3)
@@ -459,11 +428,11 @@ class TestWindowMechanics:
 
     def test_cutoff_upper_side(self):
         """upper keeps 1 - tau where tau rounds to 1, and a state with no
-        mass gets the neutral pair tw / (tw + pz), pz / (tw + pz)."""
-        upper = np.empty(3)
-        tau = _cutoffs(np.array([1.0, 1.0, 0.0]), np.array([1e-30, 1.0, 0.0]), 3.0, 0.5, upper=upper)
-        np.testing.assert_array_equal(tau, [1.0, 0.75, 0.75])
-        np.testing.assert_allclose(upper, [1e-30 / 3.0, 0.25, 0.25], rtol=1e-15, atol=0.0)
+        mass gets the neutral pair (1/2, 1/2)."""
+        upper = np.empty(2)
+        tau = _cutoffs(np.array([1.0, 0.0]), np.array([1e-30, 0.0]), BeliefModel(0.0), upper=upper)
+        np.testing.assert_array_equal(tau, [1.0, 0.5])
+        np.testing.assert_allclose(upper, [1e-30, 0.5], rtol=1e-15, atol=0.0)
 
     def test_requires_bounded_memory(self):
         with pytest.raises(ValueError):
@@ -473,14 +442,6 @@ class TestWindowMechanics:
                 MemorySchedule("full"),
                 stages=5,
             )
-
-    def test_fixed_rule_at_unity_matches_map(self):
-        model = BeliefModel(0.0)
-        channel = FlipSchedule("constant", q=0.2)
-        memory = MemorySchedule("bounded", capacity=2)
-        a = exact_error_series(model, channel, memory, stages=10)
-        b = exact_error_series(model, channel, memory, stages=10, rule=ThresholdRule("fixed", threshold=1.0))
-        np.testing.assert_allclose(a.values, b.values, rtol=0, atol=0)
 
 
 class TestMartingaleCheck:
@@ -494,16 +455,16 @@ class TestMartingaleCheck:
         report = martingale_check(FlipSchedule("constant", q=0.0), BeliefModel(0.0), k_max=8)
         assert report.max_deviation < 1e-12
 
-    def test_tail_mass_above_unity(self):
-        # depth 1 by hand: the likelihood ratio after seeing a broadcast one
-        # is 5/3 and carries hypothesis-0 mass q + (1-2q)/4 = 3/8
-        report = martingale_check(
-            FlipSchedule("constant", q=0.25), BeliefModel(0.0), k_max=10, tail_threshold=1.0
-        )
-        assert report.tail_mass[0] == pytest.approx(0.375, abs=1e-14)
-        assert report.tail_mass[-1] < report.tail_mass[0]
+    def test_tail_mass_above_one_half(self):
+        # by hand: after a broadcast 0 or 1 the likelihood ratio is 0.6 or
+        # 5/3, both above 1/2, so depth 1 holds all the mass; at depth 2 only
+        # the history (0, 0) falls below it, and under h = 0 it carries
+        # P(0) = 0.625 times P(0 after a 0) = 0.6796875
+        report = martingale_check(FlipSchedule("constant", q=0.25), BeliefModel(0.0), k_max=10)
+        assert report.tail_mass[0] == 1.0
+        assert report.tail_mass[1] == pytest.approx(1.0 - 0.625 * 0.6796875, abs=1e-14)
+        assert report.tail_mass[-1] < report.tail_mass[1]
         assert np.all((report.tail_mass >= 0.0) & (report.tail_mass <= 1.0))
-        assert report.tail_threshold == 1.0
 
     def test_rejects_erasure(self):
         with pytest.raises(ValueError):
@@ -538,7 +499,7 @@ def _scan_oracle(stages, channel, memory):
                 nxt[(k, 0)][h] += masses[h] * (1 - lv0) * p0
                 nxt[(k, 1)][h] += masses[h] * (1 - lv1) * (1 - p0)
         for v in (0, 1):
-            # MAP cutoff after one symbol of the sender's law: l0 / (l0 + l1)
+            # the cutoff after one symbol of the sender's law: l0 / (l0 + l1)
             like = [dec1[h] if v else 1 - dec1[h] for h in (0, 1)]
             tau = like[0] / (like[0] + like[1])
             table[(k, v)] = (_g0(tau), _g1(tau))

@@ -10,12 +10,9 @@ from noisycast.belief_model import BeliefModel, cdf
 from noisycast.strategy import (
     BELIEF_CEIL,
     BELIEF_FLOOR,
-    MAP_RULE,
-    ThresholdRule,
     belief_cutoff_from_public,
     clamp_belief,
     conditional_decision_probs,
-    likelihood_threshold,
     public_belief_step,
 )
 
@@ -46,21 +43,6 @@ class TestThresholds:
         ratio = (0.25 / 0.75) * (1 - b) / b
         assert belief_cutoff_from_public(b, model) == pytest.approx(ratio / (1 + ratio))
         assert belief_cutoff_from_public(b, model) == pytest.approx(1.0 / 3.0)
-
-    def test_rule_modes(self):
-        assert likelihood_threshold(MAP_RULE, MODEL) == pytest.approx(1.0)
-        skew = BeliefModel(0.0, prior_1=0.25)
-        assert likelihood_threshold(MAP_RULE, skew) == pytest.approx(3.0)
-        assert likelihood_threshold(ThresholdRule("ml"), skew) == pytest.approx(1.0)
-        assert likelihood_threshold(ThresholdRule("fixed", threshold=2.5), skew) == 2.5
-
-    def test_rule_validation(self):
-        with pytest.raises(ValueError):
-            ThresholdRule("fixed")
-        with pytest.raises(ValueError):
-            ThresholdRule("map", threshold=2.0)
-        with pytest.raises(ValueError):
-            ThresholdRule("fixed", threshold=-1.0)
 
 
 class TestConditionalDecisionProbs:
