@@ -76,6 +76,18 @@ def default_grid(last_stage: int) -> np.ndarray:
     return np.unique(np.concatenate([dense, geo]))
 
 
+def check_grid(grid, stages: int) -> np.ndarray:
+    """The grid as a new int64 array of stages, checked to be strictly
+    increasing inside [1, stages]; integer-valued floats are stages."""
+    raw = np.asarray(grid)
+    integral = raw.dtype.kind in "iu" or (raw.dtype.kind == "f" and np.isfinite(raw).all() and (raw % 1 == 0).all())
+    if raw.ndim != 1 or raw.size == 0 or not integral:
+        raise ValueError(f"grid must be a non-empty 1-d array of integer stages, got {raw.dtype} {raw.shape}")
+    if raw[0] < 1 or raw[-1] > stages or (np.diff(raw) <= 0).any():
+        raise ValueError("grid must be strictly increasing inside [1, stages]")
+    return raw.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class FitResult:
     kind: str

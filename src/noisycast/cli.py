@@ -11,12 +11,11 @@ problems.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +40,7 @@ from .presets import (
     list_presets,
     martingale_columns,
     mc_columns,
+    payload_digest,
     recursion_columns,
     run_preset,
 )
@@ -80,8 +80,7 @@ class ParsedConfig:
     @property
     def digest(self) -> str:
         """Hash of the JSON document, run overrides included."""
-        blob = json.dumps(self.doc, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
+        return payload_digest(self.doc)
 
     def experiment(self) -> ExperimentConfig:
         if self.memory is None:
@@ -105,28 +104,20 @@ def _require_keys(section: str, doc: dict, allowed: set[str]) -> None:
         raise ConfigError(f"unknown key(s) in {section}: {', '.join(sorted(extra))}")
 
 
+def _build_schedule(section: str, params: dict, schedule):
+    """schedule(**params), each key a field of the schedule type."""
+    _require_keys(section, params, {f.name for f in fields(schedule)})
+    return schedule(**params)
+
+
 def _build_channel(doc: dict) -> Channel:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConfigError("'channel' must be an object with a 'kind' key")
     kind = doc["kind"]
-    if kind == "flip":
-        _require_keys("channel", doc, {"kind", "family", "q", "p", "scale"})
-        return FlipSchedule(
-            doc.get("family", "constant"),
-            q=doc.get("q"),
-            p=doc.get("p"),
-            scale=doc.get("scale", 1.0),
-        )
-    if kind == "erasure":
-        _require_keys("channel", doc, {"kind", "family", "level", "c", "eps", "level_one"})
-        return ErasureSchedule(
-            doc.get("family", "constant"),
-            level=doc.get("level"),
-            c=doc.get("c"),
-            eps=doc.get("eps"),
-            level_one=doc.get("level_one"),
-        )
-    raise ConfigError(f"channel.kind must be 'flip' or 'erasure', got {kind!r}")
+    if kind not in ("flip", "erasure"):
+        raise ConfigError(f"channel.kind must be 'flip' or 'erasure', got {kind!r}")
+    params = {"family": "constant", **{key: value for key, value in doc.items() if key != "kind"}}
+    return _build_schedule("channel", params, FlipSchedule if kind == "flip" else ErasureSchedule)
 
 
 def _build_memory(doc: dict | None) -> MemorySchedule | None:
@@ -134,8 +125,7 @@ def _build_memory(doc: dict | None) -> MemorySchedule | None:
         return None
     if not isinstance(doc, dict) or "family" not in doc:
         raise ConfigError("'memory' must be an object with a 'family' key")
-    _require_keys("memory", doc, {"family", "capacity", "sigma"})
-    return MemorySchedule(doc["family"], capacity=doc.get("capacity"), sigma=doc.get("sigma"))
+    return _build_schedule("memory", doc, MemorySchedule)
 
 
 def parse_config(path, default_task: str | None = None) -> ParsedConfig:

@@ -23,9 +23,10 @@ and how the broadcast is absorbed; each is a step function of the skeleton:
   builds it from the exact law of the evidence, once per (model, channel,
   memory, stages); trials carry their flat positions in it.
 
-The flip and scan steps make no array and, in a block of an even trial count
-that starts at an even trial, give numpy no broadcast (2, 1) or strided (2, m)
-operand, which it buffers, nor a where= mask, slower than putmask.
+The flip and scan steps make no array and give numpy no broadcast (2, 1) or
+strided (2, m) operand, which it buffers, nor a where= mask, slower than
+putmask: a block steps every trial its draws cover, an even-aligned run of
+trials, and reads only its own.
 
 Random stream.  The key of (seed, phase, hypothesis) is
 SeedSequence(seed, spawn_key=(phase, hypothesis)).generate_state(2, uint64).
@@ -57,7 +58,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .analysis import SeriesResult, default_grid
+from .analysis import SeriesResult, check_grid, default_grid
 from .belief_model import BeliefModel
 from .channels import Channel, ErasureSchedule, FlipSchedule, erasure_levels, flip_probs
 from .exact_dp import MAX_CAPACITY, scan_error_series, window_stages
@@ -106,9 +107,7 @@ class ExperimentConfig:
             if self.memory.capacity > MAX_CAPACITY:
                 raise ValueError(f"bounded memory is capped at capacity {MAX_CAPACITY} for exact cutoffs")
         if self.grid is not None:
-            g = np.asarray(self.grid, dtype=np.int64)
-            if g.size == 0 or g[0] < 1 or g[-1] > self.stages or (np.diff(g) <= 0).any():
-                raise ValueError("grid must be strictly increasing inside [1, stages]")
+            check_grid(self.grid, self.stages)
 
 
 @dataclass
@@ -127,10 +126,13 @@ def _stream_key(seed: int, *spawn_key: int) -> np.ndarray:
     return np.random.SeedSequence(seed, spawn_key=spawn_key).generate_state(2, np.uint64)
 
 
-def _run_block(config: ExperimentConfig, lo: int, hi: int, step, slot=None, collect=False):
+def _run_block(config: ExperimentConfig, lo: int, hi: int, make_step, slot=None, collect=False):
     """Advance trials lo..hi-1 of both hypotheses in lockstep through every
-    stage.  step(k, u, v) returns the (2, m) boolean decisions of stage k
-    and either None or the mask of public beliefs clamped by the stage; the
+    stage.  make_step(config, width) builds the step for the trials the
+    Philox counters draw, the even-aligned run around lo..hi-1, so the
+    (2, width) views u and v are never strided; only lo..hi-1 are read.
+    step(k, u, v) returns the (2, width) boolean decisions of stage k and
+    either None or the mask of public beliefs clamped by the stage; the
     skeleton reads both before the next call.
 
     Returns the per-hypothesis error counts on the grid slots, each trial's
@@ -141,8 +143,10 @@ def _run_block(config: ExperimentConfig, lo: int, hi: int, step, slot=None, coll
     m = hi - lo
     first = lo // 2
     off = lo - 2 * first
+    width = 2 * ((hi + 1) // 2 - first)
+    keep = slice(off, off + m)
     # row r of buf[h] is trial 2 * first + r: its u in column 0, its v in column 1
-    buf = np.empty((2, 2 * ((hi + 1) // 2 - first), 2))
+    buf = np.empty((2, width, 2))
     streams = []
     for h in (0, 1):
         bits = np.random.Philox(key=_stream_key(config.seed, _PHASE_MEASURE, h))
@@ -152,13 +156,14 @@ def _run_block(config: ExperimentConfig, lo: int, hi: int, step, slot=None, coll
         state["state"]["key"] = state["state"]["key"].tolist()
         state["buffer"], state["buffer_pos"] = state["buffer"].tolist(), 4
         streams.append((bits, state, np.random.Generator(bits), buf[h]))
-    u, v = buf[:, off:off + m].transpose(2, 0, 1)
+    u, v = buf.transpose(2, 0, 1)
+    step = make_step(config, width)
     counts = np.zeros((2, 0 if slot is None else int(slot.max()) + 1), dtype=np.int64)
-    last = np.zeros((2, m), dtype=np.int64) if slot is None else None
-    wrong = np.empty((2, m), dtype=bool)
-    is_h1 = np.repeat([[False], [True]], m, axis=1)  # row h of a (2, m) array is hypothesis h
+    last = np.zeros((2, width), dtype=np.int64) if slot is None else None
+    wrong = np.empty((2, width), dtype=bool)
+    is_h1 = np.repeat([[False], [True]], width, axis=1)  # row h of a (2, width) array is hypothesis h
     clamps = np.zeros(2, dtype=np.int64)
-    dec = np.zeros((2, m, config.stages), dtype=np.int8) if collect else None
+    dec = np.zeros((2, width, config.stages), dtype=np.int8) if collect else None
     for k in range(1, config.stages + 1):
         for h, (bits, state, gen, out) in enumerate(streams):
             state["state"]["counter"] = [first, k, _PHASE_MEASURE, h]  # Philox(key=key, counter=this)
@@ -170,10 +175,10 @@ def _run_block(config: ExperimentConfig, lo: int, hi: int, step, slot=None, coll
         if slot is None:
             np.putmask(last, np.not_equal(d, is_h1, out=wrong), k)
         elif slot[k] >= 0:  # the errors: decisions 1 under h = 0, 0 under h = 1
-            counts[0, slot[k]], counts[1, slot[k]] = np.count_nonzero(d[0]), m - np.count_nonzero(d[1])
+            counts[0, slot[k]], counts[1, slot[k]] = np.count_nonzero(d[0, keep]), m - np.count_nonzero(d[1, keep])
         if clamped is not None:
-            clamps += np.count_nonzero(clamped, axis=1)
-    return counts, last, clamps, dec
+            clamps += np.count_nonzero(clamped[:, keep], axis=1)
+    return counts, None if last is None else last[:, keep], clamps, None if dec is None else dec[:, keep]
 
 
 def _flip_full_step(config: ExperimentConfig, m: int):
@@ -303,9 +308,7 @@ def _collect_blocks(config: ExperimentConfig, slot, threads: int):
     jobs = [(lo, min(lo + _BLOCK_TRIALS, config.trials)) for lo in range(0, config.trials, _BLOCK_TRIALS)]
 
     def run(job):
-        lo, hi = job
-        counts, last, clamps, _ = _run_block(config, lo, hi, make_step(config, hi - lo), slot)
-        return counts, last, clamps
+        return _run_block(config, *job, make_step, slot)
 
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=min(threads, len(jobs))) as ex:
@@ -321,7 +324,7 @@ def estimate_error_series(config: ExperimentConfig, threads: int = 1) -> SeriesR
     """Error probability on the stage grid, prior-weighted over hypotheses,
     with a normal-approximation confidence band from the per-hypothesis
     counts.  Byte-identical for fixed (config, seed) whatever `threads` is."""
-    grid = np.asarray(config.grid if config.grid is not None else default_grid(config.stages), dtype=np.int64)
+    grid = check_grid(default_grid(config.stages) if config.grid is None else config.grid, config.stages)
     slot = np.full(config.stages + 1, -1, dtype=np.int64)
     slot[grid] = np.arange(grid.size)  # the count of stage k goes to column slot[k]
     counts, _, clamps = _collect_blocks(config, slot, threads)
@@ -402,8 +405,7 @@ def run_trial(config: ExperimentConfig, trial_index: int, hypothesis: int) -> Tr
         raise ValueError(f"hypothesis must be 0 or 1, got {hypothesis!r}")
     if trial_index < 0:
         raise ValueError(f"trial_index must be >= 0, got {trial_index!r}")
-    step = _step_for(config)(config, 1)
-    _, last, clamps, dec = _run_block(config, trial_index, trial_index + 1, step, collect=True)
+    _, last, clamps, dec = _run_block(config, trial_index, trial_index + 1, _step_for(config), collect=True)
     return TrialRecord(dec[hypothesis, 0], int(last[hypothesis, 0]), int(clamps[hypothesis]))
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass
@@ -120,35 +121,20 @@ class Preset:
     seed: int | None = None
 
 
-def _digest(payload) -> str:
+def payload_digest(payload) -> str:
+    """config_hash of a Monte Carlo ExperimentConfig, else the first 12 hex
+    digits of the sha256 of the payload's canonical JSON."""
     if isinstance(payload, ExperimentConfig):
         return config_hash(payload)
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
-
-
-_OPS = {
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-}
+_OPS = {"<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge, "==": operator.eq}
 
 
 def _check(name: str, value, target, comparator: str, informational: bool = False) -> dict:
-    value = _jsonable(value)
-    target = _jsonable(target)
+    value, target = (x.item() if isinstance(x, np.generic) else x for x in (value, target))
     return {
         "name": name,
         "value": value,
@@ -553,7 +539,7 @@ def run_preset(name: str, out_dir, overrides: Overrides = _NO_OVERRIDES) -> dict
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     outcome = preset.run(settings)
-    digest = _digest(outcome.payload)
+    digest = payload_digest(outcome.payload)
     seed = 0 if settings.seed is None else settings.seed  # 0 when nothing is drawn
     for file_name, (producer, columns) in outcome.tables.items():
         write_series_csv(out / file_name, columns, {"producer": producer, "config_hash": digest, "seed": seed})

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import SeriesResult, default_grid
+from .analysis import SeriesResult, check_grid, default_grid
 from .belief_model import BeliefModel, tail_constants
 from .channels import FlipSchedule, target_informativeness
 
@@ -114,7 +114,7 @@ def iterate_recursion(spec: RecursionSpec, stages: int, grid=None) -> SeriesResu
     """Run the recursion to c_stages, recording values on the grid."""
     if stages < 1:
         raise ValueError(f"stages must be >= 1, got {stages!r}")
-    targets = _grid_targets(default_grid(stages) if grid is None else grid, stages)
+    targets = check_grid(default_grid(stages) if grid is None else grid, stages)
     vals = np.empty(targets.size)
     ts, out = memoryview(targets), memoryview(vals)
     n, c = spec.exponent, float(spec.initial)
@@ -132,17 +132,6 @@ def iterate_recursion(spec: RecursionSpec, stages: int, grid=None) -> SeriesResu
             ti += 1
         c = _advance(c, n, ds[k - lo :], k)
     return _series(spec, stages, targets, vals)
-
-
-def _grid_targets(grid, stages: int) -> np.ndarray:
-    """The grid as a new int64 array of stages, checked to be strictly increasing inside [1, stages]."""
-    raw = np.asarray(grid)
-    integral = raw.dtype.kind in "iu" or (raw.dtype.kind == "f" and np.isfinite(raw).all() and (raw % 1 == 0).all())
-    if raw.ndim != 1 or raw.size == 0 or not integral:
-        raise ValueError(f"grid must be a non-empty 1-d array of integer stages, got {raw.dtype} {raw.shape}")
-    if raw[0] < 1 or raw[-1] > stages or (np.diff(raw) <= 0).any():
-        raise ValueError("grid must be strictly increasing inside [1, stages]")
-    return raw.astype(np.int64)
 
 
 def _series(spec: RecursionSpec, stages: int, targets: np.ndarray, vals: np.ndarray) -> SeriesResult:
@@ -169,7 +158,7 @@ def lemma3_sandwich(spec: RecursionSpec, k_min: int, stages: int, grid=None) -> 
     """
     if not 1 <= k_min <= stages:
         raise ValueError(f"need 1 <= k_min <= stages, got {k_min!r}, {stages!r}")
-    targets = np.empty(0, dtype=np.int64) if grid is None else _grid_targets(grid, stages)
+    targets = np.empty(0, dtype=np.int64) if grid is None else check_grid(grid, stages)
     vals, ti = np.empty(targets.size), 0
     n, inv_n, c = spec.exponent, 1.0 / spec.exponent, float(spec.initial)
     low, high = math.inf, -math.inf

@@ -60,28 +60,18 @@ def memory_size(schedule: MemorySchedule, k: int) -> int:
     return min(r if r * r == k else 1, k - 1)
 
 
-def _sporadic_min(lo: int, hi: int) -> int:
-    """Minimum sporadic-family memory over nodes lo..hi (all >= 2)."""
-    best = hi
-    for j in range(lo, hi + 1):
-        r = math.isqrt(j)
-        m = min(r if r * r == j else 1, j - 1)
-        if m < best:
-            best = m
-            if best <= 1:
-                break
-    return best
-
-
 def backward_search_depth(schedule: MemorySchedule, k: int) -> int:
     """Largest n with n * n <= k - 1 and memory >= n over nodes k - n*n + n .. k.
 
     The window is the set of possible hop origins of an n-hop chain ending
     at node k with hops of length at most n.  Its first node j0 has
     j0 - 1 >= n, so full memory allows every such n and bounded memory
-    every n up to its capacity.  For the other families, growing n only
-    enlarges the window and raises the bar, so the feasible set of n is
-    downward closed and a binary search applies.
+    every n up to its capacity.  Sporadic memory is 1 at every non-square
+    node and no two consecutive integers above 1 are squares, so every
+    window of two or more nodes rules out n >= 2: the depth is 1 from
+    k = 2 on.  For power memory, growing n only enlarges the window and
+    raises the bar, so the feasible set of n is downward closed and a
+    binary search applies.
     """
     if k < 1:
         raise ValueError(f"nodes are 1-based, got {k!r}")
@@ -92,18 +82,15 @@ def backward_search_depth(schedule: MemorySchedule, k: int) -> int:
         return math.isqrt(k - 1)
     if fam == "bounded":
         return min(schedule.capacity, math.isqrt(k - 1))
+    if fam == "sporadic":
+        return 1
     sg = schedule.sigma
     best = 0
     lo, hi = 1, math.isqrt(k - 1)
     while lo <= hi:
         n = (lo + hi) // 2
-        j0 = k - n * n + n
-        if fam == "power":
-            # min(ceil(j0**sg), j0 - 1) >= n: ceil(x) >= n iff x > n - 1, and j0 - 1 >= n as n * n <= k - 1
-            ok = j0**sg > n - 1
-        else:
-            ok = _sporadic_min(j0, k) >= n
-        if ok:
+        # min(ceil(j0**sg), j0 - 1) >= n at j0 = k - n*n + n: ceil(x) >= n iff x > n - 1, and j0 - 1 >= n
+        if (k - n * n + n) ** sg > n - 1:
             best = n
             lo = n + 1
         else:

@@ -25,6 +25,7 @@ from noisycast.montecarlo import (
     herding_stats,
     run_trial,
 )
+from noisycast.recursions import RecursionSpec, iterate_recursion
 from noisycast.strategy import BELIEF_CEIL, BELIEF_FLOOR, belief_cutoff_from_public
 from noisycast.topology import MemorySchedule, chain_success_probability
 
@@ -85,6 +86,17 @@ class TestConfigValidation:
             _flip_full(grid=(0, 10))
         with pytest.raises(ValueError):
             _flip_full(grid=(1, 100))  # beyond stages=60
+
+    def test_grid_check_is_the_recursions(self):
+        """A non-integral grid is refused, not truncated to stages 1, 3 and
+        7, with the message the recursions give; the grid is kept as given."""
+        spec = RecursionSpec(initial=0.5, exponent=1, delta=0.1)
+        with pytest.raises(ValueError) as recursion_error:
+            iterate_recursion(spec, 60, grid=[1.5, 3.9, 7])
+        with pytest.raises(ValueError) as config_error:
+            _flip_full(grid=(1.5, 3.9, 7))
+        assert str(config_error.value) == str(recursion_error.value)
+        assert _flip_full(grid=(1.0, 7.0)).grid == (1.0, 7.0)
 
     def test_scalar_validation(self):
         with pytest.raises(ValueError):
@@ -587,6 +599,49 @@ class TestKernelAllocations:
             MODEL, channel, MemorySchedule("bounded", capacity=2), stages=310, trials=self.M, seed=1
         )
         self._assert_lean(config)
+
+    @pytest.mark.parametrize("lo,hi", [(1, M), (0, M - 1)], ids=["odd_first", "odd_count"])
+    @pytest.mark.parametrize(
+        "channel,memory",
+        [
+            (FlipSchedule("constant", q=0.1), MemorySchedule("full")),
+            (ErasureSchedule("constant", level=0.9), MemorySchedule("full")),
+            (ErasureSchedule("constant", level=0.3), MemorySchedule("bounded", capacity=4)),
+        ],
+        ids=["flip", "scan", "window"],
+    )
+    def test_odd_block_bounds(self, channel, memory, lo, hi):
+        """A block that starts at an odd trial or holds an odd count still
+        gives its step contiguous (2, width) draws.  Each whole warm stage of
+        _run_block (the step, the count bookkeeping and the next draws) is
+        traced from one step call to the next; a strided u or v would cost a
+        64 KB iteration buffer per ufunc."""
+        config = ExperimentConfig(MODEL, channel, memory, stages=self.WARM + 200, trials=self.M, seed=1)
+        make_step = mc._step_for(config)
+        peaks, base = [], 0
+
+        def traced(config, width):
+            step = make_step(config, width)
+
+            def stage(k, u, v):
+                nonlocal base
+                if k > self.WARM:
+                    peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                elif k == self.WARM:
+                    tracemalloc.start()
+                if k >= self.WARM:
+                    tracemalloc.reset_peak()
+                    base = tracemalloc.get_traced_memory()[0]
+                return step(k, u, v)
+
+            return stage
+
+        try:
+            _, _, clamps, _ = mc._run_block(config, lo, hi, traced, slot=np.arange(-1, config.stages))
+        finally:
+            tracemalloc.stop()
+        assert clamps.tolist() == [0, 0] and len(peaks) == 200
+        assert max(peaks) < 4096
 
 
 class TestSeriesShape:
