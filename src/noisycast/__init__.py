@@ -71,7 +71,6 @@ from .recursions import (
     type1_lower_bound,
 )
 from .strategy import (
-    belief_cutoff_from_public,
     clamp_belief,
     conditional_decision_probs,
     public_belief_step,

@@ -41,7 +41,7 @@ class SeriesResult:
             )
         if self.stages.size == 0:
             raise ValueError("series must contain at least one stage")
-        if self.stages[0] < 1 or (np.diff(self.stages) <= 0).any():
+        if self.stages[0] < 1 or (self.stages[1:] <= self.stages[:-1]).any():  # no O(rows) int64 temporary
             raise ValueError("stages must be strictly increasing and 1-based")
         if not np.isfinite(self.values).all():
             raise ValueError("values must be finite")

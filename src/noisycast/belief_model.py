@@ -45,11 +45,6 @@ class BeliefModel:
         return 1.0 - self.prior_1
 
     @property
-    def prior_ratio(self) -> float:
-        """prior_0 / prior_1, the likelihood-ratio threshold of the MAP test."""
-        return (1.0 - self.prior_1) / self.prior_1
-
-    @property
     def norm_constant(self) -> float:
         """Shared normaliser z of both conditional densities.
 

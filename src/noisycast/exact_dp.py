@@ -8,11 +8,12 @@ window distributions conditional on each hypothesis is pushed forward one
 stage at a time; the deciding node's cutoffs are computed from those same
 distributions, so the recursion reproduces exactly the strategy the
 simulated nodes follow and serves as their oracle.  Each state's cutoff is
-m0 / (m0 + m1) whatever the prior (strategy's rule, the MAP test only at
-prior_1 = 1/2), so with a flip channel or equal erasure levels for 0s and
-1s, swapping hypotheses, decisions and symbols maps the chain onto itself
+strategy's Bayes rule, pi0 * m0 / (pi0 * m0 + pi1 * m1).  At prior_1 = 1/2,
+with a flip channel or equal erasure levels for 0s and 1s, swapping
+hypotheses, decisions and symbols maps the chain onto itself
 (f1(r) = f0(1 - r)): P(s | h = 1) = P(mirror s | h = 0), so only the row
-of h = 0 is carried.  Unequal levels carry both rows through the same step.
+of h = 0 is carried.  Any other prior or law carries both rows through the
+same step.
 window_stages hands each node's errors and its table of P(decide 0 |
 hypothesis, window state) to exact_error_series and the Monte Carlo window
 kernel one stage at a time, so memory is O(alphabet**capacity).  Window
@@ -127,34 +128,32 @@ def _channel_laws(channel: Channel, ks):
             yield (1.0 - lv0, lv0, 0.0), (0.0, lv1, 1.0 - lv1)
 
 
-def _mirrored(law) -> bool:
-    """Whether one mass row determines the other: a law that swapping
-    decisions and digits maps onto itself, so that mirrored masses give
-    cutoffs tau and 1 - tau."""
-    return law[0][::-1] == law[1]
+def _mirrored(model: BeliefModel, law) -> bool:
+    """Whether one mass row determines the other, mirror states having cutoffs
+    tau and 1 - tau: prior 1/2 and a law that swapping decisions and digits
+    maps onto itself.  _scan_symmetric takes the same condition."""
+    return model.prior_1 == 0.5 and law[0][::-1] == law[1]
 
 
 def _cutoffs(mass0, mass1, model: BeliefModel, out=None, num=None, den=None, upper=None):
-    """Per-state private-belief cutoffs tw * mass0 / den of strategy's rule,
-    den = tw * mass0 + pz * mass1, in out (and the scratch num and den) when
-    given.  tw, the MAP threshold times prior_1, and pz both equal prior_0,
-    so tau is mass0 / (mass0 + mass1) at any prior.  With upper, also
-    pz * mass1 / den there: 1 - tau without the cancellation.
+    """Per-state private-belief cutoffs pi0 * mass0 / den of strategy's rule,
+    den = pi0 * mass0 + pi1 * mass1, in out (and the scratch num and den)
+    when given.  With upper, also pi1 * mass1 / den there: 1 - tau without
+    the cancellation.
 
     States with zero mass under both hypotheses are unreachable; they get
-    the neutral cutoff so downstream arrays stay finite.
+    the cutoff of no evidence, pi0, so downstream arrays stay finite.
     """
-    tw = model.prior_ratio * model.prior_1
-    pz = 1.0 - model.prior_1
-    num = np.multiply(tw, mass0, out=num)
-    side = np.multiply(pz, mass1, out=den if upper is None else upper)
+    pi0, pi1 = model.prior_0, model.prior_1
+    num = np.multiply(pi0, mass0, out=num)
+    side = np.multiply(pi1, mass1, out=den if upper is None else upper)
     den = np.add(num, side, out=den)
     live = True if den.min() > 0.0 else np.greater(den, 0.0)
     tau = np.empty(num.shape) if out is None else out
-    for x, o, w in ((num, tau, tw), (side, upper, pz))[: 1 if upper is None else 2]:
+    for x, o, w in ((num, tau, pi0), (side, upper, pi1))[: 1 if upper is None else 2]:
         np.divide(x, den, out=o, where=live)
         if live is not True:
-            np.copyto(o, w / (tw + pz), where=~live)
+            np.copyto(o, w, where=~live)
     return tau
 
 
@@ -182,8 +181,8 @@ def evolve_window(
     if new_len not in (dist.length, dist.length + 1):
         raise ValueError(f"window of length {dist.length} cannot evolve to length {new_len}")
     law = next(_channel_laws(channel, [stage])) if law is None else law
-    if rows == 1 and not _mirrored(law):
-        raise ValueError("one mass row needs a mirrored channel law")
+    if rows == 1 and not _mirrored(model, law):
+        raise ValueError("one mass row needs a mirrored channel law at prior 1/2")
     masses = dist.masses
     s0, s1, s2 = _rows(ws.scratch, 3, n)
     tau, upper = ws.tau[:n], (ws.tau[n : 2 * n] if rows == 2 else None)
@@ -210,11 +209,14 @@ def evolve_window(
     out = ws.mass[1] if np.may_share_memory(masses, ws.mass[0]) else ws.mass[0]
     new = _rows(out, rows, a_size**new_len)
     slots = new.reshape(rows, -1, a_size)
-    tmp = _rows(ws.tau, rows, part0.shape[1])  # the cutoffs are spent
+    tmp = ws.tau[: part0.shape[1]]  # the cutoffs are spent
+    # row by row: a scalar times a strided two-row view makes numpy buffer it
     for v, (w0, w1) in enumerate(zip(*law)):
-        np.multiply(w0 or w1, part0 if w0 else part1, out=slots[:, :, v])
-        if w0 and w1:
-            np.add(slots[:, :, v], np.multiply(w1, part1, out=tmp), out=slots[:, :, v])
+        for h in range(rows):
+            dst = slots[h, :, v]
+            np.multiply(w0 or w1, part0[h] if w0 else part1[h], out=dst)
+            if w0 and w1:
+                np.add(dst, np.multiply(w1, part1[h], out=tmp), out=dst)
     return WindowDistribution(a_size, dist.capacity, new_len, new, ws), StageErrors(type1, type2, dec0)
 
 
@@ -222,11 +224,11 @@ def window_stages(model: BeliefModel, channel: Channel, capacity: int, stages: i
     """Yield the StageErrors of nodes 1..stages, one stage at a time.
 
     Only the current window distribution and decision table are live, so
-    memory is O(alphabet**capacity) however many stages run.  When every
-    stage's law is mirrored, one mass row is carried.
+    memory is O(alphabet**capacity) however many stages run.  At prior 1/2,
+    when every stage's law is mirrored, one mass row is carried.
     """
     ks = np.arange(1, stages + 1)
-    rows = 1 if all(_mirrored(law) for law in _channel_laws(channel, ks)) else 2
+    rows = 1 if all(_mirrored(model, law) for law in _channel_laws(channel, ks)) else 2
     dist = initial_window(window_alphabet(channel), capacity, rows)
     for k, law in enumerate(_channel_laws(channel, ks), start=1):
         dist, errs = evolve_window(dist, k, model, channel, law)
@@ -259,11 +261,12 @@ def exact_error_series(model: BeliefModel, channel: Channel, memory: MemorySched
 
 
 def _scan_column(pair, l0: float, l1: float) -> tuple[float, float, float, float]:
-    """P(decide 0 | h), h = 0, 1, then P(decide 1 | h), after one symbol of
-    likelihood l_h under h.  The MAP cutoff is c = l0 / (l0 + l1) whatever
-    the prior (belief_cutoff_from_public at the posterior the symbol leaves);
-    both cdfs are taken at min(c, 1 - c), where they are at most 3/4, so no
-    complement loses relative precision.  An impossible symbol gets c = 1/2."""
+    """P(decide 0 | h), h = 0, 1, then P(decide 1 | h), after one symbol whose
+    likelihood under h times the prior of h is l_h.  The Bayes cutoff is
+    c = l0 / (l0 + l1), 1 - b at the posterior b the symbol leaves; both cdfs
+    are taken at min(c, 1 - c), where they are at most 3/4, so no
+    complement loses relative precision.  An impossible symbol, never read,
+    gets c = 1/2."""
     den = l0 + l1
     if den == 0.0 or l0 <= l1:
         f0, f1 = pair(l0 / den if den else 0.5)
@@ -281,14 +284,16 @@ def _reach_floor(memory: MemorySchedule, k: int) -> int:
 
 
 def _scan_symmetric(pair, levels, memory, table, errs) -> None:
-    """Equal levels for 0s and 1s: swapping hypotheses and decisions maps the
-    scan onto itself (f1(r) = f0(1 - r); the prior leaves the cutoff), so
-    both error types are one e, a broadcast 1's column mirrors a broadcast
-    0's, and every code survives stage k with the same lv_k.  The law of the
-    evidence is then `out`, the mass with nothing to read, plus one entry
-    (stage, mass, weight of e, weight of 1 - e) per stage within reach, in
-    units of `scale` and summed in m, ew, gw: O(1) per stage, amortised.
-    Writes go through memoryviews, with no numpy call per stage."""
+    """Equal levels for 0s and 1s at prior 1/2, _mirrored's condition:
+    swapping hypotheses and decisions maps the scan onto itself
+    (f1(r) = f0(1 - r)), and the equal prior weights cancel from every
+    cutoff.  So both error types are one e, a broadcast 1's column mirrors
+    a broadcast 0's, no evidence has cutoff 1/2, and every code survives
+    stage k with the same lv_k.  The law of the evidence is then `out`, the
+    mass with nothing to read, plus one entry (stage, mass, weight of e,
+    weight of 1 - e) per stage within reach, in units of `scale` and summed
+    in m, ew, gw: O(1) per stage, amortised.  Writes go through
+    memoryviews, with no numpy call per stage."""
     full = memory.family == "full"
     cols, row = table.reshape(-1).data, table.shape[1]
     g1, e1 = pair(0.5)  # no evidence: P(decide 0 | h = 0) and P(decide 0 | h = 1)
@@ -321,9 +326,11 @@ def _scan_symmetric(pair, levels, memory, table, errs) -> None:
             kept.append((k, w, de, dg))
 
 
-def _scan_general(pair, lv0s, lv1s, memory, table, t1, t2) -> None:
-    """Any levels: one mass per code and hypothesis.  A code's survival
-    depends on the decision it feeds, so each stage touches every code."""
+def _scan_general(pair, priors, lv0s, lv1s, memory, table, t1, t2) -> None:
+    """Any levels and priors (pi0, pi1): one mass per code and hypothesis.
+    A code's survival depends on the decision it feeds, so each stage
+    touches every code: O(K**2) in all."""
+    pi0, pi1 = priors
     surv = np.empty_like(table)
     surv[:, :2] = 1.0 - table[:, :2]
     mass = np.zeros_like(table)
@@ -335,7 +342,7 @@ def _scan_general(pair, lv0s, lv1s, memory, table, t1, t2) -> None:
         r = unseen * surv[:, 0] + (mass[:, lo:hi] * surv[:, lo:hi]).sum(axis=1)
         t1[k - 1], t2[k - 1] = r[0], s[1]
         for col, (l0, l1) in ((hi, s), (hi + 1, r)):
-            table[0, col], table[1, col], surv[0, col], surv[1, col] = _scan_column(pair, l0, l1)
+            table[0, col], table[1, col], surv[0, col], surv[1, col] = _scan_column(pair, pi0 * l0, pi1 * l1)
         lv0, lv1 = lv0s[k - 1], lv1s[k - 1]
         mass[:, :lo] *= lv0 * table[:, :1] + lv1 * surv[:, :1]
         mass[:, lo:hi] *= lv0 * table[:, lo:hi] + lv1 * surv[:, lo:hi]
@@ -359,13 +366,13 @@ def scan_error_series(model: BeliefModel, channel: ErasureSchedule, memory: Memo
     pair = cdf_pair(model)
     lv0s, lv1s = erasure_levels(channel, np.arange(1, stages + 1))
     table = np.empty((2, 2 * stages + 2))
-    table[:, 0] = table[:, 1] = pair(0.5)
+    table[:, 0] = table[:, 1] = pair(model.prior_0)
     t1, t2 = np.empty(stages), np.empty(stages)
-    if np.array_equal(lv0s, lv1s):
+    if model.prior_1 == 0.5 and np.array_equal(lv0s, lv1s):
         _scan_symmetric(pair, memoryview(lv0s), memory, table, t1.data)
         t2[:] = t1
     else:
-        _scan_general(pair, lv0s, lv1s, memory, table, t1, t2)
+        _scan_general(pair, (model.prior_0, model.prior_1), lv0s, lv1s, memory, table, t1, t2)
     table.flags.writeable = False
     pe = model.prior_0 * t1 + model.prior_1 * t2
     meta = {"producer": "exact_scan", "memory": memory.family}

@@ -12,7 +12,7 @@ and how the broadcast is absorbed; each is a step function of the skeleton:
 
 * flip channel, full memory: the shared public belief is a scalar recursion
   per trial, advanced in place by public_belief_step from the same two cdf
-  values the decision used, in eight float and two boolean (2, m) arrays
+  values the decision used, in seven float and two boolean (2, m) arrays
   made once per block of m trials;
 * bounded memory (flip or erasure): the exact window recursion, the
   strategy's own oracle, runs in lockstep and yields each stage's table of
@@ -106,8 +106,8 @@ class ExperimentConfig:
         if self.memory.family == "bounded":
             if self.memory.capacity > MAX_CAPACITY:
                 raise ValueError(f"bounded memory is capped at capacity {MAX_CAPACITY} for exact cutoffs")
-        if self.grid is not None:
-            check_grid(self.grid, self.stages)
+        if self.grid is not None:  # stored as a tuple of ints: repr, config_hash and hash() read every stage
+            object.__setattr__(self, "grid", tuple(check_grid(self.grid, self.stages).tolist()))
 
 
 @dataclass
@@ -189,8 +189,8 @@ def _flip_full_step(config: ExperimentConfig, m: int):
     qs = flip_probs(config.channel, np.arange(1, config.stages + 1))
     b = np.full((2, m), model.prior_1)
     f = np.empty((2, 2, m))
-    work = np.empty((5, 2, m))  # 1 - b, the cutoff and cdfs' scratch
-    rest, bit = work[0], work[2:4]  # the scratch is free once f is filled
+    work = np.empty((4, 2, m))  # 1 - b (the cutoff) and cdfs' scratch
+    rest, bit = work[0], work[1:3]  # the scratch is free once f is filled
     d, seen = np.empty((2, 2, m), dtype=bool)
 
     def step(k, u, v):

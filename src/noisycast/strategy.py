@@ -1,15 +1,17 @@
 """Per-node decision rule and the shared public-belief update.
 
-A node decides 1 when its private likelihood ratio times the public
-likelihood ratio exceeds one; ties go to 0.  The prior drops out: in belief
-coordinates the cutoff is m0 / (m0 + m1) for the masses m_h of what the
-node sees under hypothesis h, and 1 - b at a public belief b with equal
-priors.  Only at prior_1 = 1/2 is this the MAP test for belief_model's
-densities.  The public belief, the posterior probability of hypothesis 1
-given the corrupted broadcasts, advances one observation at a time; a flip
-at rate q enters through the two-sided mixture q + (1 - 2q) * P(decision | .).
-clamp_belief keeps updated beliefs away from 0 and 1 so a long one-sided
-run cannot round them into an absorbing state.
+A node decides 1 when its private likelihood ratio times the public odds
+exceeds one; ties go to 0.  The private belief r is the posterior at even
+odds (belief_model's densities obey f0(r) / f1(r) = (1 - r) / r), so its
+likelihood ratio is r / (1 - r).  The public belief b, the posterior
+probability of hypothesis 1 given the corrupted broadcasts, starts at
+prior_1 and so carries the prior: the Bayes test decides 1 when r > 1 - b,
+at every prior.  The same cutoff in the masses m_h of what a node sees
+under hypothesis h is pi0 * m0 / (pi0 * m0 + pi1 * m1).  b advances one
+observation at a time; a flip at rate q enters through the two-sided
+mixture q + (1 - 2q) * P(decision | .).  clamp_belief keeps updated beliefs
+away from 0 and 1 so a long one-sided run cannot round them into an
+absorbing state.
 """
 
 from __future__ import annotations
@@ -22,27 +24,11 @@ BELIEF_FLOOR = 1e-300
 BELIEF_CEIL = 1.0 - 1e-16
 
 
-def belief_cutoff_from_public(public_belief, model: BeliefModel, out=None, work=None):
-    """Private-belief cutoff of the decision rule at a public belief b that
-    started at prior_1: decide 1 above it.  Under equal priors it is 1 - b,
-    i.e. 1 / (1 + L) for the public likelihood ratio L = b / (1 - b).
-    Vectorised; out and work, shaped like b, are buffers."""
-    b = np.asarray(public_belief, dtype=float)
-    pi1 = model.prior_1
-    if pi1 == 0.5:
-        return np.subtract(1.0, b, out=out)
-    top = np.multiply(pi1, np.subtract(1.0, b, out=out), out=out)
-    return np.divide(top, np.add(top, np.multiply(1.0 - pi1, b, out=work), out=work), out=out)
-
-
-def conditional_decision_probs(public_belief, model: BeliefModel, out=None, work=(None,) * 5):
-    """P(decide 0 | hypothesis h) at a public belief's cutoff in out[h], (2, *shape).
-    work, (5, *shape), takes 1 - b in work[0], the cutoff in work[1] (under
-    equal priors it is work[0]) and cdfs' scratch in work[2:]."""
-    b = np.asarray(public_belief, dtype=float)
-    rest = np.subtract(1.0, b, out=work[0])
-    c = rest if model.prior_1 == 0.5 else belief_cutoff_from_public(b, model, out=work[1], work=work[2])
-    return cdfs(model, c, out=out, scratch=work[2:])
+def conditional_decision_probs(public_belief, model: BeliefModel, out=None, work=(None,) * 4):
+    """P(decide 0 | hypothesis h) at the cutoff 1 - b of a public belief b, in
+    out[h], (2, *shape).  work, (4, *shape), takes 1 - b in work[0] and cdfs'
+    scratch in work[1:]."""
+    return cdfs(model, np.subtract(1.0, public_belief, out=work[0]), out=out, scratch=work[1:])
 
 
 def clamp_belief(belief, out=None):

@@ -51,10 +51,6 @@ class TestNormaliser:
         with pytest.raises(ValueError):
             BeliefModel(0.0, prior_1=1.0)
 
-    def test_prior_ratio(self):
-        assert BeliefModel(0.0, prior_1=0.25).prior_ratio == pytest.approx(3.0)
-        assert BeliefModel(0.0).prior_ratio == 1.0
-
     def test_integer_beta_is_the_exact_integer(self):
         # 1 / B(beta + 1, beta + 2) = k * C(2k, k) with k = beta + 1
         for beta in range(31):

@@ -86,6 +86,16 @@ class TestConfigRuns:
         assert cols["pe_exact"][0] == pytest.approx(0.25)
         assert cols["pe_exact"][1] == pytest.approx(0.2275)
 
+    def test_exact_task_at_a_skewed_prior(self, tmp_path):
+        """prior_1 = 0.8 reaches the engine: node 1 runs the Bayes test at
+        cutoff 0.2 and errs 0.2 * 0.64 + 0.8 * 0.04 = 0.16, not the 0.25 of
+        cutoff 1/2."""
+        cfg = _write_config(tmp_path / "c.json", prior_1=0.8)
+        out = tmp_path / "out"
+        assert main(["exact", "--config", str(cfg), "--out", str(out)]) == 0
+        cols, _ = read_series_csv(out / "series.csv")
+        assert cols["pe_exact"][0] == pytest.approx(0.16, abs=1e-15)
+
     def test_simulate_task(self, tmp_path):
         cfg = _write_config(
             tmp_path / "c.json",

@@ -27,6 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from noisycast.belief_model import BeliefModel, cdf
 from noisycast.belief_model import cdf_pair
@@ -58,8 +59,8 @@ def _g1(r: Fraction) -> Fraction:
 
 def _oracle_series(stages, capacity, channel, prior_1=Fraction(1, 2)):
     """Per-stage (type1, type2) as exact Fractions, windows kept as tuples.
-    Nodes decide 1 when the private times the public likelihood ratio
-    exceeds one."""
+    Nodes decide 1 when the private likelihood ratio times the posterior
+    odds of the window exceeds one: the Bayes test."""
     prior_0 = 1 - prior_1
     states = {(): (Fraction(1), Fraction(1))}
     rows = []
@@ -68,8 +69,8 @@ def _oracle_series(stages, capacity, channel, prior_1=Fraction(1, 2)):
         t2 = Fraction(0)
         nxt = defaultdict(lambda: [Fraction(0), Fraction(0)])
         for w, (m0, m1) in states.items():
-            # private-belief cutoff: the prior drops out
-            tau = m0 / (m0 + m1)
+            # private-belief cutoff: one minus the posterior of hypothesis 1
+            tau = prior_0 * m0 / (prior_0 * m0 + prior_1 * m1)
             g0, g1 = _g0(tau), _g1(tau)
             t1 += m0 * (1 - g0)
             t2 += m1 * g1
@@ -105,11 +106,10 @@ def _loop_evolve(dist, stage, model, channel):
     window, the two error probabilities and the (2, states) decision table."""
     a_size = dist.alphabet
     rows = dist.masses.shape[0]
-    tw = model.prior_ratio * model.prior_1
-    pz = 1.0 - model.prior_1
-    den = tw * dist.mass0 + pz * dist.mass1
-    tau = tw * dist.mass0 / den
-    upper = pz * dist.mass1 / den
+    pi0, pi1 = model.prior_0, model.prior_1
+    den = pi0 * dist.mass0 + pi1 * dist.mass1
+    tau = pi0 * dist.mass0 / den
+    upper = pi1 * dist.mass1 / den
     dec0_h0 = cdf(model, 0, tau)
     dec0_h1 = cdf(model, 1, tau)
     # P(decide 1 | h) = F_(1-h)(1 - tau), at the mirror state's cutoff for one row
@@ -150,12 +150,23 @@ class TestFusedStepMatchesLoop:
         ids=["flip", "erasure", "equal_erasure"],
     )
     def test_bit_identical(self, channel, capacity):
-        """A flip or an equal-level erasure carries one row; unequal levels
-        carry two."""
-        model = BeliefModel(0.0, prior_1=0.3)
+        """Any prior other than 1/2 carries two rows, whatever the law."""
+        self._check(BeliefModel(0.0, prior_1=0.3), channel, capacity, rows=2)
+
+    @pytest.mark.parametrize("capacity", [1, 3])
+    @pytest.mark.parametrize(
+        "channel",
+        [FlipSchedule("constant", q=0.2), ErasureSchedule("constant", level=0.3)],
+        ids=["flip", "equal_erasure"],
+    )
+    def test_one_row_bit_identical(self, channel, capacity):
+        """A flip or an equal-level erasure at prior 1/2 carries one row."""
+        self._check(BeliefModel(0.0), channel, capacity, rows=1)
+
+    @staticmethod
+    def _check(model, channel, capacity, rows):
         stages = 30
         series = exact_error_series(model, channel, MemorySchedule("bounded", capacity=capacity), stages)
-        rows = 1 if getattr(channel, "level_one", None) is None else 2
         dist = initial_window(window_alphabet(channel), capacity, rows)
         t1 = np.empty(stages)
         t2 = np.empty(stages)
@@ -323,8 +334,8 @@ class TestAgainstOracle:
         "channel", [FlipSchedule("constant", q=0.2), ErasureSchedule("constant", level=0.3)], ids=["flip", "erasure"]
     )
     def test_skewed_prior_one_row(self, channel, capacity):
-        """prior_1 = 0.3 over a flip or equal-level erasure channel,
-        where the recursion carries one mass row and mirrors it."""
+        """prior_1 = 0.3 over a flip or equal-level erasure channel: laws
+        that carry one mass row at prior 1/2, and two here."""
         stages = 6
         model = BeliefModel(0.0, prior_1=0.3)
         series = exact_error_series(model, channel, MemorySchedule("bounded", capacity=capacity), stages)
@@ -345,9 +356,44 @@ class TestAgainstOracle:
         assert errs.type1 == pytest.approx((1e-7 / (1.0 + 1e-7)) ** 2, rel=1e-12, abs=0.0)
 
 
+class TestBayesRule:
+    """The first node reads a public belief of prior_1 and no broadcast, so
+    its cutoff is prior_0: at prior_1 = 0.8 and beta = 0 it errs
+    0.2 * (1 - F0(0.2)) + 0.8 * F1(0.2) = 0.2 * 0.64 + 0.8 * 0.04 = 0.16,
+    where the prior-free cutoff 1/2 errs 0.25."""
+
+    @pytest.mark.parametrize(
+        "channel",
+        [FlipSchedule("constant", q=0.2), ErasureSchedule("constant", level=0.3),
+         ErasureSchedule("constant", level=0.2, level_one=0.6)],
+        ids=["flip", "erasure", "unequal_erasure"],
+    )
+    def test_node_one_at_prior_08(self, channel):
+        model = BeliefModel(0.0, prior_1=0.8)
+        series = exact_error_series(model, channel, MemorySchedule("bounded", capacity=2), 3)
+        assert series.value_at(1) == pytest.approx(0.16, abs=1e-15)
+        if isinstance(channel, ErasureSchedule):
+            scan, table = scan_error_series(model, channel, MemorySchedule("full"), 3)
+            assert scan.value_at(1) == pytest.approx(0.16, abs=1e-15)
+            np.testing.assert_allclose(table[:, :2], [[0.36, 0.36], [0.04, 0.04]], rtol=1e-15, atol=0.0)
+
+    @given(beta=st.integers(min_value=0, max_value=6), prior=st.floats(min_value=0.05, max_value=0.95))
+    def test_node_one_is_the_bayes_test(self, beta, prior):
+        """Node 1's exact error is pi0 (1 - F0(pi0)) + pi1 F1(pi0), and never
+        above the error at cutoff 1/2."""
+        model = BeliefModel(float(beta), prior_1=prior)
+        pi0, pi1 = model.prior_0, model.prior_1
+        got = exact_error_series(model, FlipSchedule("constant", q=0.2), MemorySchedule("bounded", capacity=1), 1)
+        bayes = pi0 * (1.0 - cdf(model, 0, pi0)) + pi1 * cdf(model, 1, pi0)
+        half = pi0 * (1.0 - cdf(model, 0, 0.5)) + pi1 * cdf(model, 1, 0.5)
+        assert got.value_at(1) == pytest.approx(bayes, rel=1e-13, abs=1e-16)
+        assert got.value_at(1) <= half + 1e-15
+
+
 class TestOneRow:
-    """A mirrored law (a flip or equal erasure levels) carries mass row
-    0 alone and reads row 1 as its mirror, stepping the same function."""
+    """At prior 1/2 a mirrored law (a flip or equal erasure levels) carries
+    mass row 0 alone and reads row 1 as its mirror, stepping the same
+    function."""
 
     @pytest.mark.parametrize("capacity", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize(
@@ -358,7 +404,7 @@ class TestOneRow:
     def test_matches_two_rows(self, channel, capacity):
         """Without erasures, windows holding the erasure digit are
         unreachable and take the neutral cutoff on both paths."""
-        model = BeliefModel(1.0, prior_1=0.3)
+        model = BeliefModel(1.0)
         dist = initial_window(window_alphabet(channel), capacity)
         for k, one in enumerate(window_stages(model, channel, capacity, 200), start=1):
             dist, two = evolve_window(dist, k, model, channel)
@@ -372,10 +418,21 @@ class TestOneRow:
     def test_rejects_unmirrored_law(self, channel):
         dist = initial_window(window_alphabet(channel), 2, rows=1)
         with pytest.raises(ValueError, match="one mass row"):
-            evolve_window(dist, 1, BeliefModel(0.0, prior_1=0.3), channel)
+            evolve_window(dist, 1, BeliefModel(0.0), channel)
+
+    @pytest.mark.parametrize(
+        "channel", [FlipSchedule("constant", q=0.2), ErasureSchedule("constant", level=0.3)], ids=["flip", "erasure"]
+    )
+    def test_rejects_skewed_prior(self, channel):
+        """A mirrored law at prior 0.3: the cutoffs of mirror states no longer
+        sum to one, so one row cannot stand for two."""
+        model = BeliefModel(0.0, prior_1=0.3)
+        dist = initial_window(window_alphabet(channel), 2, rows=1)
+        with pytest.raises(ValueError, match="one mass row"):
+            evolve_window(dist, 1, model, channel)
 
     def test_mass1_is_the_mirror_view(self):
-        model = BeliefModel(0.0, prior_1=0.3)
+        model = BeliefModel(0.0)
         channel = ErasureSchedule("constant", level=0.3)
         dist = initial_window(3, 2, rows=1)
         for stage in range(1, 4):
@@ -477,13 +534,13 @@ class TestMartingaleCheck:
             martingale_check(FlipSchedule("constant", q=0.25), BeliefModel(0.0), k_max=15)
 
 
-def _scan_oracle(stages, channel, memory):
+def _scan_oracle(stages, channel, memory, prior_1):
     """Per-stage (type1, type2) and the table {(stage, value) or None:
     (P(decide 0 | h = 0), P(decide 0 | h = 1))} of the scan, in Fractions."""
     lv0 = Fraction(channel.level).limit_denominator(10**6)
     lv1 = lv0 if channel.level_one is None else Fraction(channel.level_one).limit_denominator(10**6)
-    half = Fraction(1, 2)
-    table = {None: (_g0(half), _g1(half))}
+    prior_0 = 1 - prior_1
+    table = {None: (_g0(prior_0), _g1(prior_0))}  # no evidence: the cutoff is the prior's
     law = {None: (Fraction(1), Fraction(1))}  # last unerased (stage, value) -> masses under h = 0, 1
     rows = []
     for k in range(1, stages + 1):
@@ -499,9 +556,9 @@ def _scan_oracle(stages, channel, memory):
                 nxt[(k, 0)][h] += masses[h] * (1 - lv0) * p0
                 nxt[(k, 1)][h] += masses[h] * (1 - lv1) * (1 - p0)
         for v in (0, 1):
-            # the cutoff after one symbol of the sender's law: l0 / (l0 + l1)
+            # the cutoff after one symbol of the sender's law: pi0 l0 / (pi0 l0 + pi1 l1)
             like = [dec1[h] if v else 1 - dec1[h] for h in (0, 1)]
-            tau = like[0] / (like[0] + like[1])
+            tau = prior_0 * like[0] / (prior_0 * like[0] + prior_1 * like[1])
             table[(k, v)] = (_g0(tau), _g1(tau))
         law = {ev: tuple(m) for ev, m in nxt.items()}
         rows.append((dec1[0], 1 - dec1[1]))
@@ -523,7 +580,7 @@ class TestScanAgainstOracle:
     )
     def test_errors_and_table(self, channel, memory):
         stages = 7  # exact masses under unequal levels double their digits each stage
-        rows, table = _scan_oracle(stages, channel, memory)
+        rows, table = _scan_oracle(stages, channel, memory, Fraction(3, 10))
         series, got = scan_error_series(BeliefModel(0.0, prior_1=0.3), channel, memory, stages)
         for k, (t1, t2) in enumerate(rows, start=1):
             assert series.extra["p0_type1"][k - 1] == pytest.approx(float(t1), rel=1e-12, abs=0.0)
@@ -551,18 +608,18 @@ class TestScanAgainstOracle:
         ids=["full", "sqrt", "sigma0.3", "sporadic", "bounded"],
     )
     def test_summed_law_matches_law_of_codes(self, channel, memory):
-        """The O(1) sums of equal levels against the law of every code,
-        over enough stages for windows to drop codes and for sporadic ones
-        to reopen at 16 squares."""
+        """The O(1) sums of equal levels at prior 1/2 against the law of
+        every code, over enough stages for windows to drop codes and for
+        sporadic ones to reopen at 16 squares."""
         stages = 300
-        model = BeliefModel(1.0, prior_1=0.3)
+        model = BeliefModel(1.0)
         series, table = scan_error_series(model, channel, memory, stages)
         pair = cdf_pair(model)
         lv0, lv1 = erasure_levels(channel, np.arange(1, stages + 1))
         ref = np.empty((2, 2 * stages + 2))
         ref[:, :2] = np.asarray(pair(0.5))[:, None]
         t1, t2 = np.empty(stages), np.empty(stages)
-        _scan_general(pair, lv0, lv1, memory, ref, t1, t2)
+        _scan_general(pair, (0.5, 0.5), lv0, lv1, memory, ref, t1, t2)
         np.testing.assert_allclose(series.extra["p0_type1"], t1, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(series.extra["p1_type2"], t2, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(table, ref, rtol=1e-12, atol=0.0)
@@ -606,7 +663,7 @@ class TestScanLongRun:
         ref_table = np.empty((2, 2 * short + 2))
         ref_table[:, :2] = np.asarray(pair(0.5))[:, None]
         t1, t2 = np.empty(short), np.empty(short)
-        _scan_general(pair, levels, levels, MemorySchedule("full"), ref_table, t1, t2)
+        _scan_general(pair, (0.5, 0.5), levels, levels, MemorySchedule("full"), ref_table, t1, t2)
         np.testing.assert_allclose(t1, ref[:short], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(t2, ref[:short], rtol=1e-12, atol=0.0)
 

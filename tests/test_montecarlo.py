@@ -26,7 +26,7 @@ from noisycast.montecarlo import (
     run_trial,
 )
 from noisycast.recursions import RecursionSpec, iterate_recursion
-from noisycast.strategy import BELIEF_CEIL, BELIEF_FLOOR, belief_cutoff_from_public
+from noisycast.strategy import BELIEF_CEIL, BELIEF_FLOOR
 from noisycast.topology import MemorySchedule, chain_success_probability
 
 MODEL = BeliefModel(0.0)
@@ -89,14 +89,16 @@ class TestConfigValidation:
 
     def test_grid_check_is_the_recursions(self):
         """A non-integral grid is refused, not truncated to stages 1, 3 and
-        7, with the message the recursions give; the grid is kept as given."""
+        7, with the message the recursions give; an integer-valued float
+        grid is kept as its int stages."""
         spec = RecursionSpec(initial=0.5, exponent=1, delta=0.1)
         with pytest.raises(ValueError) as recursion_error:
             iterate_recursion(spec, 60, grid=[1.5, 3.9, 7])
         with pytest.raises(ValueError) as config_error:
             _flip_full(grid=(1.5, 3.9, 7))
         assert str(config_error.value) == str(recursion_error.value)
-        assert _flip_full(grid=(1.0, 7.0)).grid == (1.0, 7.0)
+        grid = _flip_full(grid=(1.0, 7.0)).grid
+        assert grid == (1, 7) and all(type(k) is int for k in grid)
 
     def test_scalar_validation(self):
         with pytest.raises(ValueError):
@@ -123,6 +125,19 @@ class TestConfigValidation:
         a = config_hash(_flip_full())
         assert len(a) == 12 and a == config_hash(_flip_full())
         assert a != config_hash(_flip_full(seed=4))
+
+    def test_config_hash_reads_every_grid_stage(self):
+        """numpy prints a 2000-stage array as its first and last three
+        entries, so two grids that differ only in the middle once shared a
+        hash.  The config keeps its grid as a tuple of ints: every stage is
+        hashed, an array grid hashes like the same tuple, and hash() works."""
+        skip_1001, skip_1002 = (np.delete(np.arange(1, 2002), i) for i in (1000, 1001))
+        a, b = (_flip_full(stages=2001, grid=g) for g in (skip_1001, skip_1002))
+        assert config_hash(a) != config_hash(b)
+        as_tuple = _flip_full(stages=2001, grid=tuple(skip_1001.tolist()))
+        assert a.grid == as_tuple.grid and type(a.grid[0]) is int
+        assert config_hash(a) == config_hash(as_tuple)
+        assert hash(a) == hash(as_tuple)
 
 
 class TestDeterminism:
@@ -265,8 +280,7 @@ def _allocating_flip_step(config: ExperimentConfig, m: int):
 
     def step(k, u, v):
         nonlocal b
-        c = belief_cutoff_from_public(b, model)
-        f0, f1 = cdf(model, 0, c), cdf(model, 1, c)
+        f0, f1 = cdf(model, 0, 1.0 - b), cdf(model, 1, 1.0 - b)
         d = u > np.where([[False], [True]], f1, f0)
         q = float(qs[k - 1])
         w = 1.0 - 2.0 * q
@@ -341,7 +355,9 @@ class TestFlipKernel:
     def test_bits_pinned(self):
         """sha256 of the per-stage error counts and each trial's last erring
         stage of one config, recorded before the kernel was rewritten in
-        place; a change to any bit of the flip kernel fails here."""
+        place and re-recorded when the cutoff became the Bayes test at every
+        prior (test_matches_allocating_reference vouches for the new bits);
+        a change to any bit of the flip kernel fails here."""
         config = ExperimentConfig(
             model=BeliefModel(1.0, prior_1=0.4),
             channel=FlipSchedule("power", p=0.5, scale=0.8),
@@ -357,7 +373,7 @@ class TestFlipKernel:
         assert series.meta["clamp_events"] == 0
         assert (
             hashlib.sha256(blob.astype(np.int64).tobytes()).hexdigest()
-            == "bfae6adfabaa807dfc0114a068e0ceeb36a2d6faad3efbbd10bc24b8781acb1d"
+            == "890b679ca2daf596b23aafbcef96c9e26a67af404930873a88fc2b06315d9a0a"
         )
 
 
@@ -444,6 +460,45 @@ class TestAgainstExact:
         sigma = np.sqrt(model.prior_0**2 * p0 * (1 - p0) / trials + model.prior_1**2 * p1 * (1 - p1) / trials)
         assert np.max(np.abs(est.values - exact.values) / sigma) <= 5.5
 
+    @pytest.mark.parametrize(
+        "channel,memory",
+        [
+            (FlipSchedule("constant", q=0.2), MemorySchedule("full")),
+            (FlipSchedule("constant", q=0.2), MemorySchedule("bounded", capacity=2)),
+            (ErasureSchedule("constant", level=0.2, level_one=0.6), MemorySchedule("bounded", capacity=2)),
+            (ErasureSchedule("constant", level=0.5), MemorySchedule("full")),
+        ],
+        ids=["flip_kernel", "window_flip", "window_erasure", "scan"],
+    )
+    def test_bayes_rule_at_prior_08(self, channel, memory):
+        """At prior_1 = 0.8 and beta = 0 node 1 decides 1 above 0.2 and errs
+        0.2 * 0.64 + 0.8 * 0.04 = 0.16; the prior-free cutoff 1/2 errred
+        0.25.  Every error count of stages 1-4, err0 and err1, is
+        Binomial(trials, exact rate), the rates from the window engine (full
+        memory follows the C = 3 window up to stage 4) or the scan.  Each
+        count must lie inside its two-sided exact binomial interval of
+        false-failure rate 1e-6: eight counts per case, so below 8e-6 per
+        case and 3.2e-5 over the four, whatever the correlation between
+        stages.  At stage 1 the old rule's type-1 rate, 0.25 against 0.64,
+        is about 180 binomial SE away."""
+        from scipy import stats
+
+        model = BeliefModel(0.0, prior_1=0.8)
+        stages, trials = 4, 20_000
+        if memory.family == "full" and isinstance(channel, ErasureSchedule):
+            exact, _ = scan_error_series(model, channel, memory, stages)
+        else:
+            window = memory if memory.family == "bounded" else MemorySchedule("bounded", capacity=3)
+            exact = exact_error_series(model, channel, window, stages)
+        assert exact.values[0] == pytest.approx(0.16, abs=1e-15)
+        config = ExperimentConfig(
+            model, channel, memory, stages=stages, trials=trials, seed=808, grid=tuple(range(1, stages + 1))
+        )
+        est = estimate_error_series(config)
+        for count, rate in ((est.extra["err0"], exact.extra["p0_type1"]), (est.extra["err1"], exact.extra["p1_type2"])):
+            lo, hi = stats.binom.ppf(5e-7, trials, rate), stats.binom.isf(5e-7, trials, rate)
+            assert np.all((lo <= count) & (count <= hi)), (count, lo, hi)
+
     def test_chain_success_within_noise(self):
         est = estimate_chain_success(0.5, 10, 20_000, seed=5)
         exact = chain_success_probability(0.5, 10)
@@ -469,7 +524,10 @@ class TestWindowBitsPinned:
     """sha256 of the window kernel's (err0, err1) counts, recorded from the
     kernel that coded erasures as digit 2 and dropped the oldest symbol by
     a modulo, with a window recursion that carried both mass rows: a
-    rewrite of either that moves one decision fails here."""
+    rewrite of either that moves one decision fails here.  The prior-0.3
+    digests were re-recorded when the cutoff became the Bayes test at every
+    prior; the oracle tests of test_exact_dp vouch for the tables the
+    kernel reads."""
 
     @pytest.mark.parametrize(
         "model,channel,capacity,digest",
@@ -477,9 +535,9 @@ class TestWindowBitsPinned:
             (BeliefModel(1.0), FlipSchedule("constant", q=0.1), 10,
              "8e4d041ad8a83eaf29ddcdff4f15961847c0f8f37c84f93cbc3cd870898bb47e"),
             (BeliefModel(0.0, prior_1=0.3), ErasureSchedule("constant", level=0.2, level_one=0.6), 6,
-             "dd5048df57210eb075da55c586fb6a3012ed43f46a1f9d7d4cfcaafbc3cca193"),
+             "136ef2f6f3d80d6dc7a49c6822f018646ca11ddc3f573d62a4aea981ccf4ec35"),
             (BeliefModel(0.0, prior_1=0.3), ErasureSchedule("constant", level=0.5), 12,
-             "09302f4a21f0734757820427b462d8796d9edfcbd7e942cbd27da787ef40a3f9"),
+             "69b50c3b93fa81b6381eb698437408675f2ad78aa52f077ff058719976d9679a"),
         ],
         ids=["flip", "unequal_erasure", "equal_erasure"],
     )
@@ -496,21 +554,23 @@ class TestScanBitsPinned:
     """sha256 of the scan kernel's (err0, err1) counts on the default grid
     and each trial's last erring stage, recorded from the kernel that
     rebuilt its evidence codes with np.where every stage: a rewrite that
-    moves one decision fails here."""
+    moves one decision fails here.  Re-recorded when the cutoff became the
+    Bayes test at every prior; the scan oracle of test_exact_dp vouches for
+    the table and test_erasure_scan_within_binomial_noise for the kernel."""
 
     @pytest.mark.parametrize(
         "channel,memory,digest",
         [
             (ErasureSchedule("constant", level=0.9), MemorySchedule("full"),
-             "baf0939c055b792f83773164fc5f65460d0bfd019eb73abdf643f57a77ddaa3a"),
+             "f3ef08aa69481794164e1fb2bd79ee9a0e953b065d0c697ee6c3d96f1c69973e"),
             (ErasureSchedule("constant", level=0.5), MemorySchedule("power", sigma=0.5),
-             "72c05044faea47a98a1cf6cd0d2150bf8261f748901d53a7cceb6bac3e7bd19b"),
+             "76ee7d452382cf5fc95541d60d230836221c3ad7493e4e179f47cfbade68d1d3"),
             (ErasureSchedule("constant", level=0.6), MemorySchedule("sporadic"),
-             "c73c654caf3667036148b6587e5554aba7921fd538c0383428a908ba3e8b6ee8"),
+             "15ca78697f7bffc8cdc150c45bf3ee3cdd31467e0df018fc140a0b80e1ca9e82"),
             (ErasureSchedule("constant", level=0.3, level_one=0.7), MemorySchedule("full"),
-             "e78df211668edc76b482b935e456c23c2f4b36ae334dd17d0cf2a1a2749df2a5"),
+             "53eb6dc8368d265a713f8cdf67b48828e387d2caca58d3e502f69038f579eeca"),
             (ErasureSchedule("theorem4", c=1.0, eps=2.0), MemorySchedule("full"),
-             "fa07569d4450902b5ceacdfc273f2190c05164749ea1e383039229a7ba43be9d"),
+             "8b1c49d5ba019d6afac6beabe96d9b33e90569f8d10b3d429ee452277267bcb7"),
         ],
         ids=["full", "power", "sporadic", "asymmetric", "theorem4"],
     )

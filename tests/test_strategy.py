@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from noisycast.belief_model import BeliefModel, cdf
+from noisycast.belief_model import BeliefModel, cdf, cdfs
 from noisycast.strategy import (
     BELIEF_CEIL,
     BELIEF_FLOOR,
-    belief_cutoff_from_public,
     clamp_belief,
     conditional_decision_probs,
     public_belief_step,
@@ -21,36 +20,56 @@ MODEL = BeliefModel(0.0)
 _open_unit = st.floats(min_value=1e-6, max_value=1.0 - 1e-6, allow_nan=False)
 
 
+def _cutoff_probs(c, model=MODEL):
+    """(P(decide 0 | h = 0), P(decide 0 | h = 1)) at the private-belief cutoff c."""
+    return float(cdf(model, 0, c)), float(cdf(model, 1, c))
+
+
 class TestThresholds:
     def test_map_cutoff_frozen(self):
-        # public likelihood ratio L = b / (1 - b): the cutoff is 1 / (1 + L)
-        assert belief_cutoff_from_public(0.5, MODEL) == pytest.approx(0.5)
-        assert belief_cutoff_from_public(0.75, MODEL) == pytest.approx(0.25)
-        assert belief_cutoff_from_public(1.0, MODEL) == 0.0
-        assert belief_cutoff_from_public(0.0, MODEL) == 1.0
+        # public likelihood ratio L = b / (1 - b): the cutoff is 1 / (1 + L) = 1 - b
+        for b, c in ((0.5, 0.5), (0.75, 0.25), (1.0, 0.0), (0.0, 1.0)):
+            assert tuple(map(float, conditional_decision_probs(b, MODEL))) == _cutoff_probs(c)
 
     def test_cutoff_from_public_equal_priors(self):
         # with symmetric priors the cutoff mirrors the public belief
-        assert belief_cutoff_from_public(0.35, MODEL) == pytest.approx(0.65)
-        assert belief_cutoff_from_public(0.5, MODEL) == pytest.approx(0.5)
+        p0, p1 = conditional_decision_probs(0.35, MODEL)
+        assert (float(p0), float(p1)) == pytest.approx(_cutoff_probs(0.65), rel=1e-15)
 
     def test_cutoff_from_public_skewed_prior(self):
-        # private and public beliefs each fold the prior in once, so the
-        # combined odds divide it back out: decide one iff
-        # (p / (1-p)) (b / (1-b)) (prior_0 / prior_1) > 1
+        # the private belief r is a posterior at even odds, r / (1 - r) its
+        # likelihood ratio, and the public belief b already holds the prior:
+        # decide one iff (r / (1 - r)) (b / (1 - b)) > 1, i.e. r > 1 - b.
+        # The prior enters only where b starts, so it moves no cutoff.
         model = BeliefModel(0.0, prior_1=0.25)
-        b = 0.4
-        ratio = (0.25 / 0.75) * (1 - b) / b
-        assert belief_cutoff_from_public(b, model) == pytest.approx(ratio / (1 + ratio))
-        assert belief_cutoff_from_public(b, model) == pytest.approx(1.0 / 3.0)
+        b = np.array([0.4, 0.25, 0.9])
+        got = conditional_decision_probs(b, model)
+        assert np.array_equal(got, conditional_decision_probs(b, MODEL))
+        np.testing.assert_allclose(got, cdfs(model, [0.6, 0.75, 0.1]), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("beta", [0.0, 2.0])
+    @pytest.mark.parametrize("prior", [0.25, 0.5, 0.8])
+    def test_first_cutoff_is_the_bayes_test(self, beta, prior):
+        """The first node reads a public belief of prior_1, so its cutoff is
+        prior_0, and its error pi0 (1 - F0(c)) + pi1 F1(c) is the least over
+        every cutoff c: the Bayes test at every prior.  At beta = 0 and
+        prior_1 = 0.8 it is 0.2 * 0.64 + 0.8 * 0.04 = 0.16."""
+        model = BeliefModel(beta, prior_1=prior)
+        pi0, pi1 = model.prior_0, model.prior_1
+        f0, f1 = conditional_decision_probs(prior, model)
+        assert (float(f0), float(f1)) == _cutoff_probs(1.0 - prior, model)
+        err = pi0 * (1.0 - f0) + pi1 * f1
+        cuts = np.linspace(0.0, 1.0, 2001)
+        assert err <= (pi0 * (1.0 - cdf(model, 0, cuts)) + pi1 * cdf(model, 1, cuts)).min() + 1e-15
+        if (beta, prior) == (0.0, 0.8):
+            assert err == pytest.approx(0.16, abs=1e-15)
 
 
 class TestConditionalDecisionProbs:
     def test_matches_signal_cdf_at_cutoff(self):
         b = 0.35
-        c = float(belief_cutoff_from_public(b, MODEL))
+        c = 1.0 - b
         p0, p1 = conditional_decision_probs(b, MODEL)
-        assert c == pytest.approx(0.65)
         assert p0 == pytest.approx(float(cdf(MODEL, 0, c)))
         assert p1 == pytest.approx(float(cdf(MODEL, 1, c)))
 
@@ -130,7 +149,7 @@ class TestBufferedStep:
         b = np.concatenate([[BELIEF_FLOOR, BELIEF_CEIL, 0.5], rng.random(997)]).reshape(2, 500)
         seen = rng.random((2, 500)) < 0.5
         q = 0.15
-        c = belief_cutoff_from_public(b, model)
+        c = 1.0 - b
         f0, f1 = cdf(model, 0, c), cdf(model, 1, c)
         w = 1.0 - 2.0 * q
         like1 = np.where(seen, q + w * (1.0 - f1), q + w * f1)
@@ -139,11 +158,10 @@ class TestBufferedStep:
         assert np.array_equal(clamp_belief(public_belief_step(b, q, seen.astype(np.int64), (f0, f1))), want)
 
         f = np.empty((2,) + b.shape)
-        work = np.empty((5,) + b.shape)
+        work = np.empty((4,) + b.shape)
         assert conditional_decision_probs(b, model, out=f, work=work) is f
         assert np.array_equal(f[0], f0) and np.array_equal(f[1], f1)
-        np.testing.assert_array_equal(work[0], 1.0 - b)
-        np.testing.assert_array_equal(work[0 if model.prior_1 == 0.5 else 1], c)
+        np.testing.assert_array_equal(work[0], c)
         out, bit = b.copy(), np.empty_like(f)
         np.copyto(bit, seen)  # as the kernel passes the bit: floats in both likelihood rows
         assert public_belief_step(out, q, bit, f, out=out, work=f, rest=work[0]) is out
