@@ -13,6 +13,7 @@ __version__ = "0.1.0"  # set before the submodules load: presets records it in e
 from .analysis import (
     FitResult,
     SeriesResult,
+    config_hash,
     default_grid,
     fit_power,
     fit_power_of_log,
@@ -51,7 +52,6 @@ from .montecarlo import (
     HerdingReport,
     HerdingRow,
     TrialRecord,
-    config_hash,
     estimate_chain_success,
     estimate_error_series,
     herding_stats,

@@ -10,6 +10,11 @@ and check straightness, not to do inference.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import hashlib
+import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
@@ -67,8 +72,7 @@ class SeriesResult:
 def default_grid(last_stage: int) -> np.ndarray:
     """Every stage up to _GRID_DENSE, then _GRID_GEOMETRIC points spaced
     geometrically up to last_stage."""
-    if last_stage < 1:
-        raise ValueError(f"last_stage must be >= 1, got {last_stage!r}")
+    last_stage = check_count(last_stage, "last_stage")
     dense = np.arange(1, min(last_stage, _GRID_DENSE) + 1, dtype=np.int64)
     if last_stage <= _GRID_DENSE:
         return dense
@@ -86,6 +90,39 @@ def check_grid(grid, stages: int) -> np.ndarray:
     if raw[0] < 1 or raw[-1] > stages or (np.diff(raw) <= 0).any():
         raise ValueError("grid must be strictly increasing inside [1, stages]")
     return raw.astype(np.int64)
+
+
+def check_count(value, name: str, low: int = 1, high: float = math.inf) -> int:
+    """value as an int inside [low, high), read as check_grid reads a stage:
+    an integer-valued float counts; a bool, a fraction or a string does not."""
+    integral = isinstance(value, numbers.Integral) or isinstance(value, numbers.Real) and float(value).is_integer()
+    if isinstance(value, bool) or not integral or not low <= value < high:
+        raise ValueError(f"{name} must be an integer in [{low}, {high}), got {value!r}")
+    return int(value)
+
+
+def store_floats(obj, *names) -> None:
+    """Store each named field of a frozen dataclass that is set as a float,
+    refusing bools and strings, so equal configs share one config_hash."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (numbers.Real, type(None))):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        object.__setattr__(obj, name, None if value is None else float(value))
+
+
+def _json_value(obj):
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.compare}
+    raise TypeError(f"{type(obj).__name__} has no canonical JSON form")
+
+
+def config_hash(payload) -> str:
+    """The name of a run: the first 12 hex digits of the sha256 of the
+    payload's canonical JSON, in which a dataclass reads as the fields its
+    equality compares."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_json_value)
+    return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import store_floats
+
 
 @dataclass(frozen=True)
 class BeliefModel:
@@ -35,6 +37,7 @@ class BeliefModel:
     prior_1: float = 0.5
 
     def __post_init__(self) -> None:
+        store_floats(self, "beta", "prior_1")
         if not (math.isfinite(self.beta) and self.beta >= 0.0):
             raise ValueError(f"beta must be a finite float >= 0, got {self.beta!r}")
         if not 0.0 < self.prior_1 < 1.0:

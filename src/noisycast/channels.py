@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import store_floats
+
 _FLIP_FAMILIES = ("constant", "power", "reciprocal", "log_power", "log")
 _ERASURE_FAMILIES = ("constant", "theorem4")
 
@@ -37,6 +39,7 @@ class FlipSchedule:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
+        store_floats(self, "q", "p", "scale")
         if self.family not in _FLIP_FAMILIES:
             raise ValueError(f"unknown flip family {self.family!r}, expected one of {_FLIP_FAMILIES}")
         if self.family == "constant":
@@ -78,6 +81,7 @@ class ErasureSchedule:
     level_one: float | None = None
 
     def __post_init__(self) -> None:
+        store_floats(self, "level", "c", "eps", "level_one")
         if self.family not in _ERASURE_FAMILIES:
             raise ValueError(f"unknown erasure family {self.family!r}, expected one of {_ERASURE_FAMILIES}")
         if self.family == "constant":

@@ -22,6 +22,7 @@ import numpy as np
 
 from .analysis import (
     SeriesResult,
+    config_hash,
     fit_power,
     fit_power_of_log,
     fit_reciprocal_log,
@@ -40,7 +41,6 @@ from .presets import (
     list_presets,
     martingale_columns,
     mc_columns,
-    payload_digest,
     recursion_columns,
     run_preset,
 )
@@ -50,14 +50,6 @@ from .topology import MemorySchedule
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class RunSettings:
-    stages: int = 1000
-    trials: int = 10_000
-    seed: int = 0
-    k0_fraction: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -72,7 +64,8 @@ class ParsedConfig:
     model: BeliefModel
     channel: Channel
     memory: MemorySchedule | None
-    run: RunSettings
+    run: Overrides
+    k0_fraction: float
     recursion: RecursionSettings
     warnings: list[str]
     doc: dict
@@ -80,11 +73,9 @@ class ParsedConfig:
     @property
     def digest(self) -> str:
         """Hash of the JSON document, run overrides included."""
-        return payload_digest(self.doc)
+        return config_hash(self.doc)
 
     def experiment(self) -> ExperimentConfig:
-        if self.memory is None:
-            raise ConfigError("this task needs a 'memory' section")
         try:
             return ExperimentConfig(
                 self.model,
@@ -153,7 +144,7 @@ def parse_config(path, default_task: str | None = None) -> ParsedConfig:
         task = doc["task"]
 
     try:
-        model = BeliefModel(beta=float(doc.get("beta", 0.0)), prior_1=float(doc.get("prior_1", 0.5)))
+        model = BeliefModel(beta=doc.get("beta", 0.0), prior_1=doc.get("prior_1", 0.5))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{p}: bad model parameters: {exc}") from exc
 
@@ -176,20 +167,13 @@ def parse_config(path, default_task: str | None = None) -> ParsedConfig:
     rec_doc = doc.get("recursion", {})
     _require_keys("recursion", rec_doc, {"initial", "coefficient"})
     try:
-        run = RunSettings(**run_doc)
-        run = replace(
-            run,
-            stages=int(run.stages),
-            trials=int(run.trials),
-            seed=int(run.seed),
-            k0_fraction=float(run.k0_fraction),
-        )
+        counts = {"stages": 1000, "trials": 10_000, "seed": 0, **run_doc}
+        k0_fraction = float(counts.pop("k0_fraction", 0.5))  # herding_stats checks its range
+        run = Overrides(**counts)
         recursion = RecursionSettings(**rec_doc)
         recursion = replace(recursion, initial=float(recursion.initial))
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{p}: {exc}") from exc
-    if run.stages < 1:
-        raise ConfigError(f"{p}: run.stages must be >= 1")
 
     flip = isinstance(channel, FlipSchedule)
     if task == "martingale":
@@ -204,7 +188,7 @@ def parse_config(path, default_task: str | None = None) -> ParsedConfig:
     if task in ("simulate", "herding") and memory is None:
         raise ConfigError(f"{p}: task {task!r} needs a 'memory' section")
 
-    return ParsedConfig(task, model, channel, memory, run, recursion, captured, doc)
+    return ParsedConfig(task, model, channel, memory, run, k0_fraction, recursion, captured, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +214,7 @@ def _simulate(cfg: ParsedConfig, threads: int):
 
 
 def _herding(cfg: ParsedConfig, threads: int):
-    rep = herding_stats(cfg.experiment(), k0_fraction=cfg.run.k0_fraction, threads=threads)
+    rep = herding_stats(cfg.experiment(), k0_fraction=cfg.k0_fraction, threads=threads)
     n = len(rep.rows)
     columns = {
         "hypothesis": np.arange(n),

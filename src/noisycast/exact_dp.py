@@ -39,7 +39,7 @@ import numpy as np
 from .belief_model import BeliefModel, cdf_pair, cdfs
 from .channels import Channel, ErasureSchedule, FlipSchedule, erasure_levels, flip_prob, flip_probs
 from .topology import MemorySchedule, memory_size
-from .analysis import SeriesResult
+from .analysis import SeriesResult, check_count
 
 MAX_CAPACITY = 12
 MAX_MARTINGALE_DEPTH = 14  # martingale_check enumerates 2**k_max histories
@@ -243,8 +243,7 @@ def exact_error_series(model: BeliefModel, channel: Channel, memory: MemorySched
     """
     if memory.family != "bounded":
         raise ValueError(f"exact recursion needs bounded memory, got family {memory.family!r}")
-    if stages < 1:
-        raise ValueError(f"stages must be >= 1, got {stages!r}")
+    stages = check_count(stages, "stages")
     pe = np.empty(stages)
     t1 = np.empty(stages)
     t2 = np.empty(stages)
@@ -361,8 +360,7 @@ def scan_error_series(model: BeliefModel, channel: ErasureSchedule, memory: Memo
     """
     if not isinstance(channel, ErasureSchedule):
         raise ValueError(f"the scan runs over an erasure channel, got {channel!r}")
-    if stages < 1:
-        raise ValueError(f"stages must be >= 1, got {stages!r}")
+    stages = check_count(stages, "stages")
     pair = cdf_pair(model)
     lv0s, lv1s = erasure_levels(channel, np.arange(1, stages + 1))
     table = np.empty((2, 2 * stages + 2))

@@ -50,15 +50,14 @@ is rejected up front.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
 
-from .analysis import SeriesResult, check_grid, default_grid
+from .analysis import SeriesResult, check_count, check_grid, config_hash, default_grid
 from .belief_model import BeliefModel
 from .channels import Channel, ErasureSchedule, FlipSchedule, erasure_levels, flip_probs
 from .exact_dp import MAX_CAPACITY, scan_error_series, window_stages
@@ -75,9 +74,8 @@ _CI_Z = 1.96
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One Monte Carlo experiment.  calibration_trials is ignored: the
-    erasure scan's table is exact and needs no trials.  The field stays
-    because config_hash hashes repr(config): dropping it would change the
-    hash line of every Monte Carlo CSV."""
+    erasure scan's table is exact and needs no trials.  Equality, hash()
+    and config_hash leave it out, so dropping the field moves no hash."""
 
     model: BeliefModel
     channel: Channel
@@ -85,16 +83,12 @@ class ExperimentConfig:
     stages: int
     trials: int
     seed: int
-    calibration_trials: int = 2000
+    calibration_trials: int = field(default=2000, compare=False)
     grid: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.stages < 1:
-            raise ValueError(f"stages must be >= 1, got {self.stages!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a uint64, got {self.seed!r}")
+        for name, low, high in (("stages", 1, math.inf), ("trials", 1, math.inf), ("seed", 0, 2**64)):
+            object.__setattr__(self, name, check_count(getattr(self, name), name, low, high))
         if isinstance(self.channel, FlipSchedule):
             if self.memory.family not in ("full", "bounded"):
                 raise ValueError(
@@ -103,10 +97,9 @@ class ExperimentConfig:
                 )
         elif not isinstance(self.channel, ErasureSchedule):
             raise ValueError(f"channel must be a FlipSchedule or ErasureSchedule, got {self.channel!r}")
-        if self.memory.family == "bounded":
-            if self.memory.capacity > MAX_CAPACITY:
-                raise ValueError(f"bounded memory is capped at capacity {MAX_CAPACITY} for exact cutoffs")
-        if self.grid is not None:  # stored as a tuple of ints: repr, config_hash and hash() read every stage
+        if self.memory.family == "bounded" and self.memory.capacity > MAX_CAPACITY:
+            raise ValueError(f"bounded memory is capped at capacity {MAX_CAPACITY} for exact cutoffs")
+        if self.grid is not None:  # stored as a tuple of ints: config_hash and hash() read every stage
             object.__setattr__(self, "grid", tuple(check_grid(self.grid, self.stages).tolist()))
 
 
@@ -115,10 +108,6 @@ class TrialRecord:
     decisions: np.ndarray
     last_error_index: int
     clamp_count: int
-
-
-def config_hash(config: ExperimentConfig) -> str:
-    return hashlib.sha256(repr(config).encode()).hexdigest()[:12]
 
 
 @lru_cache(maxsize=64)
@@ -403,8 +392,7 @@ def run_trial(config: ExperimentConfig, trial_index: int, hypothesis: int) -> Tr
     window costs that pass every time."""
     if hypothesis not in (0, 1):
         raise ValueError(f"hypothesis must be 0 or 1, got {hypothesis!r}")
-    if trial_index < 0:
-        raise ValueError(f"trial_index must be >= 0, got {trial_index!r}")
+    trial_index = check_count(trial_index, "trial_index", low=0)
     _, last, clamps, dec = _run_block(config, trial_index, trial_index + 1, _step_for(config), collect=True)
     return TrialRecord(dec[hypothesis, 0], int(last[hypothesis, 0]), int(clamps[hypothesis]))
 
@@ -423,10 +411,7 @@ def estimate_chain_success(erasure_level: float, hops: int, trials: int, seed: i
     `hops` candidates each, all erased independently at the given level."""
     if not 0.0 <= erasure_level <= 1.0:
         raise ValueError(f"erasure level must lie in [0, 1], got {erasure_level!r}")
-    if hops < 1:
-        raise ValueError(f"hops must be >= 1, got {hops!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
+    hops, trials = check_count(hops, "hops"), check_count(trials, "trials")
     g = np.random.Generator(np.random.Philox(key=_stream_key(seed, _PHASE_AUX, 0, 0)))
     chunk = max(1, (1 << 20) // (hops * hops))
     successes = 0

@@ -7,9 +7,9 @@ the default it names; an override of a setting the preset leaves unset is
 refused with a PresetError before anything runs.  It returns an Outcome:
 the tables to write, the checks, and the payload that names the run.
 run_preset does the rest for every preset: it applies the overrides,
-hashes the payload (canonical JSON, or config_hash of a Monte Carlo
-ExperimentConfig), writes each table as a CSV under a
-``# config_hash producer seed`` line, and writes verdict.json.
+names the run by analysis.config_hash of the payload, writes each table as
+a CSV under a ``# config_hash producer seed`` line, and writes
+verdict.json.
 
 A check is one acceptance threshold.  Checks marked informational report a
 number without gating the verdict; they record rates that are known not to
@@ -18,7 +18,6 @@ be reproducible at feasible horizons.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import operator
@@ -34,6 +33,8 @@ import numpy as np
 from . import __version__
 from .analysis import (
     SeriesResult,
+    check_count,
+    config_hash,
     default_grid,
     fit_power,
     fit_power_of_log,
@@ -46,7 +47,6 @@ from .channels import ErasureSchedule, FlipSchedule, erasure_levels
 from .exact_dp import MartingaleReport, exact_error_series, martingale_check, scan_error_series
 from .montecarlo import (
     ExperimentConfig,
-    config_hash,
     estimate_chain_success,
     estimate_error_series,
     herding_stats,
@@ -77,10 +77,10 @@ class UnknownPresetError(PresetError):
 
 @dataclass(frozen=True)
 class Overrides:
-    """CLI-level knobs: seed / trials / stages replace the preset defaults
+    """Run settings: seed / trials / stages replace the preset defaults
     when set (run_preset refuses one the preset does not declare), threads
-    parallelises the Monte Carlo blocks.  Stages, trials and threads below
-    1, or a seed outside uint64, raise ValueError."""
+    parallelises the Monte Carlo blocks.  Each set value is a count stored
+    as check_count's int: a seed in uint64, the rest from 1."""
 
     seed: int | None = None
     trials: int | None = None
@@ -88,12 +88,10 @@ class Overrides:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("stages", "trials", "threads"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value!r}")
-        if self.seed is not None and not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a uint64, got {self.seed!r}")
+        for name, low, high in (("seed", 0, 2**64), ("trials", 1, math.inf), ("stages", 1, math.inf),
+                                ("threads", 1, math.inf)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, check_count(getattr(self, name), name, low, high))
 
 
 _NO_OVERRIDES = Overrides()
@@ -119,15 +117,6 @@ class Preset:
     stages: int | None = None
     trials: int | None = None
     seed: int | None = None
-
-
-def payload_digest(payload) -> str:
-    """config_hash of a Monte Carlo ExperimentConfig, else the first 12 hex
-    digits of the sha256 of the payload's canonical JSON."""
-    if isinstance(payload, ExperimentConfig):
-        return config_hash(payload)
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 _OPS = {"<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge, "==": operator.eq}
@@ -539,7 +528,7 @@ def run_preset(name: str, out_dir, overrides: Overrides = _NO_OVERRIDES) -> dict
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     outcome = preset.run(settings)
-    digest = payload_digest(outcome.payload)
+    digest = config_hash(outcome.payload)
     seed = 0 if settings.seed is None else settings.seed  # 0 when nothing is drawn
     for file_name, (producer, columns) in outcome.tables.items():
         write_series_csv(out / file_name, columns, {"producer": producer, "config_hash": digest, "seed": seed})

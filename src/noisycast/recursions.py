@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import SeriesResult, check_grid, default_grid
+from .analysis import SeriesResult, check_count, check_grid, default_grid, store_floats
 from .belief_model import BeliefModel, tail_constants
 from .channels import FlipSchedule, target_informativeness
 
@@ -45,10 +45,10 @@ class RecursionSpec:
     delta: object
 
     def __post_init__(self) -> None:
+        store_floats(self, "initial")
         if not 0.0 < self.initial < 1.0:
             raise ValueError(f"initial value must lie in (0, 1), got {self.initial!r}")
-        if int(self.exponent) != self.exponent or self.exponent < 1:
-            raise ValueError(f"exponent must be an integer >= 1, got {self.exponent!r}")
+        object.__setattr__(self, "exponent", check_count(self.exponent, "exponent"))
         if not callable(self.delta) and not np.isscalar(self.delta):
             raise ValueError("delta must be a float or a callable on stage arrays")
 
@@ -112,8 +112,7 @@ def _advance(c: float, n: int, ds, k0: int) -> float:
 
 def iterate_recursion(spec: RecursionSpec, stages: int, grid=None) -> SeriesResult:
     """Run the recursion to c_stages, recording values on the grid."""
-    if stages < 1:
-        raise ValueError(f"stages must be >= 1, got {stages!r}")
+    stages = check_count(stages, "stages")
     targets = check_grid(default_grid(stages) if grid is None else grid, stages)
     vals = np.empty(targets.size)
     ts, out = memoryview(targets), memoryview(vals)

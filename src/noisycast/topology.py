@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .analysis import check_count, store_floats
+
 _MEMORY_FAMILIES = ("bounded", "power", "full", "sporadic")
 
 
@@ -29,11 +31,11 @@ class MemorySchedule:
     sigma: float | None = None
 
     def __post_init__(self) -> None:
+        store_floats(self, "sigma")
         if self.family not in _MEMORY_FAMILIES:
             raise ValueError(f"unknown memory family {self.family!r}, expected one of {_MEMORY_FAMILIES}")
         if self.family == "bounded":
-            if self.capacity is None or int(self.capacity) != self.capacity or self.capacity < 1:
-                raise ValueError(f"bounded family needs integer capacity >= 1, got {self.capacity!r}")
+            object.__setattr__(self, "capacity", check_count(self.capacity, "bounded family's capacity"))
         elif self.capacity is not None:
             raise ValueError(f"{self.family} family takes no capacity")
         if self.family == "power":
@@ -103,6 +105,5 @@ def chain_success_probability(erasure_level: float, hops: int) -> float:
     unerased broadcast, erasures independent at the given level."""
     if not 0.0 <= erasure_level <= 1.0:
         raise ValueError(f"erasure level must lie in [0, 1], got {erasure_level!r}")
-    if hops < 1 or int(hops) != hops:
-        raise ValueError(f"hops must be a positive integer, got {hops!r}")
+    hops = check_count(hops, "hops")
     return (1.0 - erasure_level**hops) ** hops

@@ -31,7 +31,7 @@ CRITERIA = {
         "thm_erasure_bounded": {"series.csv": "3e1038c246c52798e7587cb13eed2d9f302fc2aa030e26b05bdb2d15109bfeec"},
     },
     4: {  # full memory over flips learns
-        "thm_flip_learning": {"series.csv": "0904d822fd78d5e65ef241b7b5cba5140d8fbc418e4ffe9ccf124223614dd909"},
+        "thm_flip_learning": {"series.csv": "e9cdf1893747add1aab1e8a2ce969190f92cdff355b6965facfebc40862104fa"},
     },
     5: {  # constant channel: belief like 1/k, bound like 1/k**2
         "thm_rate_k2": {"series.csv": "b5081f24d8327764c1a51b08228a9113be0703dffb809c1904812479eb709446"},
@@ -66,15 +66,15 @@ CRITERIA = {
     },
     13: {  # Monte Carlo agrees with the exact window recursion
         "mc_vs_exact": {
-            "series.csv": "9ea577202cde84ec6f7c866ed0a2c791cd13b5f1ae83537c6f3daa6a0dfd5b7c",
-            "exact.csv": "1aeef08229aebfd4a0c7a39046dd6c41e4504241fda7dd483b7c0061514dab31",
+            "series.csv": "b5233eeec9387c053fae505b35f94854c05f11fd22db0dc3d191fe9ef1a2d1ee",
+            "exact.csv": "1f8f920e8410cd8b9ff97e896568567733875e76ec4ee582f21f4041a2ca1ab7",
         },
     },
     14: {  # late errors persist under slowing flips, vanish under constant ones
         "thm9_herding": {"series.csv": "6ff759f51f6c11934394f156388b1397e78a29e1835311c13340fa4824b70955"},
     },
     15: {  # full memory keeps learning through heavy erasure
-        "thm_erasure_unbounded": {"series.csv": "9748bab53ab21dfc881c0bcd2fa234f9055597af509f114361f4a3e900e634c7"},
+        "thm_erasure_unbounded": {"series.csv": "261c60757e52f6519b38c5a7f1025350dab91d0b93f123c61f6d02b0e03888ca"},
     },
 }
 

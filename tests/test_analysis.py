@@ -15,6 +15,8 @@ from noisycast import analysis
 from noisycast.analysis import (
     FitResult,
     SeriesResult,
+    check_count,
+    check_grid,
     default_grid,
     fit_power,
     fit_power_of_log,
@@ -92,6 +94,36 @@ class TestDefaultGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             default_grid(0)
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize("value", [12, 12.0, 1.2e1, np.int64(12), np.uint64(12), np.float32(12.0)])
+    def test_integral_values_are_counts(self, value):
+        count = check_count(value, "stages")
+        assert count == 12 and type(count) is int
+
+    @pytest.mark.parametrize("value", [5.7, True, False, np.bool_(True), "12", None, float("nan"), float("inf"), 0, -3])
+    def test_refused(self, value):
+        with pytest.raises(ValueError, match="stages must be an integer in"):
+            check_count(value, "stages")
+
+    def test_reads_a_value_as_check_grid_reads_a_stage(self):
+        for value in (3, 3.0, 2.5, True):
+            try:
+                grid_ok = check_grid([value], 10).tolist() == [3]
+            except ValueError:
+                grid_ok = False
+            try:
+                count_ok = check_count(value, "k") == 3
+            except ValueError:
+                count_ok = False
+            assert grid_ok == count_ok
+
+    def test_bounds(self):
+        assert check_count(0, "seed", 0, 2**64) == 0
+        assert check_count(2**64 - 1, "seed", 0, 2**64) == 2**64 - 1
+        with pytest.raises(ValueError):
+            check_count(2**64, "seed", 0, 2**64)
 
 
 class TestFits:

@@ -8,12 +8,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import noisycast
 from noisycast.analysis import read_series_csv, write_series_csv
 from noisycast.cli import ConfigError, _parser, _subcommand_argv, main, parse_config
 from noisycast.presets import list_presets
@@ -325,6 +328,34 @@ class TestConfigErrors:
     def test_bad_capacity_rejected(self, tmp_path, capsys):
         self._expect_2(tmp_path, capsys, memory={"family": "bounded", "capacity": 0})
 
+    @pytest.mark.parametrize("run", [{"stages": 5.7}, {"seed": True}, {"stages": "12"}, {"trials": 2.5}])
+    def test_run_counts_are_not_truncated_or_coerced(self, tmp_path, capsys, run):
+        """A fraction, a bool or a string is no count: the run is refused
+        before anything is written, where it once ran int(value)."""
+        self._expect_2(tmp_path, capsys, run=run)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("model", [{"beta": "0.5"}, {"beta": True}, {"prior_1": "0.3"}])
+    def test_model_numbers_are_not_coerced(self, tmp_path, capsys, model):
+        """beta and prior_1 are read by BeliefModel alone, which stores a
+        real number as a float and refuses a string or a bool."""
+        self._expect_2(tmp_path, capsys, **model)
+        assert not (tmp_path / "o").exists()
+
+    def test_fractional_capacity_rejected(self, tmp_path, capsys):
+        self._expect_2(tmp_path, capsys, memory={"family": "bounded", "capacity": 2.5})
+        assert not (tmp_path / "o").exists()
+
+    def test_integral_float_capacity_runs_as_its_int(self, tmp_path):
+        """capacity 2.0 is stored as int 2: the engines run, where a float
+        capacity once crashed the window workspace, and write the rows of 2."""
+        bodies = []
+        for cap in (2, 2.0):
+            cfg = _write_config(tmp_path / f"{cap}.json", memory={"family": "bounded", "capacity": cap})
+            assert main(["exact", "--config", str(cfg), "--out", str(tmp_path / str(cap))]) == 0
+            bodies.append((tmp_path / str(cap) / "series.csv").read_text().split("\n", 1)[1])
+        assert bodies[0] == bodies[1]
+
 
 class TestOverrideFlags:
     @pytest.mark.parametrize(
@@ -524,10 +555,13 @@ class TestUsage:
         assert parser.parse_args(_subcommand_argv(parser, flag_form)) == parser.parse_args(twin)
 
     def test_console_module(self):
+        """The child imports the package this process imported, installed or not."""
+        path = [str(Path(noisycast.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         proc = subprocess.run(
             [sys.executable, "-m", "noisycast.cli", "list"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
         )
         assert proc.returncode == 0
         assert "thm_rate_k2" in proc.stdout

@@ -8,6 +8,7 @@ binomial noise, and results are bit-identical however the work is split.
 from __future__ import annotations
 
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -138,6 +139,51 @@ class TestConfigValidation:
         assert a.grid == as_tuple.grid and type(a.grid[0]) is int
         assert config_hash(a) == config_hash(as_tuple)
         assert hash(a) == hash(as_tuple)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (
+                dict(model=BeliefModel(np.float64(0.0), np.float64(0.5)),
+                     channel=FlipSchedule("constant", q=np.float32(0.25)),
+                     memory=MemorySchedule("bounded", capacity=np.int64(2)),
+                     stages=np.int64(40), trials=np.int32(64), seed=np.uint64(9)),
+                dict(model=BeliefModel(0.0, 0.5), channel=FlipSchedule("constant", q=0.25),
+                     memory=MemorySchedule("bounded", capacity=2), stages=40, trials=64, seed=9),
+            ),
+            (dict(model=BeliefModel(0)), dict(model=BeliefModel(0.0))),
+            (dict(channel=ErasureSchedule("constant", level=0)), dict(channel=ErasureSchedule("constant", level=0.0))),
+            (dict(memory=MemorySchedule("power", sigma=1)), dict(memory=MemorySchedule("power", sigma=1.0))),
+            (dict(stages=100.0, trials=512.0, grid=(1.0, 100.0)), dict(stages=100, trials=512, grid=(1, 100))),
+            (dict(calibration_trials=10), dict(calibration_trials=2000)),
+        ],
+    )
+    def test_equal_configs_share_one_identity(self, first, second):
+        """Configs that compare equal are one run: one config_hash and one
+        hash(), whatever numeric types built them; calibration_trials is
+        read by nothing, so it names nothing."""
+        base = dict(model=MODEL, channel=ErasureSchedule("constant", level=0.5), memory=MemorySchedule("full"),
+                    stages=60, trials=512, seed=3)
+        a, b = ExperimentConfig(**{**base, **first}), ExperimentConfig(**{**base, **second})
+        assert a == b and hash(a) == hash(b)
+        assert config_hash(a) == config_hash(b)
+        assert a.stages == b.stages and type(a.stages) is int and type(a.model.beta) is float
+
+    def test_config_hash_is_the_canonical_json_digest(self):
+        """A config is named like any payload: the sha256 of the canonical
+        JSON of the fields its equality compares."""
+        cfg = _flip_full(calibration_trials=7)
+        doc = {"model": {"beta": 0.0, "prior_1": 0.5}, "channel": {"family": "constant", "q": 0.1, "p": None,
+               "scale": 1.0}, "memory": {"family": "full", "capacity": None, "sigma": None},
+               "stages": 60, "trials": 512, "seed": 3, "grid": None}
+        assert config_hash(cfg) == config_hash(doc)
+        blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+        assert config_hash(cfg) == hashlib.sha256(blob).hexdigest()[:12]
+
+    @pytest.mark.parametrize("kw", [{"stages": 5.7}, {"trials": True}, {"seed": "3"}, {"stages": float("inf")}])
+    def test_counts_are_integers(self, kw):
+        with pytest.raises(ValueError, match="must be an integer"):
+            _flip_full(**kw)
 
 
 class TestDeterminism:

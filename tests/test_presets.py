@@ -156,3 +156,13 @@ class TestRunPreset:
         with pytest.raises(ValueError):
             Overrides(**kw)
         Overrides(seed=2**64 - 1, trials=1, stages=1, threads=1)
+
+    @pytest.mark.parametrize("kw", [{"trials": 5.7}, {"stages": True}, {"seed": "7"}, {"threads": 1.5}])
+    def test_overrides_refuse_what_is_no_count(self, kw):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Overrides(**kw)
+
+    def test_overrides_store_integral_floats_as_ints(self):
+        ov = Overrides(seed=7.0, trials=2e2, stages=np.int64(30))
+        assert ov == Overrides(seed=7, trials=200, stages=30)
+        assert all(type(v) is int for v in (ov.seed, ov.trials, ov.stages))
