@@ -101,12 +101,13 @@ def check_count(value, name: str, low: int = 1, high: float = math.inf) -> int:
     return int(value)
 
 
-def store_floats(obj, *names) -> None:
-    """Store each named field of a frozen dataclass that is set as a float,
-    refusing bools and strings, so equal configs share one config_hash."""
+def store_floats(obj, *names, optional: bool = True) -> None:
+    """Store each named field of a dataclass that is set as a float,
+    refusing bools and strings (and None unless optional), so equal configs
+    share one config_hash."""
     for name in names:
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, (numbers.Real, type(None))):
+        if isinstance(value, bool) or not (isinstance(value, numbers.Real) or optional and value is None):
             raise ValueError(f"{name} must be a real number, got {value!r}")
         object.__setattr__(obj, name, None if value is None else float(value))
 

@@ -37,7 +37,7 @@ class BeliefModel:
     prior_1: float = 0.5
 
     def __post_init__(self) -> None:
-        store_floats(self, "beta", "prior_1")
+        store_floats(self, "beta", "prior_1", optional=False)
         if not (math.isfinite(self.beta) and self.beta >= 0.0):
             raise ValueError(f"beta must be a finite float >= 0, got {self.beta!r}")
         if not 0.0 < self.prior_1 < 1.0:

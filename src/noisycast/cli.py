@@ -27,6 +27,7 @@ from .analysis import (
     fit_power_of_log,
     fit_reciprocal_log,
     series_from_csv,
+    store_floats,
     write_series_csv,
 )
 from .belief_model import BeliefModel
@@ -57,6 +58,9 @@ class RecursionSettings:
     initial: float = 0.5
     coefficient: str = "beta_plus_one"
 
+    def __post_init__(self) -> None:
+        store_floats(self, "initial", optional=False)
+
 
 @dataclass
 class ParsedConfig:
@@ -69,6 +73,9 @@ class ParsedConfig:
     recursion: RecursionSettings
     warnings: list[str]
     doc: dict
+
+    def __post_init__(self) -> None:
+        store_floats(self, "k0_fraction", optional=False)  # herding_stats checks its range
 
     @property
     def digest(self) -> str:
@@ -168,10 +175,9 @@ def parse_config(path, default_task: str | None = None) -> ParsedConfig:
     _require_keys("recursion", rec_doc, {"initial", "coefficient"})
     try:
         counts = {"stages": 1000, "trials": 10_000, "seed": 0, **run_doc}
-        k0_fraction = float(counts.pop("k0_fraction", 0.5))  # herding_stats checks its range
-        run = Overrides(**counts)
-        recursion = RecursionSettings(**rec_doc)
-        recursion = replace(recursion, initial=float(recursion.initial))
+        k0_fraction = counts.pop("k0_fraction", 0.5)
+        parsed = ParsedConfig(task, model, channel, memory, Overrides(**counts), k0_fraction,
+                              RecursionSettings(**rec_doc), captured, doc)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{p}: {exc}") from exc
 
@@ -188,7 +194,7 @@ def parse_config(path, default_task: str | None = None) -> ParsedConfig:
     if task in ("simulate", "herding") and memory is None:
         raise ConfigError(f"{p}: task {task!r} needs a 'memory' section")
 
-    return ParsedConfig(task, model, channel, memory, run, k0_fraction, recursion, captured, doc)
+    return parsed
 
 
 # ---------------------------------------------------------------------------

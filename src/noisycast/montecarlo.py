@@ -28,18 +28,22 @@ strided (2, m) operand, which it buffers, nor a where= mask, slower than
 putmask: a block steps every trial its draws cover, an even-aligned run of
 trials, and reads only its own.
 
-Random stream.  The key of (seed, phase, hypothesis) is
-SeedSequence(seed, spawn_key=(phase, hypothesis)).generate_state(2, uint64).
-Trial t at stage k takes outputs 2 * (t % 2) (u) and 2 * (t % 2) + 1 (v) of
-Philox(key=key, counter=[t // 2, k, phase, hypothesis]).  Any (trial, stage)
-draw is thus made on its own, and a block of trials is one draw per stage
-and hypothesis.  Counts are integer sums, so estimates are bit-identical
-whatever the block size or thread count.  Per stage only the counter of
-a stream's state is rewritten, in a dict of lists that the Philox setter
-reads in about 1 us (arrays: 4 us).  A job is a block of at most
-_BLOCK_TRIALS trials per hypothesis; `threads` matters only when there is
-more than one block.  run_trial replays one trial through the same skeleton,
-so it matches its batched twin exactly.
+Random stream.  Every job of a config draws from the same two streams,
+PCG64DXSM(SeedSequence(seed, spawn_key=(0, h))) for hypothesis h (O'Neill,
+"PCG: a family of simple fast space-efficient statistically good algorithms
+for random number generation", 2014; numpy's DXSM output).  Stage k draws
+from row k of that stream, the stream as numpy's PCG64DXSM.jumped(k - 1)
+leaves it: trial t takes outputs 2t (u) and 2t + 1 (v) of its row.  A job
+advances to its first trial's outputs, fills its rows of one stage with one
+draw per hypothesis and advances by the jump, less what it drew, to the
+next stage's row.  Any (trial, stage) draw is thus made on its own: a
+trial's path is the same whatever the block size, the thread count or the
+trial count, and a shorter horizon's is a prefix of a longer one's.  Counts
+are integer sums, so estimates are bit-identical whatever the block size or
+thread count.  A job is a block of at most _BLOCK_TRIALS trials per
+hypothesis; `threads` matters only when there is more than one block.
+run_trial replays one trial through the same skeleton, so it matches its
+batched twin exactly.
 
 Memory is O(trials per block), not O(trials x stages); a bounded window
 adds O(alphabet**capacity) per block job, which drives its own recursion.
@@ -65,7 +69,9 @@ from .strategy import BELIEF_CEIL, BELIEF_FLOOR, clamp_belief, conditional_decis
 from .topology import MemorySchedule, memory_size
 
 _PHASE_MEASURE = 0
-_PHASE_AUX = 2  # stays 2 so that estimate_chain_success keeps its stream
+_PHASE_AUX = 2  # estimate_chain_success's stream
+# (phi - 1) * 2**128 outputs, the step of numpy's PCG64DXSM.jumped: stage k's row starts k - 1 steps in
+_STAGE_JUMP = 210306068529402873165736369884012333109
 
 _BLOCK_TRIALS = 1 << 15  # trials per hypothesis in one job
 _CI_Z = 1.96
@@ -110,15 +116,10 @@ class TrialRecord:
     clamp_count: int
 
 
-@lru_cache(maxsize=64)
-def _stream_key(seed: int, *spawn_key: int) -> np.ndarray:
-    return np.random.SeedSequence(seed, spawn_key=spawn_key).generate_state(2, np.uint64)
-
-
 def _run_block(config: ExperimentConfig, lo: int, hi: int, make_step, slot=None, collect=False):
     """Advance trials lo..hi-1 of both hypotheses in lockstep through every
     stage.  make_step(config, width) builds the step for the trials the
-    Philox counters draw, the even-aligned run around lo..hi-1, so the
+    stage rows are drawn for, the even-aligned run around lo..hi-1, so the
     (2, width) views u and v are never strided; only lo..hi-1 are read.
     step(k, u, v) returns the (2, width) boolean decisions of stage k and
     either None or the mask of public beliefs clamped by the stage; the
@@ -138,13 +139,10 @@ def _run_block(config: ExperimentConfig, lo: int, hi: int, make_step, slot=None,
     buf = np.empty((2, width, 2))
     streams = []
     for h in (0, 1):
-        bits = np.random.Philox(key=_stream_key(config.seed, _PHASE_MEASURE, h))
-        # set in place each stage: building a bit generator costs more than
-        # the draw, and the emptied buffer makes each draw start at the counter
-        state = bits.state
-        state["state"]["key"] = state["state"]["key"].tolist()
-        state["buffer"], state["buffer_pos"] = state["buffer"].tolist(), 4
-        streams.append((bits, state, np.random.Generator(bits), buf[h]))
+        bits = np.random.PCG64DXSM(np.random.SeedSequence(config.seed, spawn_key=(_PHASE_MEASURE, h)))
+        bits.advance(4 * first)  # trial 2 * first's u is output 4 * first of each stage row
+        streams.append((bits, np.random.Generator(bits), buf[h]))
+    skip = _STAGE_JUMP - 2 * width  # from the end of this stage's draws to the next row's
     u, v = buf.transpose(2, 0, 1)
     step = make_step(config, width)
     counts = np.zeros((2, 0 if slot is None else int(slot.max()) + 1), dtype=np.int64)
@@ -154,10 +152,9 @@ def _run_block(config: ExperimentConfig, lo: int, hi: int, make_step, slot=None,
     clamps = np.zeros(2, dtype=np.int64)
     dec = np.zeros((2, width, config.stages), dtype=np.int8) if collect else None
     for k in range(1, config.stages + 1):
-        for h, (bits, state, gen, out) in enumerate(streams):
-            state["state"]["counter"] = [first, k, _PHASE_MEASURE, h]  # Philox(key=key, counter=this)
-            bits.state = state
+        for bits, gen, out in streams:
             gen.random(out=out)
+            bits.advance(skip)
         d, clamped = step(k, u, v)
         if collect:
             dec[:, :, k - 1] = d
@@ -412,7 +409,7 @@ def estimate_chain_success(erasure_level: float, hops: int, trials: int, seed: i
     if not 0.0 <= erasure_level <= 1.0:
         raise ValueError(f"erasure level must lie in [0, 1], got {erasure_level!r}")
     hops, trials = check_count(hops, "hops"), check_count(trials, "trials")
-    g = np.random.Generator(np.random.Philox(key=_stream_key(seed, _PHASE_AUX, 0, 0)))
+    g = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(_PHASE_AUX, 0, 0))))
     chunk = max(1, (1 << 20) // (hops * hops))
     successes = 0
     done = 0

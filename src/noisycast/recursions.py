@@ -45,7 +45,7 @@ class RecursionSpec:
     delta: object
 
     def __post_init__(self) -> None:
-        store_floats(self, "initial")
+        store_floats(self, "initial", optional=False)
         if not 0.0 < self.initial < 1.0:
             raise ValueError(f"initial value must lie in (0, 1), got {self.initial!r}")
         object.__setattr__(self, "exponent", check_count(self.exponent, "exponent"))

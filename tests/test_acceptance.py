@@ -31,7 +31,7 @@ CRITERIA = {
         "thm_erasure_bounded": {"series.csv": "3e1038c246c52798e7587cb13eed2d9f302fc2aa030e26b05bdb2d15109bfeec"},
     },
     4: {  # full memory over flips learns
-        "thm_flip_learning": {"series.csv": "e9cdf1893747add1aab1e8a2ce969190f92cdff355b6965facfebc40862104fa"},
+        "thm_flip_learning": {"series.csv": "17620a656fa71ff3bb2960ec80d46eecf54058b18e08101bff883f0c0e99151a"},
     },
     5: {  # constant channel: belief like 1/k, bound like 1/k**2
         "thm_rate_k2": {"series.csv": "b5081f24d8327764c1a51b08228a9113be0703dffb809c1904812479eb709446"},
@@ -62,19 +62,19 @@ CRITERIA = {
         "prop1_sigma05": {"series.csv": "c765890d094b5cd17fbbe6cd0160d6897b4c709c8c1153b0aedb082efb0a0da4"},
     },
     12: {  # relay chains survive erasure levels that climb to one
-        "thm_erasure_to_one": {"series.csv": "c5d2b08619768db589eaf22433a42585a0f8f6dc8901098fe3c180aa068052ca"},
+        "thm_erasure_to_one": {"series.csv": "bc1340f9eb1b385f6433aa7754b7ac9e96625d05048e9caf1298e8e4e0713ca5"},
     },
     13: {  # Monte Carlo agrees with the exact window recursion
         "mc_vs_exact": {
-            "series.csv": "b5233eeec9387c053fae505b35f94854c05f11fd22db0dc3d191fe9ef1a2d1ee",
+            "series.csv": "a86ab3bf5db29d72fd7c61046a559f5dd0a472f90404a76d305b06b9e38e66ef",
             "exact.csv": "1f8f920e8410cd8b9ff97e896568567733875e76ec4ee582f21f4041a2ca1ab7",
         },
     },
     14: {  # late errors persist under slowing flips, vanish under constant ones
-        "thm9_herding": {"series.csv": "6ff759f51f6c11934394f156388b1397e78a29e1835311c13340fa4824b70955"},
+        "thm9_herding": {"series.csv": "5af8ac2613c4085df58eee95d7a59751d68dcbae638b35b854e75bf648ceec08"},
     },
     15: {  # full memory keeps learning through heavy erasure
-        "thm_erasure_unbounded": {"series.csv": "261c60757e52f6519b38c5a7f1025350dab91d0b93f123c61f6d02b0e03888ca"},
+        "thm_erasure_unbounded": {"series.csv": "cbef51a1e3b3778f9fac07183022b3468ad1082537db736fbba1d02cabb86e35"},
     },
 }
 

@@ -50,6 +50,9 @@ class TestNormaliser:
             BeliefModel(0.0, prior_1=0.0)
         with pytest.raises(ValueError):
             BeliefModel(0.0, prior_1=1.0)
+        for bad in (dict(beta=None), dict(prior_1=None)):  # a missing number once failed on "<" (TypeError)
+            with pytest.raises(ValueError, match="must be a real number"):
+                BeliefModel(**bad)
 
     def test_integer_beta_is_the_exact_integer(self):
         # 1 / B(beta + 1, beta + 2) = k * C(2k, k) with k = beta + 1

@@ -214,12 +214,12 @@ _PINNED_CONFIGS = {
     "simulate": (
         {"channel": {"kind": "flip", "q": 0.1}, "memory": {"family": "full"},
          "run": {"stages": 30, "trials": 200, "seed": 4}},
-        "23e30dc2922d9bc60bf494acae8d4f7e3bb718d10ba4546a50e00052cfc8a792",
+        "a7e6047cf97a87423419a08816d3855cda5c0c84a02412f96587ad831295c4a8",
     ),
     "herding": (
         {"channel": {"kind": "flip", "q": 0.1}, "memory": {"family": "full"},
          "run": {"stages": 40, "trials": 200, "seed": 2}},
-        "f4c0283fb033f076a988f8cf9da2f6c37706183b264368af86dc93cc1623e1be",
+        "f60eab4c3e281a20ac8c26e0a5da3c82a7fbb8fa4cb15c186b97e5b870eb1209",
     ),
     "exact": (
         {"channel": {"kind": "erasure", "level": 0.3}, "memory": {"family": "bounded", "capacity": 2},
@@ -324,6 +324,20 @@ class TestConfigErrors:
         )
         code = main(["recursion", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["0.3", True, None], ids=["string", "bool", "null"])
+    @pytest.mark.parametrize("section,key", [("recursion", "initial"), ("run", "k0_fraction")])
+    def test_float_settings_are_real_numbers(self, tmp_path, capsys, section, key, value):
+        """A string or a bool was once read through float(), so "0.3" ran
+        as 0.3 and true as 1.0."""
+        cfg = _write_config(tmp_path / "c.json", **{section: {key: value}})
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {cfg}: {key} must be a real number" in capsys.readouterr().err
+
+    def test_float_settings_store_floats(self, tmp_path):
+        parsed = parse_config(_write_config(tmp_path / "c.json", run={"stages": 50, "k0_fraction": 1},
+                                            recursion={"initial": 1}))
+        assert type(parsed.k0_fraction) is float and type(parsed.recursion.initial) is float
 
     def test_bad_capacity_rejected(self, tmp_path, capsys):
         self._expect_2(tmp_path, capsys, memory={"family": "bounded", "capacity": 0})

@@ -316,6 +316,71 @@ class TestDeterminism:
             run_trial(_flip_full(), -1, 0)
 
 
+def _recording_step(seen: list):
+    """A step factory that keeps every (u, v) it is given, row r of the
+    block's draws at [stage - 1, h, r], and decides 0 throughout."""
+
+    def make_step(config, width):
+        draws = np.zeros((config.stages, 2, width, 2))
+        seen.append(draws)
+
+        def step(k, u, v):
+            draws[k - 1, ..., 0], draws[k - 1, ..., 1] = u, v
+            return np.zeros((2, width), dtype=bool), None
+
+        return step
+
+    return make_step
+
+
+class TestStream:
+    """The layout of the draws: stage k of hypothesis h reads row k of
+    PCG64DXSM(SeedSequence(seed, spawn_key=(0, h))), the stream as numpy's
+    jumped(k - 1) leaves it, and trial t takes its outputs 2t (u) and
+    2t + 1 (v).  So each (trial, stage) draw is fixed on its own."""
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [[(1, 6)], [(0, 5)], [(lo, min(lo + 37, 150)) for lo in range(0, 150, 37)],
+         [(lo, min(lo + 64, 150)) for lo in range(0, 150, 64)]],
+        ids=["odd_first", "odd_count", "blocks_37", "blocks_64"],
+    )
+    def test_stage_rows_are_numpys_jumps(self, bounds):
+        config = _flip_full(stages=7, trials=150, seed=77)
+        streams = [np.random.PCG64DXSM(np.random.SeedSequence(config.seed, spawn_key=(0, h))) for h in (0, 1)]
+        rows = np.stack([
+            [np.random.Generator(bits.jumped(k - 1)).random((config.trials, 2)) for bits in streams]
+            for k in range(1, config.stages + 1)
+        ])  # [stage - 1, h, trial, (u, v)]
+        seen = []
+        for lo, hi in bounds:
+            mc._run_block(config, lo, hi, _recording_step(seen))
+        for (lo, _), draws in zip(bounds, seen):  # row r of a block's draws is trial 2 * (lo // 2) + r
+            first = 2 * (lo // 2)
+            np.testing.assert_array_equal(draws, rows[:, :, first:first + draws.shape[2]])
+
+    def test_fewer_trials_are_a_prefix(self):
+        """The last erring stages of T trials are those of the first T of 2T."""
+        short = mc._collect_blocks(_flip_full(trials=75), None, 1)[1]
+        long = mc._collect_blocks(_flip_full(trials=150), None, 1)[1]
+        np.testing.assert_array_equal(short, long[:, :75])
+
+    def test_shorter_horizon_is_a_prefix(self):
+        """thm9_herding's constant case at two horizons: the 2500-stage
+        decision paths are the first 2500 stages of the 5000-stage ones, so
+        both horizons' late errors can be read from one pass."""
+
+        def paths(stages):
+            config = ExperimentConfig(
+                MODEL, FlipSchedule("constant", q=0.05), MemorySchedule("full"), stages=stages, trials=64, seed=1104
+            )
+            return mc._run_block(config, 1, 64, mc._step_for(config), collect=True)[3]
+
+        half, full = paths(2500), paths(5000)
+        assert half.shape == (2, 63, 2500)
+        np.testing.assert_array_equal(half, full[:, :, :2500])
+
+
 def _allocating_flip_step(config: ExperimentConfig, m: int):
     """The flip kernel as plainly allocating steps: both cdfs at the cutoff,
     a np.where decision, the Bayes step with np.where likelihoods and a
@@ -401,9 +466,11 @@ class TestFlipKernel:
     def test_bits_pinned(self):
         """sha256 of the per-stage error counts and each trial's last erring
         stage of one config, recorded before the kernel was rewritten in
-        place and re-recorded when the cutoff became the Bayes test at every
-        prior (test_matches_allocating_reference vouches for the new bits);
-        a change to any bit of the flip kernel fails here."""
+        place, re-recorded when the cutoff became the Bayes test at every
+        prior (test_matches_allocating_reference vouches for the new bits)
+        and when the draws moved to PCG64DXSM stage rows (TestStream and
+        TestAgainstExact vouch for the stream); a change to any bit of the
+        flip kernel fails here."""
         config = ExperimentConfig(
             model=BeliefModel(1.0, prior_1=0.4),
             channel=FlipSchedule("power", p=0.5, scale=0.8),
@@ -419,7 +486,7 @@ class TestFlipKernel:
         assert series.meta["clamp_events"] == 0
         assert (
             hashlib.sha256(blob.astype(np.int64).tobytes()).hexdigest()
-            == "890b679ca2daf596b23aafbcef96c9e26a67af404930873a88fc2b06315d9a0a"
+            == "fd70fa2056e28bfa699f981c0cca67845f46e075fe660b24446a882b7229d296"
         )
 
 
@@ -572,18 +639,20 @@ class TestWindowBitsPinned:
     a modulo, with a window recursion that carried both mass rows: a
     rewrite of either that moves one decision fails here.  The prior-0.3
     digests were re-recorded when the cutoff became the Bayes test at every
-    prior; the oracle tests of test_exact_dp vouch for the tables the
-    kernel reads."""
+    prior, and all three when the draws moved to PCG64DXSM stage rows; the
+    oracle tests of test_exact_dp vouch for the tables the kernel reads,
+    test_window_chain_within_binomial_noise for the kernel on the new
+    stream."""
 
     @pytest.mark.parametrize(
         "model,channel,capacity,digest",
         [
             (BeliefModel(1.0), FlipSchedule("constant", q=0.1), 10,
-             "8e4d041ad8a83eaf29ddcdff4f15961847c0f8f37c84f93cbc3cd870898bb47e"),
+             "ebd8415ac8a693e91d37fcc3014080a77f0aa39390bab088e7bbf53ad2bf636c"),
             (BeliefModel(0.0, prior_1=0.3), ErasureSchedule("constant", level=0.2, level_one=0.6), 6,
-             "136ef2f6f3d80d6dc7a49c6822f018646ca11ddc3f573d62a4aea981ccf4ec35"),
+             "36a2a0b435f1bdc858268f7eb7d2d430f7560f4ea9d8e734622ac7eb80a3976b"),
             (BeliefModel(0.0, prior_1=0.3), ErasureSchedule("constant", level=0.5), 12,
-             "69b50c3b93fa81b6381eb698437408675f2ad78aa52f077ff058719976d9679a"),
+             "1c308d80fa20945fb3657c957c6fe77c4493a32bacbcb5bd970b60fcba747d8b"),
         ],
         ids=["flip", "unequal_erasure", "equal_erasure"],
     )
@@ -601,22 +670,23 @@ class TestScanBitsPinned:
     and each trial's last erring stage, recorded from the kernel that
     rebuilt its evidence codes with np.where every stage: a rewrite that
     moves one decision fails here.  Re-recorded when the cutoff became the
-    Bayes test at every prior; the scan oracle of test_exact_dp vouches for
-    the table and test_erasure_scan_within_binomial_noise for the kernel."""
+    Bayes test at every prior and when the draws moved to PCG64DXSM stage
+    rows; the scan oracle of test_exact_dp vouches for the table and
+    test_erasure_scan_within_binomial_noise for the kernel."""
 
     @pytest.mark.parametrize(
         "channel,memory,digest",
         [
             (ErasureSchedule("constant", level=0.9), MemorySchedule("full"),
-             "f3ef08aa69481794164e1fb2bd79ee9a0e953b065d0c697ee6c3d96f1c69973e"),
+             "4378704ec5c855bbd43c0cd9c77969e062b46eb2fa6c3c0f2e8f08bfcf748d17"),
             (ErasureSchedule("constant", level=0.5), MemorySchedule("power", sigma=0.5),
-             "76ee7d452382cf5fc95541d60d230836221c3ad7493e4e179f47cfbade68d1d3"),
+             "113b40dfd948fa892f5989b1208cb00f9d663b799c46489a740a0962a5cd870d"),
             (ErasureSchedule("constant", level=0.6), MemorySchedule("sporadic"),
-             "15ca78697f7bffc8cdc150c45bf3ee3cdd31467e0df018fc140a0b80e1ca9e82"),
+             "5b76cbdd49ceb240263a3b57742f8da02c45df181e54579d0ee95bb2c3f71837"),
             (ErasureSchedule("constant", level=0.3, level_one=0.7), MemorySchedule("full"),
-             "53eb6dc8368d265a713f8cdf67b48828e387d2caca58d3e502f69038f579eeca"),
+             "801b541e71b2386cc108e38dd7fb3e460a94db2775a86a9efd8e93c5e27d79f1"),
             (ErasureSchedule("theorem4", c=1.0, eps=2.0), MemorySchedule("full"),
-             "8b1c49d5ba019d6afac6beabe96d9b33e90569f8d10b3d429ee452277267bcb7"),
+             "480b9b3c40f39390de7fdb80fc73382163ea0d0a9003804785b588e2489aac3b"),
         ],
         ids=["full", "power", "sporadic", "asymmetric", "theorem4"],
     )

@@ -116,6 +116,8 @@ class TestIterate:
             RecursionSpec(initial=0.5, exponent=0, delta=0.1)
         with pytest.raises(ValueError):
             RecursionSpec(initial=0.5, exponent=1.5, delta=0.1)
+        with pytest.raises(ValueError, match="must be a real number"):  # once a TypeError from "<"
+            RecursionSpec(initial=None, exponent=1, delta=0.1)
 
     def test_delta_must_be_nonnegative_finite(self):
         bad = RecursionSpec(initial=0.5, exponent=1, delta=-0.1)
