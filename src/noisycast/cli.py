@@ -3,9 +3,11 @@
 One parser of subcommands: list, preset, run, simulate, exact, recursion
 and fit.  The flag form (one of --list, --preset NAME and --config FILE,
 among the override flags) is read as its subcommand twin: list,
-preset NAME, run --config FILE.  Exit codes: 0 run completed and every
-check passed, 1 a check failed or the run errored, 2 usage or config
-problems.
+preset NAME, run --config FILE.  A config file is parsed and checked here,
+then runs as presets.config_preset's unnamed preset through run_preset,
+which writes its series.csv and verdict.json.  Exit codes: 0 run completed
+and every check passed, 1 a check failed or the run errored, 2 usage or
+config problems.
 """
 
 from __future__ import annotations
@@ -15,38 +17,18 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
-from .analysis import (
-    SeriesResult,
-    config_hash,
-    fit_power,
-    fit_power_of_log,
-    fit_reciprocal_log,
-    series_from_csv,
-    store_floats,
-    write_series_csv,
-)
+from .analysis import SeriesResult, fit_power, fit_power_of_log, fit_reciprocal_log, series_from_csv, store_floats
 from .belief_model import BeliefModel
 from .channels import Channel, ErasureSchedule, FlipSchedule
-from .exact_dp import MAX_MARTINGALE_DEPTH, exact_error_series, martingale_check
-from .montecarlo import ExperimentConfig, estimate_error_series, herding_stats
-from .presets import (
-    PRESET_INFO,
-    Overrides,
-    PresetError,
-    exact_columns,
-    list_presets,
-    martingale_columns,
-    mc_columns,
-    recursion_columns,
-    run_preset,
-)
-from .recursions import iterate_recursion, rate_recursion, type1_lower_bound
+from .exact_dp import MAX_MARTINGALE_DEPTH
+from .montecarlo import ExperimentConfig
+from .presets import PRESET_INFO, Overrides, Preset, PresetError, config_preset, list_presets, run_preset
 from .topology import MemorySchedule
+
+_TASKS = ("simulate", "exact", "recursion", "martingale", "herding")
 
 
 class ConfigError(ValueError):
@@ -72,28 +54,9 @@ class ParsedConfig:
     k0_fraction: float
     recursion: RecursionSettings
     warnings: list[str]
-    doc: dict
 
     def __post_init__(self) -> None:
         store_floats(self, "k0_fraction", optional=False)  # herding_stats checks its range
-
-    @property
-    def digest(self) -> str:
-        """Hash of the JSON document, run overrides included."""
-        return config_hash(self.doc)
-
-    def experiment(self) -> ExperimentConfig:
-        try:
-            return ExperimentConfig(
-                self.model,
-                self.channel,
-                self.memory,
-                stages=self.run.stages,
-                trials=self.run.trials,
-                seed=self.run.seed,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
 
 def _require_keys(section: str, doc: dict, allowed: set[str]) -> None:
@@ -177,7 +140,7 @@ def parse_config(path, default_task: str | None = None) -> ParsedConfig:
         counts = {"stages": 1000, "trials": 10_000, "seed": 0, **run_doc}
         k0_fraction = counts.pop("k0_fraction", 0.5)
         parsed = ParsedConfig(task, model, channel, memory, Overrides(**counts), k0_fraction,
-                              RecursionSettings(**rec_doc), captured, doc)
+                              RecursionSettings(**rec_doc), captured)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{p}: {exc}") from exc
 
@@ -191,87 +154,37 @@ def parse_config(path, default_task: str | None = None) -> ParsedConfig:
         raise ConfigError(f"{p}: task 'exact' needs memory.family == 'bounded'")
     if task == "recursion" and not flip:
         raise ConfigError(f"{p}: task 'recursion' needs channel.kind == 'flip'")
-    if task in ("simulate", "herding") and memory is None:
-        raise ConfigError(f"{p}: task {task!r} needs a 'memory' section")
+    if task in ("simulate", "herding"):
+        if memory is None:
+            raise ConfigError(f"{p}: task {task!r} needs a 'memory' section")
+        try:  # the Monte Carlo engine's own refusals, e.g. a flip channel over power memory
+            ExperimentConfig(model, channel, memory, stages=parsed.run.stages, trials=parsed.run.trials,
+                             seed=parsed.run.seed)
+        except ValueError as exc:
+            raise ConfigError(f"{p}: {exc}") from exc
 
     return parsed
 
 
 # ---------------------------------------------------------------------------
-# task runners
+# runs
 
 
-def _apply_run_overrides(cfg: ParsedConfig, ov: Overrides) -> ParsedConfig:
-    """Apply --seed, --trials and --nodes to the run settings and to the
-    document's run section, so the config hash names the config that ran,
-    then check the bound that the stages in effect must keep."""
-    kw = {k: v for k, v in (("seed", ov.seed), ("trials", ov.trials), ("stages", ov.stages)) if v is not None}
-    if kw:
-        cfg.run = replace(cfg.run, **kw)
-        cfg.doc = dict(cfg.doc, run={**cfg.doc.get("run", {}), **kw})
-    if cfg.task == "martingale" and cfg.run.stages > MAX_MARTINGALE_DEPTH:
-        raise ConfigError(f"task 'martingale' enumerates at most {MAX_MARTINGALE_DEPTH} stages, got {cfg.run.stages}")
-    return cfg
+def _check_depth(cfg: ParsedConfig, ov: Overrides) -> None:
+    """Refuse a martingale config whose stages, after --nodes, pass the
+    bound that martingale_check enumerates."""
+    stages = cfg.run.stages if ov.stages is None else ov.stages
+    if cfg.task == "martingale" and stages > MAX_MARTINGALE_DEPTH:
+        raise ConfigError(f"task 'martingale' enumerates at most {MAX_MARTINGALE_DEPTH} stages, got {stages}")
 
 
-def _simulate(cfg: ParsedConfig, threads: int):
-    series = estimate_error_series(cfg.experiment(), threads=threads)
-    return mc_columns(series), {"clamp_events": series.meta["clamp_events"]}
-
-
-def _herding(cfg: ParsedConfig, threads: int):
-    rep = herding_stats(cfg.experiment(), k0_fraction=cfg.k0_fraction, threads=threads)
-    n = len(rep.rows)
-    columns = {
-        "hypothesis": np.arange(n),
-        "late_error_fraction": np.asarray([r.late_error_fraction for r in rep.rows]),
-        "q50": np.asarray([r.q50 for r in rep.rows]),
-        "q90": np.asarray([r.q90 for r in rep.rows]),
-        "q99": np.asarray([r.q99 for r in rep.rows]),
-        "K": np.full(n, rep.stages),
-        "N": np.full(n, rep.trials),
-        "seed": np.full(n, rep.seed),
-    }
-    return columns, {}
-
-
-def _exact(cfg: ParsedConfig, threads: int):
-    return exact_columns(exact_error_series(cfg.model, cfg.channel, cfg.memory, cfg.run.stages)), {}
-
-
-def _martingale(cfg: ParsedConfig, threads: int):
-    return martingale_columns(martingale_check(cfg.channel, cfg.model, cfg.run.stages)), {}
-
-
-def _recursion(cfg: ParsedConfig, threads: int):
-    spec = rate_recursion(cfg.model, cfg.channel, cfg.recursion.initial, cfg.recursion.coefficient)
-    series = iterate_recursion(spec, cfg.run.stages)
-    return recursion_columns(series, type1_lower_bound(series, cfg.model)), {}
-
-
-# task -> runner(config, threads) returning (columns, extra header entries)
-_TASKS = {"simulate": _simulate, "exact": _exact, "recursion": _recursion, "martingale": _martingale, "herding": _herding}
-
-
-def _run_config(cfg: ParsedConfig, out: Path, threads: int) -> int:
-    for note in cfg.warnings:
-        print(f"note: {note}", file=sys.stderr)
-    columns, extra = _TASKS[cfg.task](cfg, threads)
-    out.mkdir(parents=True, exist_ok=True)
-    meta = {"config_hash": cfg.digest, "producer": cfg.task, "seed": cfg.run.seed, **extra}
-    write_series_csv(out / "series.csv", columns, meta)
-    print(f"wrote {out / 'series.csv'}")
-    return 0
-
-
-def _run_named_preset(name: str, out_dir: Path | None, ov: Overrides) -> int:
-    out = out_dir if out_dir is not None else Path("runs") / name
-    verdict = run_preset(name, out, ov)
+def _run(preset: str | Preset, label: str, out: Path, ov: Overrides) -> int:
+    verdict = run_preset(preset, out, ov)
     for chk in verdict["checks"]:
         tag = "info" if chk["informational"] else ("PASS" if chk["passed"] else "FAIL")
         print(f"  [{tag}] {chk['name']}: {chk['value']} (target {chk['comparator']} {chk['target']})")
     status = "PASS" if verdict["passed"] else "FAIL"
-    print(f"preset {name}: {status} ({verdict['runtime_seconds']}s, files: {', '.join(verdict['files'])})")
+    print(f"{label}: {status} ({verdict['runtime_seconds']}s, files: {', '.join(verdict['files'])} in {out})")
     return 0 if verdict["passed"] else 1
 
 
@@ -407,10 +320,12 @@ def main(argv: list[str] | None = None) -> int:
             return _run_fit(ns)
         ov = _overrides(parser, ns)
         if ns.command == "preset":
-            return _run_named_preset(ns.name, ns.out, ov)
-        cfg = _apply_run_overrides(parse_config(ns.config, default_task=ns.task), ov)
-        out = ns.out if ns.out is not None else Path("runs") / cfg.task
-        return _run_config(cfg, out, ov.threads)
+            return _run(ns.name, f"preset {ns.name}", ns.out or Path("runs") / ns.name, ov)
+        cfg = parse_config(ns.config, default_task=ns.task)
+        _check_depth(cfg, ov)
+        for note in cfg.warnings:
+            print(f"note: {note}", file=sys.stderr)
+        return _run(config_preset(cfg), f"{cfg.task} config", ns.out or Path("runs") / cfg.task, ov)
     except SystemExit as exc:
         code = exc.code
         return 0 if code is None else int(code)

@@ -9,7 +9,8 @@ the tables to write, the checks, and the payload that names the run.
 run_preset does the rest for every preset: it applies the overrides,
 names the run by analysis.config_hash of the payload, writes each table as
 a CSV under a ``# config_hash producer seed`` line, and writes
-verdict.json.
+verdict.json.  A config file runs the same way, as config_preset's unnamed
+preset with no checks.
 
 A check is one acceptance threshold.  Checks marked informational report a
 number without gating the verdict; they record rates that are known not to
@@ -138,24 +139,24 @@ def _band(label: str, value, low, high) -> list[dict]:
     return [_check(f"{label}_low", value, low, ">="), _check(f"{label}_high", value, high, "<=")]
 
 
-# CSV layouts, shared with the config tasks of the CLI
+# CSV layouts
 
 
-def exact_columns(series: SeriesResult) -> dict:
+def _exact_columns(series: SeriesResult) -> dict:
     return {"k": series.stages, "pe_exact": series.values, **{n: series.extra[n] for n in ("p0_type1", "p1_type2")}}
 
 
-def mc_columns(series: SeriesResult) -> dict:
+def _mc_columns(series: SeriesResult) -> dict:
     extras = ("ci_low", "ci_high", "p0_type1_hat", "p1_type2_hat")
     return {"k": series.stages, "pe_hat": series.values, **{n: series.extra[n] for n in extras}}
 
 
-def martingale_columns(rep: MartingaleReport) -> dict:
+def _martingale_columns(rep: MartingaleReport) -> dict:
     k = np.arange(1, len(rep.stage_deviations) + 1)
     return {"k": k, "max_deviation": rep.stage_deviations, "tail_mass": rep.tail_mass}
 
 
-def recursion_columns(series: SeriesResult, bound: SeriesResult | None = None) -> dict:
+def _recursion_columns(series: SeriesResult, bound: SeriesResult | None = None) -> dict:
     """The belief recursion b_k, and its type-1 lower bound when given."""
     return {"k": series.stages, "b_k": series.values, **({} if bound is None else {"type1_bound": bound.values})}
 
@@ -171,7 +172,7 @@ def _rows_to_columns(names: str, rows: list) -> dict:
 def _martingale(p: Overrides) -> Outcome:
     rep = martingale_check(FlipSchedule("constant", q=0.25), BeliefModel(0.0), p.stages)
     checks = [_check("max_martingale_deviation", rep.max_deviation, 1e-10, "<")]
-    return Outcome({"series.csv": ("martingale", martingale_columns(rep))}, checks, {"q": 0.25, "k_max": p.stages})
+    return Outcome({"series.csv": ("martingale", _martingale_columns(rep))}, checks, {"q": 0.25, "k_max": p.stages})
 
 
 def _window_floor(p: Overrides, *, channel, files: dict, payload: dict) -> Outcome:
@@ -180,7 +181,7 @@ def _window_floor(p: Overrides, *, channel, files: dict, payload: dict) -> Outco
     tables, checks = {}, []
     for cap, name in files.items():
         series = exact_error_series(BeliefModel(0.0), channel, MemorySchedule("bounded", capacity=cap), p.stages)
-        tables[name] = ("exact", exact_columns(series))
+        tables[name] = ("exact", _exact_columns(series))
         half, full = series.value_at(p.stages // 2), series.value_at(p.stages)
         checks += [
             _check(f"c{cap}_tail_gap", abs(full - half), 1e-6, "<"),
@@ -193,37 +194,37 @@ def _window_floor(p: Overrides, *, channel, files: dict, payload: dict) -> Outco
 # Monte Carlo
 
 
-def _simulate(p: Overrides, channel, memory, grid=None):
-    config = ExperimentConfig(BeliefModel(0.0), channel, memory, stages=p.stages, trials=p.trials, seed=p.seed,
-                              grid=grid)
+def _simulate(p: Overrides, model, channel, memory, grid=None):
+    config = ExperimentConfig(model, channel, memory, stages=p.stages, trials=p.trials, seed=p.seed, grid=grid)
     series = estimate_error_series(config, threads=p.threads)
     return config, series, {"clamp_events": series.meta["clamp_events"]}
 
 
 def _mc_vs_exact(p: Overrides) -> Outcome:
     channel, memory = FlipSchedule("constant", q=0.2), MemorySchedule("bounded", capacity=1)
-    config, mc, info = _simulate(p, channel, memory, grid=tuple(range(1, p.stages + 1)))
+    config, mc, info = _simulate(p, BeliefModel(0.0), channel, memory, grid=tuple(range(1, p.stages + 1)))
     exact = exact_error_series(config.model, channel, memory, p.stages)
     p0, p1, n = exact.extra["p0_type1"], exact.extra["p1_type2"], config.trials
     prior_0, prior_1 = config.model.prior_0, config.model.prior_1
     sigma = np.sqrt(prior_0**2 * p0 * (1.0 - p0) / n + prior_1**2 * p1 * (1.0 - p1) / n)
     coverage = float((np.abs(mc.values - exact.values) <= 3.0 * sigma).mean())
-    tables = {"series.csv": ("simulate", mc_columns(mc)), "exact.csv": ("exact", exact_columns(exact))}
+    tables = {"series.csv": ("simulate", _mc_columns(mc)), "exact.csv": ("exact", _exact_columns(exact))}
     return Outcome(tables, [_check("three_sigma_coverage", coverage, 0.95, ">=")], config, info)
 
 
 def _flip_learning(p: Overrides) -> Outcome:
-    config, series, info = _simulate(p, FlipSchedule("constant", q=0.1), MemorySchedule("full"))
+    config, series, info = _simulate(p, BeliefModel(0.0), FlipSchedule("constant", q=0.1), MemorySchedule("full"))
     early, late = 10, p.stages
     checks = [
         _check("error_drops_fivefold", series.value_at(late), series.value_at(early) / 5.0, "<"),
         _check("ci_disjoint", series.extra_at("ci_high", late), series.extra_at("ci_low", early), "<"),
     ]
-    return Outcome({"series.csv": ("simulate", mc_columns(series))}, checks, config, info)
+    return Outcome({"series.csv": ("simulate", _mc_columns(series))}, checks, config, info)
 
 
 def _erasure_unbounded(p: Overrides) -> Outcome:
-    config, series, info = _simulate(p, ErasureSchedule("constant", level=0.9), MemorySchedule("full"))
+    config, series, info = _simulate(p, BeliefModel(0.0), ErasureSchedule("constant", level=0.9),
+                                   MemorySchedule("full"))
     exact, _ = scan_error_series(config.model, config.channel, config.memory, p.stages)
     early, late = 10, p.stages
     checks = [
@@ -235,7 +236,7 @@ def _erasure_unbounded(p: Overrides) -> Outcome:
         _check("exact_final_error", exact.value_at(late), None, "==", informational=True),
         _check("exact_decay_exponent", fit_power(exact, k_min=100).slope, None, "==", informational=True),
     ]
-    return Outcome({"series.csv": ("simulate", mc_columns(series))}, checks, config, info)
+    return Outcome({"series.csv": ("simulate", _mc_columns(series))}, checks, config, info)
 
 
 def _erasure_to_one(p: Overrides) -> Outcome:
@@ -294,7 +295,7 @@ def _rate_law(p: Overrides, *, beta: int, initial: float, belief: tuple, bound: 
     checks = (_band("belief_slope", fit_power(series, k_min=1000).slope, *belief)
               + _band("bound_slope", fit_power(lower, k_min=1000).slope, *bound))
     payload = {"channel": "constant_q_0.1", "beta": beta, "stages": p.stages, "initial": initial}
-    return Outcome({"series.csv": ("recursion", recursion_columns(series, lower))}, checks, payload)
+    return Outcome({"series.csv": ("recursion", _recursion_columns(series, lower))}, checks, payload)
 
 
 def _plateau(p: Overrides) -> Outcome:
@@ -309,7 +310,7 @@ def _plateau(p: Overrides) -> Outcome:
         _check("label", cls.label, "positive_limit", "=="),
         _check("plateau_above_tenth_of_start", cls.estimate, 0.1 * 0.3, ">"),
     ]
-    cols = recursion_columns(SeriesResult(run.stages[on_grid], run.values[on_grid]))
+    cols = _recursion_columns(SeriesResult(run.stages[on_grid], run.values[on_grid]))
     info = {"checkpoints": list(cls.checkpoints), "checkpoint_values": list(cls.values)}
     payload = {"family": "log_power", "p": 2.0, "stages": p.stages}
     return Outcome({"series.csv": ("recursion", cols)}, checks, payload, info)
@@ -319,7 +320,7 @@ def _slowing(p: Overrides, *, sched: FlipSchedule, checks: Callable, info: dict 
     """A flip rate that slows towards 1/2; checks(series) states the law."""
     series = iterate_recursion(rate_recursion(BeliefModel(0.0), sched, initial=0.3), p.stages)
     payload = {"family": sched.family, "p": sched.p, "stages": p.stages}
-    return Outcome({"series.csv": ("recursion", recursion_columns(series))}, checks(series), payload, info)
+    return Outcome({"series.csv": ("recursion", _recursion_columns(series))}, checks(series), payload, info)
 
 
 def _log_power_growth(series: SeriesResult) -> list[dict]:
@@ -396,6 +397,59 @@ def _depth_bands(p: Overrides, *, bands: tuple) -> Outcome:
         checks.append(_check(f"{label}_band", high / low, 3.0, "<"))
     payload = {"family": "power", "sigma": bands[0][1], "stages": p.stages}
     return Outcome({"series.csv": ("depth", {"k": depths[0].stages, "depth": depths[0].values})}, checks, payload)
+
+
+# ---------------------------------------------------------------------------
+# config-file tasks: each takes a parsed config (cli.ParsedConfig) and returns
+# its series.csv columns and extra verdict entries
+
+
+def _simulate_task(p: Overrides, cfg) -> tuple:
+    _, series, info = _simulate(p, cfg.model, cfg.channel, cfg.memory)
+    return _mc_columns(series), info
+
+
+def _herding_task(p: Overrides, cfg) -> tuple:
+    config = ExperimentConfig(cfg.model, cfg.channel, cfg.memory, stages=p.stages, trials=p.trials, seed=p.seed)
+    rep = herding_stats(config, k0_fraction=cfg.k0_fraction, threads=p.threads)
+    rows = [(h, r.late_error_fraction, r.q50, r.q90, r.q99, rep.stages, rep.trials, rep.seed)
+            for h, r in enumerate(rep.rows)]
+    return _rows_to_columns("hypothesis late_error_fraction q50 q90 q99 K N seed", rows), {}
+
+
+def _exact_task(p: Overrides, cfg) -> tuple:
+    return _exact_columns(exact_error_series(cfg.model, cfg.channel, cfg.memory, p.stages)), {}
+
+
+def _martingale_task(p: Overrides, cfg) -> tuple:
+    return _martingale_columns(martingale_check(cfg.channel, cfg.model, p.stages)), {}
+
+
+def _recursion_task(p: Overrides, cfg) -> tuple:
+    series = iterate_recursion(rate_recursion(cfg.model, cfg.channel, cfg.recursion.initial,
+                                              cfg.recursion.coefficient), p.stages)
+    return _recursion_columns(series, type1_lower_bound(series, cfg.model)), {}
+
+
+_CONFIG_TASKS = {"simulate": _simulate_task, "herding": _herding_task, "exact": _exact_task,
+                 "martingale": _martingale_task, "recursion": _recursion_task}
+
+
+def _config_task(p: Overrides, *, cfg) -> Outcome:
+    """No checks; the validated settings at the stages, trials and seed in
+    effect name the run, so two documents that read alike share a hash."""
+    columns, info = _CONFIG_TASKS[cfg.task](p, cfg)
+    payload = {"task": cfg.task, "model": cfg.model, "channel": cfg.channel, "memory": cfg.memory,
+               "k0_fraction": cfg.k0_fraction, "recursion": cfg.recursion,
+               "stages": p.stages, "trials": p.trials, "seed": p.seed}
+    return Outcome({"series.csv": (cfg.task, columns)}, [], payload, info)
+
+
+def config_preset(cfg) -> Preset:
+    """A parsed config file as an unnamed preset: its run section gives the
+    default stages, trials and seed, which run_preset's overrides replace."""
+    return Preset(f"{cfg.task} config", partial(_config_task, cfg=cfg),
+                  stages=cfg.run.stages, trials=cfg.run.trials, seed=cfg.run.seed)
 
 
 PRESETS = {
@@ -511,23 +565,27 @@ def _run_record() -> dict:
     return record
 
 
-def run_preset(name: str, out_dir, overrides: Overrides = _NO_OVERRIDES) -> dict:
-    """Run one preset, write its CSVs and verdict.json under out_dir, and
+def run_preset(preset: str | Preset, out_dir, overrides: Overrides = _NO_OVERRIDES) -> dict:
+    """Run one preset, a registry name or an unnamed Preset such as
+    config_preset's, write its CSVs and verdict.json under out_dir, and
     return the verdict dict.  An unknown name, or an override of a setting
-    the preset does not declare, raises PresetError before anything runs."""
-    if name not in PRESETS:
-        raise UnknownPresetError(name, list_presets())
-    preset = PRESETS[name]
+    the preset does not declare, raises PresetError before anything runs;
+    out_dir is made only once the runner has returned."""
+    name = preset if isinstance(preset, str) else None
+    if name is not None:
+        if name not in PRESETS:
+            raise UnknownPresetError(name, list_presets())
+        preset = PRESETS[name]
     declared = {key: getattr(preset, key) for key in ("seed", "trials", "stages")}
     given = {key: getattr(overrides, key) for key in declared if getattr(overrides, key) is not None}
     undeclared = [key for key in given if declared[key] is None]
     if undeclared:
         raise PresetError(f"preset {name!r} has no {' or '.join(undeclared)} setting to override")
     settings = Overrides(threads=overrides.threads, **{**declared, **given})
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     outcome = preset.run(settings)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     digest = config_hash(outcome.payload)
     seed = 0 if settings.seed is None else settings.seed  # 0 when nothing is drawn
     for file_name, (producer, columns) in outcome.tables.items():

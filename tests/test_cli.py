@@ -112,7 +112,8 @@ class TestConfigRuns:
         cols, meta = read_series_csv(out / "series.csv")
         assert list(cols) == ["k", "pe_hat", "ci_low", "ci_high", "p0_type1_hat", "p1_type2_hat"]
         assert meta["producer"] == "simulate"
-        assert meta["clamp_events"].isdigit()
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert str(verdict["clamp_events"]).isdigit()
         assert np.all(cols["ci_low"] <= cols["pe_hat"])
 
     def test_run_overrides_are_hashed(self, tmp_path):
@@ -130,7 +131,29 @@ class TestConfigRuns:
             hashes[name] = read_series_csv(out / "series.csv")[1]["config_hash"]
         assert hashes["a"] != hashes["b"]
         assert hashes["a"] == hashes["c"]
-        assert hashes["a"] != parse_config(cfg).digest
+
+    def test_one_run_writes_one_hash(self, tmp_path):
+        """config_hash names the validated settings in effect, not the
+        document as written: each spelling of one run writes one hash."""
+
+        def config_hash(name, command, *flags, **doc):
+            out = tmp_path / name
+            cfg = _write_config(tmp_path / f"{name}.json", **doc)
+            assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 0
+            return read_series_csv(out / "series.csv")[1]["config_hash"]
+
+        assert config_hash("int", "exact", run={"stages": 10}) == config_hash("float", "exact", run={"stages": 1e1})
+        spelled = config_hash("spelled", "exact", beta=0.0, prior_1=0.5,
+                              run={"stages": 10, "seed": 0, "k0_fraction": 0.5})
+        assert spelled == config_hash("omitted", "exact", run={"stages": 10})
+        sim = {"task": "simulate", "channel": {"kind": "flip", "q": 0.1}, "memory": {"family": "full"}}
+        flag = config_hash("flag", "simulate", "--trials", "200", run={"stages": 20, "trials": 100, "seed": 4}, **sim)
+        sim["run"] = {"stages": 20, "trials": 200, "seed": 4}
+        assert flag == config_hash("doc", "simulate", **sim)
+        assert flag != config_hash("more", "simulate", "--trials", "400", **sim)
+        assert flag == config_hash("threads", "simulate", "--threads", "4", **sim)
+        assert (tmp_path / "threads" / "series.csv").read_bytes() == (tmp_path / "flag" / "series.csv").read_bytes()
+        assert len(flag) == 12
 
     def test_simulate_thread_invariance(self, tmp_path):
         cfg = _write_config(
@@ -208,43 +231,68 @@ class TestConfigRuns:
         assert (a / "series.csv").read_bytes() != (b / "series.csv").read_bytes()
 
 
-# One small config per task and the sha256 of the series.csv it wrote before
-# the config tasks shared their column layouts with the presets.
+# One small config per task, the sha256 of the series.csv it writes, and the
+# sha256 of the rows below its `#` line.  The rows are those the config
+# tasks wrote before they ran as unnamed presets; the first line moved once,
+# when config_hash came to name the validated settings, not the document.
 _PINNED_CONFIGS = {
     "simulate": (
         {"channel": {"kind": "flip", "q": 0.1}, "memory": {"family": "full"},
          "run": {"stages": 30, "trials": 200, "seed": 4}},
-        "a7e6047cf97a87423419a08816d3855cda5c0c84a02412f96587ad831295c4a8",
+        "c36b5beee23ac24ed7cc4b214a7c34c7b2dee6c4e8ca317c5f536ae024d644e1",
+        "6879b2112db87591a0a969af23712b92df8228ddad43865d8363dfbf509e5777",
     ),
     "herding": (
         {"channel": {"kind": "flip", "q": 0.1}, "memory": {"family": "full"},
          "run": {"stages": 40, "trials": 200, "seed": 2}},
-        "f60eab4c3e281a20ac8c26e0a5da3c82a7fbb8fa4cb15c186b97e5b870eb1209",
+        "48f17f31561934c943318226610648467815926e90ff32aa654ef63e380fb097",
+        "8f028b5c02d8650481d2e97fb7be00d26b71e16d185503f42fb19dbe3dac4b8e",
     ),
     "exact": (
         {"channel": {"kind": "erasure", "level": 0.3}, "memory": {"family": "bounded", "capacity": 2},
          "run": {"stages": 50}},
-        "545f8f551101af86e4f2f555637d941e2b6060e690b385f6d6cd441d5554584c",
+        "b92333f5fbd0aa1a1464d213084a1377c1c714187278d85bff708a1a6f0e09a5",
+        "117d0da45f79902360b7f8bbc4b002d46606c3daa4ab89974bb872d3174ccc43",
     ),
     "martingale": (
         {"channel": {"kind": "flip", "q": 0.25}, "memory": {"family": "full"}, "run": {"stages": 8}},
-        "a54a72c66ba937584cdb1f1915953d30736933af8c74824fb980faaf07193391",
+        "2d68188da5126e5203c30aa38327d457bed3d006c21ef07982812ca7f3828180",
+        "5273d603c27d8e72dd3710b9e82c1820001a08f7ca00007653884b9730131c56",
     ),
     "recursion": (
         {"channel": {"kind": "flip", "q": 0.1}, "run": {"stages": 2000}, "recursion": {"initial": 0.5}},
-        "96ab18903542a595369bfb97c7de56ee3442aac11ef80ade13141f5c878c4d0b",
+        "8a25a0ad400ee6a380af1987cf1246ed49e92eec1f8bb33c897f87b3358cef9d",
+        "411b8d0c3b27a7e3689eed756219f109abf5ddc8b1d239d9b273779d985c51bb",
     ),
 }
 
 
 @pytest.mark.parametrize("task", sorted(_PINNED_CONFIGS))
 def test_config_run_csv_is_pinned(tmp_path, task):
-    body, digest = _PINNED_CONFIGS[task]
+    body, digest, rows_digest = _PINNED_CONFIGS[task]
     cfg = tmp_path / f"{task}.json"
     cfg.write_text(json.dumps({"schema": 1, "task": task, **body}), encoding="utf-8")
     out = tmp_path / task
     assert main(["--config", str(cfg), "--out", str(out)]) == 0
-    assert hashlib.sha256((out / "series.csv").read_bytes()).hexdigest() == digest
+    data = (out / "series.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    assert hashlib.sha256(data.split(b"\n", 1)[1]).hexdigest() == rows_digest
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["config_hash"] == read_series_csv(out / "series.csv")[1]["config_hash"]
+    assert verdict["checks"] == [] and verdict["passed"] is True
+
+
+def test_readme_example_config_runs(tmp_path):
+    """README's example config is read by parse_config and runs, so the
+    example cannot drift from the schema."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("### Config files", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = tmp_path / "example.json"
+    cfg.write_text(example, encoding="utf-8")
+    task = parse_config(cfg).task
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--nodes", "30", "--trials", "200", "--out", str(out)]) == 0
+    assert read_series_csv(out / "series.csv")[1]["producer"] == task
 
 
 class TestConfigErrors:
@@ -339,6 +387,14 @@ class TestConfigErrors:
                                             recursion={"initial": 1}))
         assert type(parsed.k0_fraction) is float and type(parsed.recursion.initial) is float
 
+    @pytest.mark.parametrize("memory", [{"family": "power", "sigma": 0.5}, {"family": "bounded", "capacity": 13}])
+    def test_simulate_config_the_engine_refuses_is_a_config_error(self, tmp_path, capsys, memory):
+        """ExperimentConfig refuses a flip channel over partial unbounded
+        memory and a window past MAX_CAPACITY; the config is refused when it
+        is read, before anything is written."""
+        self._expect_2(tmp_path, capsys, task="simulate", channel={"kind": "flip", "q": 0.1}, memory=memory)
+        assert not (tmp_path / "o").exists()
+
     def test_bad_capacity_rejected(self, tmp_path, capsys):
         self._expect_2(tmp_path, capsys, memory={"family": "bounded", "capacity": 0})
 
@@ -407,6 +463,7 @@ class TestOverrideFlags:
     def test_martingale_beyond_its_enumeration_bound_is_refused(self, tmp_path, capsys):
         assert main(["preset", "lemma1_martingale", "--nodes", "20", "--out", str(tmp_path / "p")]) == 1
         assert "k_max must lie in [1, 14]" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
         cfg = _write_config(
             tmp_path / "c.json", task="martingale", channel={"kind": "flip", "q": 0.25}, memory={"family": "full"}
         )
@@ -452,7 +509,6 @@ class TestParseConfig:
         assert parsed.run.trials == 10_000
         assert parsed.recursion.initial == 0.5
         assert parsed.model.prior_1 == 0.5
-        assert len(parsed.digest) == 12
         assert parsed.warnings == []
 
     def test_default_task_fills_in(self, tmp_path):
