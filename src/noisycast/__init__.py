@@ -57,7 +57,6 @@ from .montecarlo import (
     herding_stats,
     run_trial,
 )
-from .presets import Overrides, PRESET_INFO, PresetError, UnknownPresetError, list_presets, run_preset
 from .recursions import (
     LimitClassification,
     RecursionSpec,
@@ -82,7 +81,20 @@ from .topology import (
     memory_size,
 )
 
-# the public API is every name imported above; deriving it keeps the two from drifting apart
+# the preset registry loads on first use of one of these names: no engine run needs it
+_PRESET_NAMES = ("Overrides", "PRESET_INFO", "PresetError", "UnknownPresetError", "list_presets", "run_preset")
+
+
+def __getattr__(name: str):
+    if name in _PRESET_NAMES:
+        from . import presets
+
+        return getattr(presets, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# the public API is every name imported above and the preset names; deriving it keeps them from drifting apart
 __all__ = sorted(
-    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    + list(_PRESET_NAMES)
 )

@@ -77,7 +77,17 @@ def default_grid(last_stage: int) -> np.ndarray:
     if last_stage <= _GRID_DENSE:
         return dense
     geo = np.rint(np.geomspace(_GRID_DENSE, last_stage, _GRID_GEOMETRIC)).astype(np.int64)
-    return np.unique(np.concatenate([dense, geo]))
+    return _sorted_union(dense, geo)
+
+
+def _sorted_union(*parts) -> np.ndarray:
+    """The distinct values of the parts, sorted: np.union1d without its
+    np.unique, which imports numpy.ma."""
+    merged = np.sort(np.concatenate(parts))
+    keep = np.empty(merged.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+    return merged[keep]
 
 
 def check_grid(grid, stages: int) -> np.ndarray:

@@ -42,6 +42,8 @@ class RecursionSettings:
 
     def __post_init__(self) -> None:
         store_floats(self, "initial", optional=False)
+        if self.coefficient not in ("beta_plus_one", "beta"):  # the denominators rate_recursion takes
+            raise ValueError(f"coefficient must be beta_plus_one or beta, got {self.coefficient!r}")
 
 
 @dataclass
@@ -56,7 +58,7 @@ class ParsedConfig:
     warnings: list[str]
 
     def __post_init__(self) -> None:
-        store_floats(self, "k0_fraction", optional=False)  # herding_stats checks its range
+        store_floats(self, "k0_fraction", optional=False)  # parse_config checks its range for herding
 
 
 def _require_keys(section: str, doc: dict, allowed: set[str]) -> None:
@@ -154,6 +156,8 @@ def parse_config(path, default_task: str | None = None) -> ParsedConfig:
         raise ConfigError(f"{p}: task 'exact' needs memory.family == 'bounded'")
     if task == "recursion" and not flip:
         raise ConfigError(f"{p}: task 'recursion' needs channel.kind == 'flip'")
+    if task == "herding" and not 0.0 < parsed.k0_fraction < 1.0:
+        raise ConfigError(f"{p}: k0_fraction must lie in (0, 1), got {parsed.k0_fraction!r}")
     if task in ("simulate", "herding"):
         if memory is None:
             raise ConfigError(f"{p}: task {task!r} needs a 'memory' section")

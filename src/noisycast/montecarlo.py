@@ -41,7 +41,8 @@ trial's path is the same whatever the block size, the thread count or the
 trial count, and a shorter horizon's is a prefix of a longer one's.  Counts
 are integer sums, so estimates are bit-identical whatever the block size or
 thread count.  A job is a block of at most _BLOCK_TRIALS trials per
-hypothesis; `threads` matters only when there is more than one block.
+hypothesis; `threads` matters only when there is more than one block, and
+only then is concurrent.futures imported and its thread pool started.
 run_trial replays one trial through the same skeleton, so it matches its
 batched twin exactly.
 
@@ -55,7 +56,6 @@ is rejected up front.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -297,6 +297,8 @@ def _collect_blocks(config: ExperimentConfig, slot, threads: int):
         return _run_block(config, *job, make_step, slot)
 
     if threads > 1 and len(jobs) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loaded only by a run that starts the pool
+
         with ThreadPoolExecutor(max_workers=min(threads, len(jobs))) as ex:
             results = list(ex.map(run, jobs))
     else:

@@ -34,6 +34,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     SeriesResult,
+    _sorted_union,
     check_count,
     config_hash,
     default_grid,
@@ -303,14 +304,14 @@ def _plateau(p: Overrides) -> Outcome:
     # one pass serves both the lemma4 checkpoints and the default-grid series
     tol = 5e-3
     cps, grid = _limit_checkpoints(p.stages, tol), default_grid(p.stages)
-    run = iterate_recursion(spec, p.stages, grid=np.union1d(grid, cps))
-    cls = _classify_limit(cps, run.values[np.isin(run.stages, cps)], spec.initial, tol)
-    on_grid = np.isin(run.stages, grid)
+    run = iterate_recursion(spec, p.stages, grid=_sorted_union(grid, cps))
+    # grid, cps and run.stages are each sorted and distinct: searchsorted finds each stage
+    cls = _classify_limit(cps, run.values[np.searchsorted(run.stages, cps)], spec.initial, tol)
     checks = [
         _check("label", cls.label, "positive_limit", "=="),
         _check("plateau_above_tenth_of_start", cls.estimate, 0.1 * 0.3, ">"),
     ]
-    cols = _recursion_columns(SeriesResult(run.stages[on_grid], run.values[on_grid]))
+    cols = _recursion_columns(SeriesResult(grid, run.values[np.searchsorted(run.stages, grid)]))
     info = {"checkpoints": list(cls.checkpoints), "checkpoint_values": list(cls.values)}
     payload = {"family": "log_power", "p": 2.0, "stages": p.stages}
     return Outcome({"series.csv": ("recursion", cols)}, checks, payload, info)
@@ -436,11 +437,12 @@ _CONFIG_TASKS = {"simulate": _simulate_task, "herding": _herding_task, "exact": 
 
 
 def _config_task(p: Overrides, *, cfg) -> Outcome:
-    """No checks; the validated settings at the stages, trials and seed in
-    effect name the run, so two documents that read alike share a hash."""
+    """No checks; the validated settings the task reads, at the stages,
+    trials and seed in effect, name the run, so two documents that read
+    alike share a hash."""
     columns, info = _CONFIG_TASKS[cfg.task](p, cfg)
-    payload = {"task": cfg.task, "model": cfg.model, "channel": cfg.channel, "memory": cfg.memory,
-               "k0_fraction": cfg.k0_fraction, "recursion": cfg.recursion,
+    read = {"herding": {"k0_fraction": cfg.k0_fraction}, "recursion": {"recursion": cfg.recursion}}.get(cfg.task, {})
+    payload = {"task": cfg.task, "model": cfg.model, "channel": cfg.channel, "memory": cfg.memory, **read,
                "stages": p.stages, "trials": p.trials, "seed": p.seed}
     return Outcome({"series.csv": (cfg.task, columns)}, [], payload, info)
 

@@ -91,6 +91,16 @@ class TestDefaultGrid:
         assert np.all(np.diff(g) > 0)
         assert g.size < 250
 
+    def test_equals_the_unique_of_dense_and_geometric(self):
+        """default_grid merges without np.unique; the reference is np.unique
+        over the same dense and geometric parts."""
+        for last_stage in [*range(1, 5001), *(10**e for e in range(4, 10)), 2 * 10**6, 12345678]:
+            dense = np.arange(1, min(last_stage, 100) + 1, dtype=np.int64)
+            geo = np.rint(np.geomspace(100, last_stage, 100)).astype(np.int64) if last_stage > 100 else dense
+            grid = default_grid(last_stage)
+            assert grid.dtype == np.int64
+            np.testing.assert_array_equal(grid, np.unique(np.concatenate([dense, geo])), err_msg=str(last_stage))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             default_grid(0)

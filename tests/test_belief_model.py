@@ -282,6 +282,47 @@ def test_integer_beta_runs_without_scipy():
         assert not loaded, loaded
         """
     )
+    _run_fresh(code)
+
+
+def test_an_engine_run_imports_only_what_it_uses():
+    """An engine run loads no numpy.ma (np.unique imports it), no thread
+    pool when one block of trials needs none, and neither the preset
+    registry nor the CLI; a preset run loads the registry, still without
+    numpy.ma."""
+    code = textwrap.dedent(
+        """
+        import sys
+        import tempfile
+        import noisycast as nc
+
+        model = nc.BeliefModel(0.0)
+        flip = nc.FlipSchedule("constant", q=0.2)
+        erasure = nc.ErasureSchedule("constant", level=0.3)
+        nc.exact_error_series(model, erasure, nc.MemorySchedule("bounded", capacity=2), 150)
+        nc.scan_error_series(model, erasure, nc.MemorySchedule("full"), 150)
+        nc.iterate_recursion(nc.rate_recursion(model, flip, 0.4), 1000)
+        for channel, memory in [
+            (flip, nc.MemorySchedule("full")),
+            (flip, nc.MemorySchedule("bounded", capacity=2)),
+            (erasure, nc.MemorySchedule("full")),
+        ]:
+            nc.estimate_error_series(nc.ExperimentConfig(model, channel, memory, stages=150, trials=100, seed=3),
+                                     threads=2)
+        unused = ("numpy.ma", "concurrent.futures", "noisycast.presets", "noisycast.cli")
+        loaded = [m for m in unused if m in sys.modules]
+        assert not loaded, loaded
+        with tempfile.TemporaryDirectory() as out:
+            nc.run_preset("thm7_plateau", out, nc.Overrides(stages=5000))
+        assert "noisycast.presets" in sys.modules
+        assert "numpy.ma" not in sys.modules
+        """
+    )
+    _run_fresh(code)
+
+
+def _run_fresh(code: str) -> None:
+    """Run code in a new interpreter that imports this checkout's package."""
     src = os.path.dirname(os.path.dirname(noisycast.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)

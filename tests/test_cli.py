@@ -146,6 +146,15 @@ class TestConfigRuns:
         spelled = config_hash("spelled", "exact", beta=0.0, prior_1=0.5,
                               run={"stages": 10, "seed": 0, "k0_fraction": 0.5})
         assert spelled == config_hash("omitted", "exact", run={"stages": 10})
+        # a setting the task does not read does not name the run
+        assert spelled == config_hash("unread", "exact", run={"stages": 10, "k0_fraction": 0.3},
+                                      recursion={"initial": 0.2, "coefficient": "beta"})
+        rec = {"task": "recursion", "memory": None, "run": {"stages": 50}}
+        assert config_hash("rec", "recursion", **rec) != config_hash("rec_beta", "recursion", **rec,
+                                                                       recursion={"coefficient": "beta"})
+        herd = {"task": "herding", "memory": {"family": "full"}}
+        assert config_hash("herd", "run", run={"stages": 20, "trials": 50}, **herd) != config_hash(
+            "herd_k0", "run", run={"stages": 20, "trials": 50, "k0_fraction": 0.3}, **herd)
         sim = {"task": "simulate", "channel": {"kind": "flip", "q": 0.1}, "memory": {"family": "full"}}
         flag = config_hash("flag", "simulate", "--trials", "200", run={"stages": 20, "trials": 100, "seed": 4}, **sim)
         sim["run"] = {"stages": 20, "trials": 200, "seed": 4}
@@ -233,35 +242,36 @@ class TestConfigRuns:
 
 # One small config per task, the sha256 of the series.csv it writes, and the
 # sha256 of the rows below its `#` line.  The rows are those the config
-# tasks wrote before they ran as unnamed presets; the first line moved once,
-# when config_hash came to name the validated settings, not the document.
+# tasks wrote before they ran as unnamed presets; the first line moved when
+# config_hash came to name the validated settings, not the document, and
+# again when it came to name only the settings the task reads.
 _PINNED_CONFIGS = {
     "simulate": (
         {"channel": {"kind": "flip", "q": 0.1}, "memory": {"family": "full"},
          "run": {"stages": 30, "trials": 200, "seed": 4}},
-        "c36b5beee23ac24ed7cc4b214a7c34c7b2dee6c4e8ca317c5f536ae024d644e1",
+        "b8011c77a52c539804323aaf9b4c15fef45e4db3ad03d44d8a1709faec919065",
         "6879b2112db87591a0a969af23712b92df8228ddad43865d8363dfbf509e5777",
     ),
     "herding": (
         {"channel": {"kind": "flip", "q": 0.1}, "memory": {"family": "full"},
          "run": {"stages": 40, "trials": 200, "seed": 2}},
-        "48f17f31561934c943318226610648467815926e90ff32aa654ef63e380fb097",
+        "833684bb0b174fa19771800adb7a1e61ba98646e76b83f75d3921b297a8cea64",
         "8f028b5c02d8650481d2e97fb7be00d26b71e16d185503f42fb19dbe3dac4b8e",
     ),
     "exact": (
         {"channel": {"kind": "erasure", "level": 0.3}, "memory": {"family": "bounded", "capacity": 2},
          "run": {"stages": 50}},
-        "b92333f5fbd0aa1a1464d213084a1377c1c714187278d85bff708a1a6f0e09a5",
+        "5449055536608173da8091f7137eb19daa992bf0341225ab4bc3446e48a23b71",
         "117d0da45f79902360b7f8bbc4b002d46606c3daa4ab89974bb872d3174ccc43",
     ),
     "martingale": (
         {"channel": {"kind": "flip", "q": 0.25}, "memory": {"family": "full"}, "run": {"stages": 8}},
-        "2d68188da5126e5203c30aa38327d457bed3d006c21ef07982812ca7f3828180",
+        "ca69403aef6b742bf0fd8af484980ef18abad23fd3d7a0482e5789d913f478e8",
         "5273d603c27d8e72dd3710b9e82c1820001a08f7ca00007653884b9730131c56",
     ),
     "recursion": (
         {"channel": {"kind": "flip", "q": 0.1}, "run": {"stages": 2000}, "recursion": {"initial": 0.5}},
-        "8a25a0ad400ee6a380af1987cf1246ed49e92eec1f8bb33c897f87b3358cef9d",
+        "b570537870df0b8b72e48ae804d3c44614c760d49e8aeea58586e0741601d3eb",
         "411b8d0c3b27a7e3689eed756219f109abf5ddc8b1d239d9b273779d985c51bb",
     ),
 }
@@ -393,6 +403,17 @@ class TestConfigErrors:
         memory and a window past MAX_CAPACITY; the config is refused when it
         is read, before anything is written."""
         self._expect_2(tmp_path, capsys, task="simulate", channel={"kind": "flip", "q": 0.1}, memory=memory)
+        assert not (tmp_path / "o").exists()
+
+    def test_herding_k0_fraction_outside_the_unit_interval_is_a_config_error(self, tmp_path, capsys):
+        """herding_stats refuses it too, but only once the trials have run."""
+        self._expect_2(tmp_path, capsys, task="herding", channel={"kind": "flip", "q": 0.1},
+                       memory={"family": "full"}, run={"stages": 40, "trials": 200, "k0_fraction": 1.5})
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_recursion_coefficient_is_a_config_error(self, tmp_path, capsys):
+        self._expect_2(tmp_path, capsys, task="recursion", channel={"kind": "flip", "q": 0.1}, memory=None,
+                       run={"stages": 200}, recursion={"coefficient": "nope"})
         assert not (tmp_path / "o").exists()
 
     def test_bad_capacity_rejected(self, tmp_path, capsys):

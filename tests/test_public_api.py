@@ -23,8 +23,9 @@ def _tree(path: Path) -> ast.Module:
 
 
 def _home_modules() -> dict[str, str]:
-    """Exported name -> the module __init__ imports it from."""
-    homes = {}
+    """Exported name -> the module __init__ imports it from; the preset
+    names, which __init__ loads from presets on first use, map to presets."""
+    homes = dict.fromkeys(noisycast._PRESET_NAMES, "presets")
     for node in _tree(PACKAGE / "__init__.py").body:
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             homes.update({alias.name: node.module for alias in node.names})
@@ -65,6 +66,12 @@ def test_every_exported_name_has_a_caller():
         and name not in bench_reach
     ]
     assert uncalled == []
+
+
+def test_preset_names_load_from_presets():
+    from noisycast import presets
+
+    assert all(getattr(noisycast, name) is getattr(presets, name) for name in noisycast._PRESET_NAMES)
 
 
 def test_a_self_reference_is_not_a_caller():
