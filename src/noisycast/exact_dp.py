@@ -47,14 +47,15 @@ MAX_MARTINGALE_DEPTH = 14  # martingale_check enumerates 2**k_max histories
 
 class _Workspace:
     """Every state-sized array of one window recursion, sized for A**C
-    states and the mass rows carried: two mass buffers that successive
-    distributions alternate between, the decision tables, the cutoffs and
-    scratch.  Each window_stages iterator makes its own, so block jobs on
-    threads share nothing."""
+    states and the mass rows carried: the masses, which each step
+    overwrites, the decision tables, the cutoffs and scratch.  That is 7
+    float64 values per state with one mass row and 11 with two.  Each
+    window_stages iterator makes its own, so block jobs on threads share
+    nothing."""
 
     def __init__(self, alphabet: int, capacity: int, rows: int):
         size = alphabet**capacity
-        self.mass = np.empty((2, rows * size))
+        self.mass = np.empty(rows * size)
         self.dec0 = np.empty(2 * size)
         self.dec1 = np.empty(2 * size) if rows == 2 else None
         self.tau = np.empty(rows * size)
@@ -70,9 +71,10 @@ def _rows(buf: np.ndarray, rows: int, n: int) -> np.ndarray:
 class WindowDistribution:
     """Conditional distributions of the window seen by the next node:
     masses[h, s] is P(window state s | hypothesis h).  Under a mirrored law
-    masses holds row 0 alone and mass1 is its reversed view.  evolve_window writes the next distribution into the workspace buffer
-    this one does not occupy, so a distribution outlives one step and is
-    overwritten by the second."""
+    masses holds row 0 alone and mass1 is its reversed view.  masses lives
+    in the workspace, and evolve_window writes the next distribution over
+    the one it reads: a caller who wants to keep one copies masses before
+    the next step."""
 
     alphabet: int
     capacity: int
@@ -109,7 +111,7 @@ def initial_window(alphabet: int, capacity: int, rows: int = 2) -> WindowDistrib
     if rows not in (1, 2):
         raise ValueError(f"rows must be 1 or 2, got {rows!r}")
     work = _Workspace(alphabet, capacity, rows)
-    masses = _rows(work.mass[0], rows, 1)
+    masses = _rows(work.mass, rows, 1)
     masses.fill(1.0)
     return WindowDistribution(alphabet, capacity, 0, masses, work)
 
@@ -135,23 +137,22 @@ def _mirrored(model: BeliefModel, law) -> bool:
     return model.prior_1 == 0.5 and law[0][::-1] == law[1]
 
 
-def _cutoffs(mass0, mass1, model: BeliefModel, out=None, num=None, den=None, upper=None):
+def _cutoffs(mass0, mass1, model: BeliefModel, out=None, den=None, upper=None):
     """Per-state private-belief cutoffs pi0 * mass0 / den of strategy's rule,
-    den = pi0 * mass0 + pi1 * mass1, in out (and the scratch num and den)
-    when given.  With upper, also pi1 * mass1 / den there: 1 - tau without
-    the cancellation.
+    den = pi0 * mass0 + pi1 * mass1, in out (and the scratch den) when
+    given; the numerator is formed in out.  With upper, also pi1 * mass1 /
+    den there: 1 - tau without the cancellation.
 
     States with zero mass under both hypotheses are unreachable; they get
     the cutoff of no evidence, pi0, so downstream arrays stay finite.
     """
     pi0, pi1 = model.prior_0, model.prior_1
-    num = np.multiply(pi0, mass0, out=num)
+    tau = np.multiply(pi0, mass0, out=out)
     side = np.multiply(pi1, mass1, out=den if upper is None else upper)
-    den = np.add(num, side, out=den)
+    den = np.add(tau, side, out=den)
     live = True if den.min() > 0.0 else np.greater(den, 0.0)
-    tau = np.empty(num.shape) if out is None else out
-    for x, o, w in ((num, tau, pi0), (side, upper, pi1))[: 1 if upper is None else 2]:
-        np.divide(x, den, out=o, where=live)
+    for o, w in ((tau, pi0), (side, pi1))[: 1 if upper is None else 2]:
+        np.divide(o, den, out=o, where=live)
         if live is not True:
             np.copyto(o, w, where=~live)
     return tau
@@ -169,10 +170,12 @@ def evolve_window(
     Returns the window distribution node stage + 1 will see, together with
     the deciding node's exact error probabilities and decision table.  Both
     live in the workspace dist carries (a fresh one if it has none), so the
-    step allocates nothing state-sized.  law is the stage's _channel_laws
-    entry, computed from the channel when not given.  The broadcast depends
-    on the window only through the decision, so the channel is applied
-    after the oldest symbol is summed out of each decision's mass.
+    step allocates nothing state-sized.  The step overwrites the masses of
+    dist with the next ones: copy dist.masses first to keep them.  law is
+    the stage's _channel_laws entry, computed from the channel when not
+    given.  The broadcast depends on the window only through the decision,
+    so the channel is applied after the oldest symbol is summed out of each
+    decision's mass.
     """
     a_size = dist.alphabet
     rows, n = dist.masses.shape
@@ -186,16 +189,18 @@ def evolve_window(
     masses = dist.masses
     s0, s1, s2 = _rows(ws.scratch, 3, n)
     tau, upper = ws.tau[:n], (ws.tau[n : 2 * n] if rows == 2 else None)
-    _cutoffs(masses[0], dist.mass1, model, tau, s0, s1, upper)
+    _cutoffs(masses[0], dist.mass1, model, tau, s0, upper)
     dec0 = cdfs(model, tau, out=_rows(ws.dec0, 2, n), scratch=(s0, s1, s2))
     # P(decide 1 | h, s) = 1 - F_h(tau) = F_(1-h)(1 - tau): the other cdf at
     # the upper side or, with one row, the decide-0 row of h = 1 mirrored
     dec1 = dec0[1:, ::-1] if upper is None else _rows(ws.dec1, 2, n)
     if upper is not None:
         cdfs(model, upper, out=dec1[::-1], scratch=(s0, s1, s2))
-    # part_d[h, s]: mass of state s under h times P(decide d | h, s)
-    part0 = np.multiply(masses, dec0[:rows], out=_rows(ws.scratch, rows, n))
-    part1 = np.multiply(masses, dec1, out=dec1 if rows == 2 else s1[None])
+    # part_d[h, s]: mass of state s under h times P(decide d | h, s), split
+    # into the spent cutoffs and dec1 (or scratch) so that the next masses
+    # can go over the ones read here
+    part0 = np.multiply(masses, dec0[:rows], out=_rows(ws.tau, rows, n))
+    part1 = np.multiply(masses, dec1, out=dec1 if rows == 2 else s0[None])
     if new_len == dist.length:
         # at capacity: drop the oldest symbol (top digit), adding its A slices in order
         tops = [part.reshape(rows, a_size, -1) for part in (part0, part1)]
@@ -204,12 +209,10 @@ def evolve_window(
         part0, part1 = (top[:, 0] for top in tops)
     type1 = float(part1[0].sum())
     type2 = float(part0[1].sum()) if rows == 2 else type1
-    # the next masses go to the mass buffer dist does not occupy;
     # digit v of kept state s lands at A*s + v: the new symbol is digit 0
-    out = ws.mass[1] if np.may_share_memory(masses, ws.mass[0]) else ws.mass[0]
-    new = _rows(out, rows, a_size**new_len)
+    new = _rows(ws.mass, rows, a_size**new_len)
     slots = new.reshape(rows, -1, a_size)
-    tmp = ws.tau[: part0.shape[1]]  # the cutoffs are spent
+    tmp = s1[: part0.shape[1]]
     # row by row: a scalar times a strided two-row view makes numpy buffer it
     for v, (w0, w1) in enumerate(zip(*law)):
         for h in range(rows):

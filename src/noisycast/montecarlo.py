@@ -363,6 +363,22 @@ class HerdingReport:
     seed: int
 
 
+def _percentiles(values: np.ndarray, qs) -> list[float]:
+    """np.percentile(values, qs) of an integer array, bit for bit: numpy's
+    linear method over one sort.  np.percentile partitions at the np.unique
+    of its indices, which imports numpy.ma."""
+    s = np.sort(values)
+    top = s.size - 1
+    out = []
+    for q in qs:
+        v = top * (q / 100)
+        i = min(math.floor(v), top)  # past the last index both neighbours are the last value
+        a, b, t = int(s[i]), int(s[min(i + 1, top)]), v - i
+        # numpy's _lerp: from the nearer end, so t = 1 gives b exactly
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return out
+
+
 def herding_stats(config: ExperimentConfig, k0_fraction: float = 0.5, threads: int = 1) -> HerdingReport:
     """Distribution of the last erring stage per trial (0 when none err).
 
@@ -377,8 +393,7 @@ def herding_stats(config: ExperimentConfig, k0_fraction: float = 0.5, threads: i
     rows = []
     for h in (0, 1):
         last = lasts[h]
-        q50, q90, q99 = np.percentile(last, [50, 90, 99])
-        rows.append(HerdingRow(float((last > k0).mean()), float(q50), float(q90), float(q99)))
+        rows.append(HerdingRow(float((last > k0).mean()), *_percentiles(last, (50, 90, 99))))
     combined = config.model.prior_0 * rows[0].late_error_fraction + config.model.prior_1 * rows[1].late_error_fraction
     return HerdingReport(tuple(rows), combined, k0, config.stages, config.trials, config.seed)
 

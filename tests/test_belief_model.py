@@ -286,8 +286,9 @@ def test_integer_beta_runs_without_scipy():
 
 
 def test_an_engine_run_imports_only_what_it_uses():
-    """An engine run loads no numpy.ma (np.unique imports it), no thread
-    pool when one block of trials needs none, and neither the preset
+    """An engine run, herding statistics included, loads no numpy.ma
+    (np.unique and np.percentile import it), no thread pool when one block
+    of trials needs none, and neither the preset
     registry nor the CLI; a preset run loads the registry, still without
     numpy.ma."""
     code = textwrap.dedent(
@@ -309,6 +310,7 @@ def test_an_engine_run_imports_only_what_it_uses():
         ]:
             nc.estimate_error_series(nc.ExperimentConfig(model, channel, memory, stages=150, trials=100, seed=3),
                                      threads=2)
+        nc.herding_stats(nc.ExperimentConfig(model, flip, nc.MemorySchedule("full"), stages=50, trials=100, seed=3))
         unused = ("numpy.ma", "concurrent.futures", "noisycast.presets", "noisycast.cli")
         loaded = [m for m in unused if m in sys.modules]
         assert not loaded, loaded

@@ -208,6 +208,23 @@ class TestBufferedStep:
             tracemalloc.stop()
         assert peak - current < 8 * states
 
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    @pytest.mark.parametrize("prior_1,per_state", [(0.5, 7.5), (0.3, 11.5)], ids=["one_row", "two_rows"])
+    def test_workspace_footprint(self, prior_1, per_state, beta):
+        """A pass peaks at its workspace: 7 float64 values per state with one
+        mass row (prior 1/2, equal levels) and 11 with two, plus a few KB."""
+        states = 3**7
+        model = BeliefModel(beta, prior_1=prior_1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in window_stages(model, ErasureSchedule("constant", level=0.3), 7, 12):
+                pass
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= per_state * 8 * states
+
     def test_interleaved_iterators_are_independent(self):
         model = BeliefModel(1.0, prior_1=0.3)
         channel = ErasureSchedule("constant", level=0.2, level_one=0.6)

@@ -13,6 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import noisycast.montecarlo as mc
 from noisycast.belief_model import BeliefModel, cdf
@@ -868,6 +869,16 @@ class TestHerding:
             herding_stats(self._config(), k0_fraction=0.0)
         with pytest.raises(ValueError):
             herding_stats(self._config(), k0_fraction=1.0)
+
+    @given(values=st.lists(st.integers(0, 10**6), min_size=1, max_size=400), top=st.sampled_from([1, 2, 4, 10**6 + 1]))
+    @example(values=[7], top=10**6 + 1)
+    @example(values=[5] * 400, top=1)
+    def test_percentiles_are_numpys(self, values, top):
+        """herding_stats' quantiles equal np.percentile's linear method bit for
+        bit: single values, heavy ties (top 2 or 4) and all-zero rows (top 1)."""
+        last = np.array(values, dtype=np.int64) % top
+        got = np.array(mc._percentiles(last, (50, 90, 99)))
+        assert got.tobytes() == np.percentile(last, [50, 90, 99]).tobytes()
 
     def test_late_errors_vanish_on_clean_channel(self):
         config = ExperimentConfig(

@@ -416,6 +416,33 @@ class TestChunking:
         assert peak(64 * recursions._CHUNK) <= 1.25 * peak(4 * recursions._CHUNK)
 
 
+class TestWorkingSet:
+    """At the default _CHUNK a chunk-sized float64 temporary takes 128 KiB,
+    and a handful of them (deltas, trail, factor, the pow list's floats) set
+    each run's traced peak."""
+
+    @staticmethod
+    def _peak(run):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_plateau_spec_at_a_million_stages(self):
+        """thm7_plateau's spec; every chunk takes the delta callable's arrays."""
+        spec = rate_recursion(BeliefModel(0.0), FlipSchedule("log_power", p=2.0), initial=0.3)
+        assert self._peak(lambda: iterate_recursion(spec, 10**6)) <= 1 << 20
+        assert self._peak(lambda: lemma4_classify(spec, 10**6)) <= 1 << 20
+
+    def test_sandwich_pow_list(self):
+        """n = 2 adds the pow list over every stage of a chunk past k_min."""
+        spec = RecursionSpec(initial=0.5, exponent=2, delta=0.1)
+        assert self._peak(lambda: lemma3_sandwich(spec, 10, 10**5)) <= 1.5 * (1 << 20)
+
+
 def _sha256(*arrays):
     h = hashlib.sha256()
     for a in arrays:
