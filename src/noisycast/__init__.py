@@ -47,12 +47,10 @@ from .exact_dp import (
     window_alphabet,
 )
 from .montecarlo import (
-    ChainEstimate,
     ExperimentConfig,
     HerdingReport,
     HerdingRow,
     TrialRecord,
-    estimate_chain_success,
     estimate_error_series,
     herding_stats,
     run_trial,

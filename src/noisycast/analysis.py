@@ -56,17 +56,17 @@ class SeriesResult:
                 raise ValueError(f"extra column {name!r} has shape {arr.shape}, expected {self.stages.shape}")
             self.extra[name] = arr
 
-    def value_at(self, stage: int) -> float:
+    def _index(self, stage: int) -> int:
         idx = np.searchsorted(self.stages, stage)
         if idx >= self.stages.size or self.stages[idx] != stage:
             raise KeyError(f"stage {stage} not in series")
-        return float(self.values[idx])
+        return idx
+
+    def value_at(self, stage: int) -> float:
+        return float(self.values[self._index(stage)])
 
     def extra_at(self, name: str, stage: int) -> float:
-        idx = np.searchsorted(self.stages, stage)
-        if idx >= self.stages.size or self.stages[idx] != stage:
-            raise KeyError(f"stage {stage} not in series")
-        return float(self.extra[name][idx])
+        return float(self.extra[name][self._index(stage)])
 
 
 def default_grid(last_stage: int) -> np.ndarray:

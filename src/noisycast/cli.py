@@ -62,6 +62,8 @@ class ParsedConfig:
 
 
 def _require_keys(section: str, doc: dict, allowed: set[str]) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"'{section}' must be an object")
     extra = set(doc) - allowed
     if extra:
         raise ConfigError(f"unknown key(s) in {section}: {', '.join(sorted(extra))}")

@@ -24,7 +24,7 @@ state is the last unerased broadcast, and builds the scan kernel's table.
 martingale_check enumerates full broadcast histories instead of windows and
 verifies two structural facts of the noisy public likelihood ratio: it is a
 martingale under hypothesis 0 up to floating-point error, and the mass it
-places above 1/2 trends downward.
+places above 1/2 trends downward; its masses are the flip chain's exact law.
 """
 
 from __future__ import annotations
@@ -385,6 +385,7 @@ class MartingaleReport:
     max_deviation: float
     stage_deviations: np.ndarray
     tail_mass: np.ndarray
+    errors: SeriesResult
 
 
 def martingale_check(schedule: FlipSchedule, model: BeliefModel, k_max: int) -> MartingaleReport:
@@ -393,7 +394,8 @@ def martingale_check(schedule: FlipSchedule, model: BeliefModel, k_max: int) -> 
     stage_deviations[k-1] is the largest one-step martingale defect of the
     public likelihood ratio when extending histories of length k - 1, and
     tail_mass[k-1] the hypothesis-0 mass on histories of length k whose
-    likelihood ratio exceeds 1/2.
+    likelihood ratio exceeds 1/2.  errors, shaped as exact_error_series's,
+    sums p0 * (1 - F0(tau)) and p1 * F1(tau) over the histories node k reads.
     """
     if not isinstance(schedule, FlipSchedule):
         raise ValueError("martingale enumeration is defined for flip channels")
@@ -401,11 +403,12 @@ def martingale_check(schedule: FlipSchedule, model: BeliefModel, k_max: int) -> 
         raise ValueError(f"k_max must lie in [1, {MAX_MARTINGALE_DEPTH}], got {k_max!r}")
     p0 = np.ones(1)
     p1 = np.ones(1)
-    devs = np.empty(k_max)
-    masses = np.empty(k_max)
+    devs, masses, t1, t2 = np.empty((4, k_max))
     for k in range(1, k_max + 1):
         tau = _cutoffs(p0, p1, model)
         dec0_h0, dec0_h1 = cdfs(model, tau)
+        t1[k - 1] = float(p0 @ (1.0 - dec0_h0))
+        t2[k - 1] = float(p1 @ dec0_h1)
         q = flip_prob(schedule, k)
         w = 1.0 - 2.0 * q
         a0 = q + w * dec0_h0
@@ -416,4 +419,6 @@ def martingale_check(schedule: FlipSchedule, model: BeliefModel, k_max: int) -> 
         p0 = c0.ravel()
         p1 = c1.ravel()
         masses[k - 1] = float(p0[(p1 / p0) > 0.5].sum())
-    return MartingaleReport(float(devs.max()), devs, masses)
+    errors = SeriesResult(np.arange(1, k_max + 1), model.prior_0 * t1 + model.prior_1 * t2,
+                          meta={"producer": "enumeration"}, extra={"p0_type1": t1, "p1_type2": t2})
+    return MartingaleReport(float(devs.max()), devs, masses, errors)

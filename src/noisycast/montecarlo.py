@@ -50,7 +50,8 @@ Memory is O(trials per block), not O(trials x stages); a bounded window
 adds O(alphabet**capacity) per block job, which drives its own recursion.
 Last erring stages are kept only for herding_stats and run_trial.
 A flip channel with power or sporadic memory has no supported strategy and
-is rejected up front.
+is rejected up front.  presets.reference gives a config's exact errors,
+and presets.cross_check tests a run's counts against them.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from .strategy import BELIEF_CEIL, BELIEF_FLOOR, clamp_belief, conditional_decis
 from .topology import MemorySchedule, memory_size
 
 _PHASE_MEASURE = 0
-_PHASE_AUX = 2  # estimate_chain_success's stream
 # (phi - 1) * 2**128 outputs, the step of numpy's PCG64DXSM.jumped: stage k's row starts k - 1 steps in
 _STAGE_JUMP = 210306068529402873165736369884012333109
 
@@ -409,32 +409,3 @@ def run_trial(config: ExperimentConfig, trial_index: int, hypothesis: int) -> Tr
     trial_index = check_count(trial_index, "trial_index", low=0)
     _, last, clamps, dec = _run_block(config, trial_index, trial_index + 1, _step_for(config), collect=True)
     return TrialRecord(dec[hypothesis, 0], int(last[hypothesis, 0]), int(clamps[hypothesis]))
-
-
-@dataclass(frozen=True)
-class ChainEstimate:
-    p_hat: float
-    ci_low: float
-    ci_high: float
-    trials: int
-    successes: int
-
-
-def estimate_chain_success(erasure_level: float, hops: int, trials: int, seed: int) -> ChainEstimate:
-    """Monte Carlo estimate of chain_success_probability: `hops` scans of
-    `hops` candidates each, all erased independently at the given level."""
-    if not 0.0 <= erasure_level <= 1.0:
-        raise ValueError(f"erasure level must lie in [0, 1], got {erasure_level!r}")
-    hops, trials = check_count(hops, "hops"), check_count(trials, "trials")
-    g = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(_PHASE_AUX, 0, 0))))
-    chunk = max(1, (1 << 20) // (hops * hops))
-    successes = 0
-    done = 0
-    while done < trials:
-        m = min(chunk, trials - done)
-        u = g.random((m, hops, hops))
-        successes += int(((u >= erasure_level).any(axis=2)).all(axis=1).sum())
-        done += m
-    p = successes / trials
-    half = _CI_Z * math.sqrt(p * (1.0 - p) / trials)
-    return ChainEstimate(p, max(0.0, p - half), min(1.0, p + half), trials, successes)

@@ -47,12 +47,7 @@ from .analysis import (
 from .belief_model import BeliefModel
 from .channels import ErasureSchedule, FlipSchedule, erasure_levels
 from .exact_dp import MartingaleReport, exact_error_series, martingale_check, scan_error_series
-from .montecarlo import (
-    ExperimentConfig,
-    estimate_chain_success,
-    estimate_error_series,
-    herding_stats,
-)
+from .montecarlo import ExperimentConfig, estimate_error_series, herding_stats
 from .recursions import (
     RecursionSpec,
     _classify_limit,
@@ -153,8 +148,7 @@ def _mc_columns(series: SeriesResult) -> dict:
 
 
 def _martingale_columns(rep: MartingaleReport) -> dict:
-    k = np.arange(1, len(rep.stage_deviations) + 1)
-    return {"k": k, "max_deviation": rep.stage_deviations, "tail_mass": rep.tail_mass}
+    return {"k": rep.errors.stages, "max_deviation": rep.stage_deviations, "tail_mass": rep.tail_mass}
 
 
 def _recursion_columns(series: SeriesResult, bound: SeriesResult | None = None) -> dict:
@@ -192,7 +186,43 @@ def _window_floor(p: Overrides, *, channel, files: dict, payload: dict) -> Outco
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo
+# Monte Carlo and its exact reference
+
+
+def reference(config: ExperimentConfig) -> SeriesResult:
+    """The exact errors of config's chain at stages 1..stages, as
+    exact_error_series gives them: from the window recursion for bounded
+    memory, the scan over erasures, and for a full-memory flip chain the
+    history enumeration, which refuses more stages than MAX_MARTINGALE_DEPTH."""
+    if config.memory.family == "bounded":
+        return exact_error_series(config.model, config.channel, config.memory, config.stages)
+    if isinstance(config.channel, ErasureSchedule):
+        return scan_error_series(config.model, config.channel, config.memory, config.stages)[0]
+    return martingale_check(config.channel, config.model, config.stages).errors
+
+
+def cross_check(mc: SeriesResult, ref: SeriesResult, alpha: float) -> dict:
+    """The verdict check that mc's error counts fit ref's exact rates, at false-failure rate alpha.
+
+    Count x = err_h at a grid stage is Binomial(n, p), p ref's rate there (ref
+    covers stages 1..K), and 2 exp(-n KL(x/n || p)) bounds the chance of a
+    count that far from n p (Chernoff, Ann. Math. Stat. 1952).  The check
+    passes iff m * min(bound) >= alpha over the m counts, so correct code
+    fails it with probability at most alpha whatever the correlation between
+    stages; a zero rate passes only a zero count.  It records alpha, the
+    worst count's stage, hypothesis and z, and the union bound."""
+    n = mc.meta["trials"]
+    x = np.stack([mc.extra["err0"], mc.extra["err1"]])
+    p, a = np.stack([ref.extra["p0_type1"], ref.extra["p1_type2"]])[:, mc.stages - 1], x / n
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 log 0 = 0
+        kl = np.where(a > 0, a * np.log(a / p), 0.0) + np.where(a < 1, (1 - a) * np.log((1 - a) / (1 - p)), 0.0)
+    bound = 2.0 * np.exp(-n * kl)
+    h, i = np.unravel_index(np.argmin(bound), bound.shape)
+    gap, se = float(x[h, i] - n * p[h, i]), math.sqrt(n * p[h, i] * (1.0 - p[h, i]))
+    z = gap / se if se > 0.0 else (math.copysign(math.inf, gap) if gap else 0.0)
+    union = float(bound.size * bound[h, i])
+    return {**_check("cross_check", union, alpha, ">="), "alpha": alpha, "stage": int(mc.stages[i]),
+            "hypothesis": int(h), "z": z, "union_bound": union}
 
 
 def _simulate(p: Overrides, model, channel, memory, grid=None):
@@ -204,13 +234,9 @@ def _simulate(p: Overrides, model, channel, memory, grid=None):
 def _mc_vs_exact(p: Overrides) -> Outcome:
     channel, memory = FlipSchedule("constant", q=0.2), MemorySchedule("bounded", capacity=1)
     config, mc, info = _simulate(p, BeliefModel(0.0), channel, memory, grid=tuple(range(1, p.stages + 1)))
-    exact = exact_error_series(config.model, channel, memory, p.stages)
-    p0, p1, n = exact.extra["p0_type1"], exact.extra["p1_type2"], config.trials
-    prior_0, prior_1 = config.model.prior_0, config.model.prior_1
-    sigma = np.sqrt(prior_0**2 * p0 * (1.0 - p0) / n + prior_1**2 * p1 * (1.0 - p1) / n)
-    coverage = float((np.abs(mc.values - exact.values) <= 3.0 * sigma).mean())
+    exact = reference(config)
     tables = {"series.csv": ("simulate", _mc_columns(mc)), "exact.csv": ("exact", _exact_columns(exact))}
-    return Outcome(tables, [_check("three_sigma_coverage", coverage, 0.95, ">=")], config, info)
+    return Outcome(tables, [cross_check(mc, exact, 1e-4)], config, info)
 
 
 def _flip_learning(p: Overrides) -> Outcome:
@@ -226,11 +252,12 @@ def _flip_learning(p: Overrides) -> Outcome:
 def _erasure_unbounded(p: Overrides) -> Outcome:
     config, series, info = _simulate(p, BeliefModel(0.0), ErasureSchedule("constant", level=0.9),
                                    MemorySchedule("full"))
-    exact, _ = scan_error_series(config.model, config.channel, config.memory, p.stages)
+    exact = reference(config)
     early, late = 10, p.stages
     checks = [
         _check("error_decreases", series.value_at(late), series.value_at(early), "<"),
         _check("ci_disjoint", series.extra_at("ci_high", late), series.extra_at("ci_low", early), "<"),
+        cross_check(series, exact, 1e-4),
         # recorded, not asserted: at beta = 0 the exact series decays like
         # 1 / ((1 - level) k), a slope that reaches -1 only far past k = 100
         _check("fitted_decay_exponent", fit_power(series, k_min=100).slope, None, "==", informational=True),
@@ -243,13 +270,8 @@ def _erasure_unbounded(p: Overrides) -> Outcome:
 def _erasure_to_one(p: Overrides) -> Outcome:
     hops, rising = 10, ErasureSchedule("theorem4", c=1.0, eps=2.0)
     levels = [0.5, float(erasure_levels(rising, np.asarray([hops]))[0][0])]
-    rows, checks = [], []
-    for idx, lv in enumerate(levels, start=1):
-        bound = chain_success_probability(lv, hops)
-        est = estimate_chain_success(lv, hops, p.trials, p.seed + idx)
-        sigma = math.sqrt(max(est.p_hat * (1.0 - est.p_hat), 1e-12) / p.trials)
-        rows.append((idx, lv, hops, est.p_hat, est.ci_low, est.ci_high, bound))
-        checks.append(_check(f"case{idx}_chain_success", est.p_hat, bound - 3.0 * sigma, ">="))
+    rows = [(idx, lv, hops, chain_success_probability(lv, hops)) for idx, lv in enumerate(levels, start=1)]
+    checks = [_check(f"case{idx}_chain_success", bound, None, "==", informational=True) for idx, *_, bound in rows]
     # the scan itself over levels that climb to one: the exact error keeps
     # falling, decade after decade
     decades = [10**i for i in range(1, 6)]
@@ -257,8 +279,8 @@ def _erasure_to_one(p: Overrides) -> Outcome:
     pe = [scan.value_at(k) for k in decades]
     checks.append(_check("scan_error_falls_each_decade", all(np.diff(pe) < 0), True, "=="))
     checks.append(_check("scan_error_at_decades", pe, None, "==", informational=True))
-    tables = {"series.csv": ("chain", _rows_to_columns("case level hops p_hat ci_low ci_high bound", rows))}
-    return Outcome(tables, checks, {"hops": hops, "levels": levels, "trials": p.trials, "seed": p.seed})
+    tables = {"series.csv": ("chain", _rows_to_columns("case level hops bound", rows))}
+    return Outcome(tables, checks, {"hops": hops, "levels": levels})
 
 
 def _herding(p: Overrides) -> Outcome:
@@ -513,7 +535,7 @@ PRESETS = {
                 payload={"level": 0.3, "capacity": 2}),
         stages=2000),
     "thm_erasure_to_one": Preset(
-        "relay chains survive erasure levels that climb to one", _erasure_to_one, trials=100_000, seed=1103),
+        "erasure levels that climb to one: the exact scan error falls every decade", _erasure_to_one),
     "thm_erasure_unbounded": Preset(
         "unbounded memory defeats constant erasure: error keeps falling", _erasure_unbounded,
         stages=2000, trials=20_000, seed=1102),

@@ -256,14 +256,17 @@ def test_tail_constants():
 
 
 def test_integer_beta_runs_without_scipy():
-    """Importing the package, running all three engines at integer beta and
-    writing a preset's verdict load no scipy module: scipy is only needed
-    for non-integer beta."""
+    """Importing the package, running all three engines at integer beta,
+    cross-checking each Monte Carlo run against its reference and writing
+    a preset's verdict load no scipy module: scipy is only needed for
+    non-integer beta.  The runs take 14 stages, the most the full-memory
+    flip reference enumerates."""
     code = textwrap.dedent(
         """
         import sys
         import tempfile
         import noisycast as nc
+        from noisycast.presets import cross_check, reference
 
         model = nc.BeliefModel(1.0, prior_1=0.4)
         flip = nc.FlipSchedule("constant", q=0.2)
@@ -274,7 +277,8 @@ def test_integer_beta_runs_without_scipy():
             (flip, nc.MemorySchedule("bounded", capacity=2)),
             (erasure, nc.MemorySchedule("full")),
         ]:
-            nc.estimate_error_series(nc.ExperimentConfig(model, channel, memory, stages=20, trials=100, seed=3))
+            config = nc.ExperimentConfig(model, channel, memory, stages=14, trials=100, seed=3)
+            cross_check(nc.estimate_error_series(config), reference(config), 1e-4)
         nc.iterate_recursion(nc.rate_recursion(model, flip, 0.4), 1000)
         with tempfile.TemporaryDirectory() as out:  # the verdict records scipy's version
             nc.run_preset("lemma3_n1", out, nc.Overrides(stages=2000))

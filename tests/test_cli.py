@@ -370,6 +370,15 @@ class TestConfigErrors:
         assert main(["recursion", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "unknown key(s) in recursion: k_min" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [None, 5, [1], "stages"], ids=["null", "number", "list", "string"])
+    @pytest.mark.parametrize("section", ["run", "recursion"])
+    def test_section_that_is_not_an_object(self, tmp_path, capsys, section, value):
+        """null, 5 and [1] once raised a TypeError (exit 1), and "stages"
+        was read key by key as its letters."""
+        cfg = _write_config(tmp_path / "c.json", **{section: value})
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: '{section}' must be an object" in capsys.readouterr().err
+
     def test_unknown_channel_key(self, tmp_path, capsys):
         self._expect_2(tmp_path, capsys, channel={"kind": "flip", "q": 0.1, "rate": 2})
 
@@ -472,6 +481,8 @@ class TestOverrideFlags:
         [
             ["preset", "thm_rate_k2", "--trials", "7", "--seed", "3"],
             ["preset", "thm_erasure_to_one", "--nodes", "5"],
+            ["preset", "thm_erasure_to_one", "--trials", "7"],
+            ["preset", "thm_erasure_to_one", "--seed", "3"],
             ["--preset", "lemma3_n1", "--seed", "3"],
         ],
     )

@@ -550,6 +550,18 @@ class TestMartingaleCheck:
         with pytest.raises(ValueError):
             martingale_check(FlipSchedule("constant", q=0.25), BeliefModel(0.0), k_max=15)
 
+    @pytest.mark.parametrize("beta,prior", [(0.0, 0.5), (1.0, 0.5), (0.0, 0.8)])
+    def test_errors_match_the_window_engine(self, beta, prior):
+        """A window of capacity 12 holds node 13's whole history, so through
+        stage 13 the enumeration's errors are the window engine's."""
+        model, channel = BeliefModel(beta, prior_1=prior), FlipSchedule("constant", q=0.2)
+        errors = martingale_check(channel, model, k_max=13).errors
+        window = exact_error_series(model, channel, MemorySchedule("bounded", capacity=MAX_CAPACITY), 13)
+        np.testing.assert_array_equal(errors.stages, window.stages)
+        for name in ("p0_type1", "p1_type2"):
+            np.testing.assert_allclose(errors.extra[name], window.extra[name], rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(errors.values, window.values, rtol=0.0, atol=1e-15)
+
 
 def _scan_oracle(stages, channel, memory, prior_1):
     """Per-stage (type1, type2) and the table {(stage, value) or None:

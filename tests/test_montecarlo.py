@@ -18,18 +18,18 @@ from hypothesis import example, given, strategies as st
 import noisycast.montecarlo as mc
 from noisycast.belief_model import BeliefModel, cdf
 from noisycast.channels import ErasureSchedule, FlipSchedule, flip_probs
-from noisycast.exact_dp import exact_error_series, scan_error_series
+from noisycast.exact_dp import MAX_MARTINGALE_DEPTH
 from noisycast.montecarlo import (
     ExperimentConfig,
     config_hash,
-    estimate_chain_success,
     estimate_error_series,
     herding_stats,
     run_trial,
 )
+from noisycast.presets import cross_check, reference
 from noisycast.recursions import RecursionSpec, iterate_recursion
 from noisycast.strategy import BELIEF_CEIL, BELIEF_FLOOR
-from noisycast.topology import MemorySchedule, chain_success_probability
+from noisycast.topology import MemorySchedule
 
 MODEL = BeliefModel(0.0)
 
@@ -491,59 +491,46 @@ class TestFlipKernel:
         )
 
 
+def _cross_check(config: ExperimentConfig, alpha: float) -> dict:
+    """cross_check of config's Monte Carlo counts against its reference."""
+    return cross_check(estimate_error_series(config), reference(config), alpha)
+
+
 class TestAgainstExact:
+    """Each test states the false-failure rate alpha that cross_check's
+    union bound gives it, whatever the correlation between stages."""
+
     def test_window_chain_within_binomial_noise(self):
-        model = MODEL
-        channel = FlipSchedule("constant", q=0.2)
-        memory = MemorySchedule("bounded", capacity=1)
-        stages, trials = 50, 4000
-        exact = exact_error_series(model, channel, memory, stages)
+        """alpha = 1e-4 over the 100 counts of 50 stages."""
         config = ExperimentConfig(
-            model=model,
-            channel=channel,
-            memory=memory,
-            stages=stages,
-            trials=trials,
+            model=MODEL,
+            channel=FlipSchedule("constant", q=0.2),
+            memory=MemorySchedule("bounded", capacity=1),
+            stages=50,
+            trials=4000,
             seed=7,
-            grid=tuple(range(1, stages + 1)),
+            grid=tuple(range(1, 51)),
         )
-        est = estimate_error_series(config)
-        p0 = exact.extra["p0_type1"]
-        p1 = exact.extra["p1_type2"]
-        sigma = np.sqrt(
-            0.25 * p0 * (1 - p0) / trials + 0.25 * p1 * (1 - p1) / trials
-        )
-        gaps = np.abs(est.values - exact.values) / sigma
-        assert (gaps <= 3.0).mean() >= 0.95
-        assert gaps.max() <= 5.0
+        result = _cross_check(config, 1e-4)
+        assert result["passed"], result
 
     @pytest.mark.parametrize("memory", [MemorySchedule("full"), MemorySchedule("bounded", capacity=2)])
     def test_beta_one_within_five_sigma(self, memory):
         """beta = 1 has a polynomial cdf, so this checks the decision
-        u > F_h(cut) away from the beta = 0 closed form.  Up to stage C + 1 a
-        window of capacity C sees the whole history, so full memory follows
-        the exact C = 3 series there.  Each stage misses 5 sigma with probability 5.7e-7 under the
-        normal approximation; over the four stages the false-failure rate is
-        below 2.3e-6."""
-        model = BeliefModel(1.0)
-        channel = FlipSchedule("constant", q=0.2)
-        stages, trials = 4, 20_000
-        window = memory if memory.family == "bounded" else MemorySchedule("bounded", capacity=3)
-        exact = exact_error_series(model, channel, window, stages)
+        u > F_h(cut) away from the beta = 0 closed form, against the history
+        enumeration (full memory) or the window recursion.  alpha = 2.3e-6
+        over the eight counts of four stages."""
         config = ExperimentConfig(
-            model=model,
-            channel=channel,
+            model=BeliefModel(1.0),
+            channel=FlipSchedule("constant", q=0.2),
             memory=memory,
-            stages=stages,
-            trials=trials,
+            stages=4,
+            trials=20_000,
             seed=17,
-            grid=tuple(range(1, stages + 1)),
+            grid=tuple(range(1, 5)),
         )
-        est = estimate_error_series(config)
-        p0 = exact.extra["p0_type1"]
-        p1 = exact.extra["p1_type2"]
-        sigma = np.sqrt(0.25 * p0 * (1 - p0) / trials + 0.25 * p1 * (1 - p1) / trials)
-        assert np.all(np.abs(est.values - exact.values) <= 5.0 * sigma)
+        result = _cross_check(config, 2.3e-6)
+        assert result["passed"], result
 
     @pytest.mark.parametrize(
         "model,channel,memory",
@@ -556,23 +543,14 @@ class TestAgainstExact:
         ids=["full", "sqrt_window", "unequal_levels"],
     )
     def test_erasure_scan_within_binomial_noise(self, model, channel, memory):
-        """The gate is max |MC - exact| / sigma <= 5.5 over all 300 stages,
-        sigma from the exact type 1 and type 2 errors.  Summing, over the
-        stages, the exact probability that two independent binomial counts
-        put one stage outside 5.5 sigma bounds the false-failure rate by
-        1.9e-5, 4.1e-5 and 8.3e-5 for the three cases, whatever the
-        correlation between stages."""
-        stages, trials = 300, 4000
-        exact, _ = scan_error_series(model, channel, memory, stages)
+        """The scan kernel against the exact scan over all 300 stages:
+        alpha = 1.9e-5 per case over its 600 counts."""
         config = ExperimentConfig(
-            model=model, channel=channel, memory=memory, stages=stages, trials=trials, seed=2024,
-            grid=tuple(range(1, stages + 1)),
+            model=model, channel=channel, memory=memory, stages=300, trials=4000, seed=2024,
+            grid=tuple(range(1, 301)),
         )
-        est = estimate_error_series(config)
-        p0 = exact.extra["p0_type1"]
-        p1 = exact.extra["p1_type2"]
-        sigma = np.sqrt(model.prior_0**2 * p0 * (1 - p0) / trials + model.prior_1**2 * p1 * (1 - p1) / trials)
-        assert np.max(np.abs(est.values - exact.values) / sigma) <= 5.5
+        result = _cross_check(config, 1.9e-5)
+        assert result["passed"], result
 
     @pytest.mark.parametrize(
         "channel,memory",
@@ -587,51 +565,30 @@ class TestAgainstExact:
     def test_bayes_rule_at_prior_08(self, channel, memory):
         """At prior_1 = 0.8 and beta = 0 node 1 decides 1 above 0.2 and errs
         0.2 * 0.64 + 0.8 * 0.04 = 0.16; the prior-free cutoff 1/2 errred
-        0.25.  Every error count of stages 1-4, err0 and err1, is
-        Binomial(trials, exact rate), the rates from the window engine (full
-        memory follows the C = 3 window up to stage 4) or the scan.  Each
-        count must lie inside its two-sided exact binomial interval of
-        false-failure rate 1e-6: eight counts per case, so below 8e-6 per
-        case and 3.2e-5 over the four, whatever the correlation between
-        stages.  At stage 1 the old rule's type-1 rate, 0.25 against 0.64,
+        0.25.  Every error count of stages 1-4, err0 and err1, is checked
+        against the reference (the history enumeration, the window
+        recursion or the scan) at alpha = 8e-6 per case, 3.2e-5 over the
+        four.  At stage 1 the old rule's type-1 rate, 0.25 against 0.64,
         is about 180 binomial SE away."""
-        from scipy import stats
-
-        model = BeliefModel(0.0, prior_1=0.8)
-        stages, trials = 4, 20_000
-        if memory.family == "full" and isinstance(channel, ErasureSchedule):
-            exact, _ = scan_error_series(model, channel, memory, stages)
-        else:
-            window = memory if memory.family == "bounded" else MemorySchedule("bounded", capacity=3)
-            exact = exact_error_series(model, channel, window, stages)
-        assert exact.values[0] == pytest.approx(0.16, abs=1e-15)
         config = ExperimentConfig(
-            model, channel, memory, stages=stages, trials=trials, seed=808, grid=tuple(range(1, stages + 1))
+            BeliefModel(0.0, prior_1=0.8), channel, memory, stages=4, trials=20_000, seed=808,
+            grid=tuple(range(1, 5)),
         )
-        est = estimate_error_series(config)
-        for count, rate in ((est.extra["err0"], exact.extra["p0_type1"]), (est.extra["err1"], exact.extra["p1_type2"])):
-            lo, hi = stats.binom.ppf(5e-7, trials, rate), stats.binom.isf(5e-7, trials, rate)
-            assert np.all((lo <= count) & (count <= hi)), (count, lo, hi)
+        ref = reference(config)
+        assert ref.values[0] == pytest.approx(0.16, abs=1e-15)
+        result = cross_check(estimate_error_series(config), ref, 8e-6)
+        assert result["passed"], result
 
-    def test_chain_success_within_noise(self):
-        est = estimate_chain_success(0.5, 10, 20_000, seed=5)
-        exact = chain_success_probability(0.5, 10)
-        sigma = np.sqrt(exact * (1 - exact) / 20_000)
-        assert abs(est.p_hat - exact) <= 3.0 * sigma
-        assert est.ci_low <= est.p_hat <= est.ci_high
-        assert est.successes == round(est.p_hat * est.trials)
-
-    def test_chain_success_degenerate_levels(self):
-        assert estimate_chain_success(0.0, 4, 100, seed=0).p_hat == 1.0
-        assert estimate_chain_success(1.0, 4, 100, seed=0).p_hat == 0.0
-
-    def test_chain_success_validation(self):
-        with pytest.raises(ValueError):
-            estimate_chain_success(1.5, 4, 100, seed=0)
-        with pytest.raises(ValueError):
-            estimate_chain_success(0.5, 0, 100, seed=0)
-        with pytest.raises(ValueError):
-            estimate_chain_success(0.5, 4, 0, seed=0)
+    @pytest.mark.parametrize("beta,prior", [(0.0, 0.5), (1.0, 0.5), (0.0, 0.8)])
+    def test_flip_kernel_against_the_enumeration(self, beta, prior):
+        """The full-memory flip kernel through the enumeration's last stage,
+        14: alpha = 1e-5 per case over its 28 counts."""
+        config = ExperimentConfig(
+            BeliefModel(beta, prior_1=prior), FlipSchedule("constant", q=0.2), MemorySchedule("full"),
+            stages=MAX_MARTINGALE_DEPTH, trials=20_000, seed=1414, grid=tuple(range(1, MAX_MARTINGALE_DEPTH + 1)),
+        )
+        result = _cross_check(config, 1e-5)
+        assert result["passed"], result
 
 
 class TestWindowBitsPinned:

@@ -13,15 +13,22 @@ import numpy as np
 import pytest
 
 import noisycast
+from noisycast.analysis import SeriesResult
+from noisycast.belief_model import BeliefModel
+from noisycast.channels import FlipSchedule
+from noisycast.montecarlo import ExperimentConfig, estimate_error_series
 from noisycast.presets import (
     PRESET_INFO,
     PRESETS,
     Overrides,
     PresetError,
     UnknownPresetError,
+    cross_check,
     list_presets,
+    reference,
     run_preset,
 )
+from noisycast.topology import MemorySchedule
 
 EXPECTED = [
     "lemma1_martingale",
@@ -166,3 +173,64 @@ class TestRunPreset:
         ov = Overrides(seed=7.0, trials=2e2, stages=np.int64(30))
         assert ov == Overrides(seed=7, trials=200, stages=30)
         assert all(type(v) is int for v in (ov.seed, ov.trials, ov.stages))
+
+
+def _counts(trials: int, err0, err1) -> SeriesResult:
+    """A Monte Carlo series on stages 1..len(err0) with the given counts."""
+    stages = np.arange(1, len(err0) + 1)
+    return SeriesResult(stages, np.zeros(stages.size), meta={"trials": trials},
+                        extra={"err0": np.asarray(err0), "err1": np.asarray(err1)})
+
+
+def _rates(p0, p1) -> SeriesResult:
+    stages = np.arange(1, len(p0) + 1)
+    return SeriesResult(stages, np.zeros(stages.size), extra={"p0_type1": np.asarray(p0), "p1_type2": np.asarray(p1)})
+
+
+class TestCrossCheck:
+    def test_rejects_the_rates_of_another_prior(self):
+        """test_bayes_rule_at_prior_08's window counts at prior 0.8 against
+        the window rates at prior 1/2: stage 1's type-1 count sits about
+        128 SE from the prior-1/2 rate."""
+        config = ExperimentConfig(BeliefModel(0.0, prior_1=0.8), FlipSchedule("constant", q=0.2),
+                                  MemorySchedule("bounded", capacity=2), stages=4, trials=20_000, seed=808,
+                                  grid=tuple(range(1, 5)))
+        wrong = reference(ExperimentConfig(BeliefModel(0.0), config.channel, config.memory, 4, 20_000, 808))
+        result = cross_check(estimate_error_series(config), wrong, 1e-4)
+        assert not result["passed"]
+        assert (result["stage"], result["hypothesis"]) == (1, 0)
+        assert result["z"] == pytest.approx(128, abs=2)
+
+    def test_a_zero_rate_passes_only_a_zero_count(self):
+        rates = _rates([0.0, 0.5], [0.5, 1.0])
+        assert cross_check(_counts(100, [0, 50], [50, 100]), rates, 1e-4)["passed"]
+        result = cross_check(_counts(100, [1, 50], [50, 100]), rates, 1e-4)
+        assert not result["passed"]
+        assert (result["stage"], result["hypothesis"], result["z"], result["union_bound"]) == (1, 0, np.inf, 0.0)
+        assert not cross_check(_counts(100, [0, 50], [50, 99]), rates, 1e-4)["passed"]
+
+    def test_result_records_the_worst_count(self):
+        """Four counts: the one of stage 2 under h = 1, 20 above n p = 50
+        at n = 100, has the smallest Chernoff bound
+        2 exp(-100 KL(0.7 || 0.5)) = 5.3e-4; the union over four is 2.1e-3."""
+        mc, rates = _counts(100, [50, 50], [50, 70]), _rates([0.5, 0.5], [0.5, 0.5])
+        result = cross_check(mc, rates, 1e-2)
+        kl = 0.7 * np.log(0.7 / 0.5) + 0.3 * np.log(0.3 / 0.5)
+        assert (result["alpha"], result["stage"], result["hypothesis"], result["z"]) == (1e-2, 2, 1, 4.0)
+        assert result["union_bound"] == pytest.approx(4 * 2 * np.exp(-100 * kl), rel=1e-12)
+        assert (result["name"], result["value"], result["target"]) == ("cross_check", result["union_bound"], 1e-2)
+        assert result["passed"] is False
+        assert cross_check(mc, rates, 1e-3)["passed"] is True
+
+    def test_reference_refuses_a_flip_chain_past_the_enumeration(self):
+        config = ExperimentConfig(BeliefModel(0.0), FlipSchedule("constant", q=0.2), MemorySchedule("full"),
+                                  stages=15, trials=10, seed=0)
+        with pytest.raises(ValueError, match=r"k_max must lie in \[1, 14\]"):
+            reference(config)
+
+    def test_verdict_records_the_cross_check(self, tmp_path):
+        verdict = run_preset("mc_vs_exact", tmp_path, Overrides(stages=20, trials=2000))
+        (check,) = verdict["checks"]
+        assert {"name", "value", "target", "comparator", "informational", "passed", "alpha", "stage", "hypothesis",
+                "z", "union_bound"} == set(check)
+        assert (check["name"], check["alpha"], check["passed"]) == ("cross_check", 1e-4, True)
