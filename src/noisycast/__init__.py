@@ -18,33 +18,25 @@ from .analysis import (
     fit_power,
     fit_power_of_log,
     fit_reciprocal_log,
-    read_series_csv,
     series_from_csv,
     theta_sandwich,
     write_series_csv,
 )
-from .belief_model import BeliefModel, cdf, tail_constants
+from .belief_model import BeliefModel, tail_constants
 from .channels import (
     Channel,
     ErasureSchedule,
     FlipSchedule,
     erasure_levels,
-    flip_prob,
     flip_probs,
-    informativeness,
     target_informativeness,
 )
 from .exact_dp import (
     MAX_CAPACITY,
     MartingaleReport,
-    StageErrors,
-    WindowDistribution,
-    evolve_window,
     exact_error_series,
-    initial_window,
     martingale_check,
     scan_error_series,
-    window_alphabet,
 )
 from .montecarlo import (
     ExperimentConfig,
@@ -60,7 +52,6 @@ from .recursions import (
     RecursionSpec,
     SandwichResult,
     StepSizeError,
-    informativeness_delta,
     iterate_recursion,
     lemma3_sandwich,
     lemma4_classify,

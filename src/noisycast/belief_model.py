@@ -14,9 +14,10 @@ power with exponent beta: small beta means near-certain signals are common,
 large beta makes them rare and slows everything downstream.
 
 beta = 0 is the fully closed-form case, densities (2(1 - r), 2r) with
-distribution functions (1 - (1 - r)**2, r**2).  Every integer beta is closed
-form; scipy is imported only when a non-integer beta needs its beta
-function.
+distribution functions (1 - (1 - r)**2, r**2).  Every integer beta up to
+509 is closed form; its binomial coefficients reach C(1020, 510), the last
+that fits a float.  scipy is imported only when a larger or non-integer
+beta needs its beta functions.
 """
 
 from __future__ import annotations
@@ -51,17 +52,24 @@ class BeliefModel:
     def norm_constant(self) -> float:
         """Shared normaliser z of both conditional densities.
 
-        For integer beta, 1 / B(beta + 1, beta + 2) is the integer
-        k * C(2k, k) with k = beta + 1, returned correctly rounded.  It grows
-        with k and first passes the float range at k = 511, where inf is
-        returned without building the integer.
+        For integer beta up to 509, 1 / B(beta + 1, beta + 2) is the integer
+        k * C(2k, k) with k = beta + 1, returned correctly rounded.  Any
+        other beta inverts scipy's beta function: z passes the float range
+        near beta = 509.2, and inf is returned from there on.
         """
-        if float(self.beta).is_integer():
-            k = int(self.beta) + 1
-            return float(k * math.comb(2 * k, k)) if k <= 510 else math.inf
+        if k := _closed_form(self):
+            return float(k * math.comb(2 * k, k))
         from scipy import special
 
-        return float(1.0 / special.beta(self.beta + 1.0, self.beta + 2.0))
+        with np.errstate(over="ignore", divide="ignore"):
+            return float(1.0 / special.beta(self.beta + 1.0, self.beta + 2.0))
+
+
+def _closed_form(model: BeliefModel) -> int:
+    """k = beta + 1 when the cdfs are binomial sums: integer beta with every
+    C(2k, j) a float, k <= 510.  0 sends the model to scipy's betainc."""
+    k = int(model.beta) + 1
+    return k if float(model.beta).is_integer() and k <= 510 else 0
 
 
 def _shape(model: BeliefModel, hypothesis: int) -> tuple[float, float]:
@@ -76,17 +84,17 @@ def _shape(model: BeliefModel, hypothesis: int) -> tuple[float, float]:
 def cdf(model: BeliefModel, hypothesis: int, r, out=None, scratch=(None, None, None)):
     """Conditional distribution function of the private belief.
 
-    Integer beta uses the exact binomial-sum form of the regularised
-    incomplete beta function, so the frequently hit beta = 0 case costs a
-    couple of polynomial terms and carries no quadrature error.  Non-integer
-    beta falls back to scipy's betainc.
+    Integer beta up to 509 uses the exact binomial-sum form of the
+    regularised incomplete beta function, so the frequently hit beta = 0
+    case costs a couple of polynomial terms and carries no quadrature
+    error.  Any other beta falls back to scipy's betainc.
 
     out, if given, receives the values; with it and three scratch arrays
     shaped like r, an integer-beta call allocates nothing.
     """
     a, b = _shape(model, hypothesis)
     r = np.asarray(r, dtype=float)
-    if float(model.beta).is_integer():
+    if _closed_form(model):
         return _binomial_sums(r, int(a), int(a + b) - 1, (out,), *scratch)[0]
     from scipy import special
 
@@ -98,8 +106,7 @@ def cdfs(model: BeliefModel, r, out=None, scratch=(None, None, None)):
     With out and cdf's three scratch arrays the call allocates nothing."""
     r = np.asarray(r, dtype=float)
     out = np.empty((2,) + r.shape) if out is None else out
-    if float(model.beta).is_integer():
-        lo = int(model.beta) + 1
+    if lo := _closed_form(model):
         _binomial_sums(r, lo, 2 * lo, (out[0, ...], out[1, ...]), *scratch)  # views even when 0-d
     else:
         for h in (0, 1):
@@ -142,9 +149,8 @@ def cdf_pair(model: BeliefModel):
     bit of x's element in an array call, for scalar recursions that cannot
     afford a numpy call per value.  Integer beta sums the terms of
     _binomial_sums in its order; hypothesis 1 drops the first term."""
-    if not float(model.beta).is_integer():
+    if not (lo := _closed_form(model)):
         return lambda x: (float(cdf(model, 0, x)), float(cdf(model, 1, x)))
-    lo = int(model.beta) + 1
     terms = [(j, math.comb(2 * lo, j), 2 * lo - j) for j in range(lo, 2 * lo + 1)]
 
     def pw(x, e):  # _ipow, with numpy's power above the square as for an array

@@ -136,12 +136,6 @@ def flip_probs(schedule: FlipSchedule, stages):
     return (1.0 - targets) / (2.0 - targets)
 
 
-def flip_prob(schedule: FlipSchedule, stage: int) -> float:
-    if stage < 1:
-        raise ValueError(f"stages are 1-based, got {stage!r}")
-    return float(flip_probs(schedule, np.asarray([stage]))[0])
-
-
 def erasure_levels(schedule: ErasureSchedule, stages):
     """Per-stage erasure levels as a (for 0s, for 1s) pair of arrays."""
     ks = np.asarray(stages, dtype=float)

@@ -26,6 +26,7 @@ from .channels import Channel, ErasureSchedule, FlipSchedule
 from .exact_dp import MAX_MARTINGALE_DEPTH
 from .montecarlo import ExperimentConfig
 from .presets import PRESET_INFO, Overrides, Preset, PresetError, config_preset, list_presets, run_preset
+from .recursions import rate_recursion
 from .topology import MemorySchedule
 
 _TASKS = ("simulate", "exact", "recursion", "martingale", "herding")
@@ -145,6 +146,8 @@ def parse_config(path, default_task: str | None = None) -> ParsedConfig:
         k0_fraction = counts.pop("k0_fraction", 0.5)
         parsed = ParsedConfig(task, model, channel, memory, Overrides(**counts), k0_fraction,
                               RecursionSettings(**rec_doc), captured)
+        if task == "recursion":  # its own refusals: a non-integer beta, an initial outside (0, 1)
+            rate_recursion(model, channel, parsed.recursion.initial, parsed.recursion.coefficient)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{p}: {exc}") from exc
 
@@ -160,10 +163,10 @@ def parse_config(path, default_task: str | None = None) -> ParsedConfig:
         raise ConfigError(f"{p}: task 'recursion' needs channel.kind == 'flip'")
     if task == "herding" and not 0.0 < parsed.k0_fraction < 1.0:
         raise ConfigError(f"{p}: k0_fraction must lie in (0, 1), got {parsed.k0_fraction!r}")
-    if task in ("simulate", "herding"):
+    if task in ("simulate", "herding", "exact"):
         if memory is None:
             raise ConfigError(f"{p}: task {task!r} needs a 'memory' section")
-        try:  # the Monte Carlo engine's own refusals, e.g. a flip channel over power memory
+        try:  # the engines' own refusals, e.g. a flip channel over power memory or a window past MAX_CAPACITY
             ExperimentConfig(model, channel, memory, stages=parsed.run.stages, trials=parsed.run.trials,
                              seed=parsed.run.seed)
         except ValueError as exc:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief_model import BeliefModel, cdf_pair, cdfs
-from .channels import Channel, ErasureSchedule, FlipSchedule, erasure_levels, flip_prob, flip_probs
+from .channels import Channel, ErasureSchedule, FlipSchedule, erasure_levels, flip_probs
 from .topology import MemorySchedule, memory_size
 from .analysis import SeriesResult, check_count
 
@@ -104,12 +104,8 @@ class StageErrors:
 
 def initial_window(alphabet: int, capacity: int, rows: int = 2) -> WindowDistribution:
     """The empty window, carrying both mass rows or, for a mirrored law, row 0 alone."""
-    if alphabet not in (2, 3):
-        raise ValueError(f"alphabet must be 2 or 3, got {alphabet!r}")
     if not 1 <= capacity <= MAX_CAPACITY:
         raise ValueError(f"capacity must lie in [1, {MAX_CAPACITY}], got {capacity!r}")
-    if rows not in (1, 2):
-        raise ValueError(f"rows must be 1 or 2, got {rows!r}")
     work = _Workspace(alphabet, capacity, rows)
     masses = _rows(work.mass, rows, 1)
     masses.fill(1.0)
@@ -404,12 +400,11 @@ def martingale_check(schedule: FlipSchedule, model: BeliefModel, k_max: int) -> 
     p0 = np.ones(1)
     p1 = np.ones(1)
     devs, masses, t1, t2 = np.empty((4, k_max))
-    for k in range(1, k_max + 1):
+    for k, q in enumerate(flip_probs(schedule, np.arange(1, k_max + 1)).tolist(), start=1):
         tau = _cutoffs(p0, p1, model)
         dec0_h0, dec0_h1 = cdfs(model, tau)
         t1[k - 1] = float(p0 @ (1.0 - dec0_h0))
         t2[k - 1] = float(p1 @ dec0_h1)
-        q = flip_prob(schedule, k)
         w = 1.0 - 2.0 * q
         a0 = q + w * dec0_h0
         a1 = q + w * dec0_h1

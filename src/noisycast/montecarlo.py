@@ -20,8 +20,8 @@ and how the broadcast is absorbed; each is a step function of the skeleton:
 * erasure channel, unbounded memory: nearest-unerased evidence, coded as
   2 * stage + value with codes 0 and 1 meaning none.  A (2, 2K + 2) table
   holds P(decide 0 | hypothesis, evidence); exact_dp.scan_error_series
-  builds it from the exact law of the evidence, once per (model, channel,
-  memory, stages); trials carry their flat positions in it.
+  builds it from the exact law of the evidence, once per run; trials carry
+  their flat positions in it.
 
 The flip and scan steps make no array and give numpy no broadcast (2, 1) or
 strided (2, m) operand, which it buffers, nor a where= mask, slower than
@@ -58,14 +58,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
 from .analysis import SeriesResult, check_count, check_grid, config_hash, default_grid
 from .belief_model import BeliefModel
 from .channels import Channel, ErasureSchedule, FlipSchedule, erasure_levels, flip_probs
-from .exact_dp import MAX_CAPACITY, scan_error_series, window_stages
+from .exact_dp import MAX_CAPACITY, scan_error_series, window_alphabet, window_stages
 from .strategy import BELIEF_CEIL, BELIEF_FLOOR, clamp_belief, conditional_decision_probs, public_belief_step
 from .topology import MemorySchedule, memory_size
 
@@ -201,7 +201,7 @@ def _window_step(config: ExperimentConfig, m: int):
     # this block's own exact recursion, one stage's table live at a time
     tables = window_stages(config.model, config.channel, config.memory.capacity, config.stages)
     flip = isinstance(config.channel, FlipSchedule)
-    a_size = 2 if flip else 3
+    a_size = window_alphabet(config.channel)
     ks = np.arange(1, config.stages + 1)
     if flip:
         qs = flip_probs(config.channel, ks)
@@ -271,19 +271,13 @@ def _scan_step(table, config: ExperimentConfig, m: int):
     return step
 
 
-@lru_cache(maxsize=8)
-def _scan_table(model: BeliefModel, channel: ErasureSchedule, memory: MemorySchedule, stages: int) -> np.ndarray:
-    """The scan strategy's read-only decision table, from the exact law."""
-    return scan_error_series(model, channel, memory, stages)[1]
-
-
 def _step_for(config: ExperimentConfig):
     """Step factory of the config's strategy: (config, m) -> step."""
     if config.memory.family == "bounded":
         return _window_step
     if isinstance(config.channel, FlipSchedule):
         return _flip_full_step
-    return partial(_scan_step, _scan_table(config.model, config.channel, config.memory, config.stages))
+    return partial(_scan_step, scan_error_series(config.model, config.channel, config.memory, config.stages)[1])
 
 
 def _collect_blocks(config: ExperimentConfig, slot, threads: int):
@@ -401,9 +395,9 @@ def herding_stats(config: ExperimentConfig, k0_fraction: float = 0.5, threads: i
 def run_trial(config: ExperimentConfig, trial_index: int, hypothesis: int) -> TrialRecord:
     """Replay one trial bit for bit, returning its full decision path.
 
-    A bounded-window replay drives its own exact window recursion, so each
-    call pays one full recursion pass; replaying many trials of a large
-    window costs that pass every time."""
+    A bounded-window replay drives its own exact window recursion and a
+    scan replay builds its own table, so each call pays one full exact
+    pass; replaying many trials costs that pass every time."""
     if hypothesis not in (0, 1):
         raise ValueError(f"hypothesis must be 0 or 1, got {hypothesis!r}")
     trial_index = check_count(trial_index, "trial_index", low=0)

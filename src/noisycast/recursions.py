@@ -250,12 +250,14 @@ def type1_lower_bound(series: SeriesResult, model: BeliefModel) -> SeriesResult:
     return SeriesResult(stages, values, meta=meta)
 
 
-def informativeness_delta(model: BeliefModel, schedule: FlipSchedule, denominator: str = "beta_plus_one"):
-    """Per-stage delta_k = coeff * Q_k with the coefficient read off the
-    signal tails.  denominator 'beta_plus_one' uses gamma / (beta + 1), the
-    constant the tail integral produces; 'beta' uses gamma / beta, a looser
-    classical normalisation (at beta = 0 both reduce to gamma, the endpoint
-    density)."""
+def rate_recursion(model: BeliefModel, schedule: FlipSchedule, initial: float,
+                   denominator: str = "beta_plus_one") -> RecursionSpec:
+    """Recursion spec for a belief chain: exponent beta + 1 and delta_k =
+    coeff * Q_k.  denominator 'beta_plus_one' takes coeff = gamma / (beta + 1),
+    the constant the tail integral produces; 'beta' takes gamma / beta, a
+    looser classical normalisation (at beta = 0 both are gamma, the endpoint density)."""
+    if abs(model.beta - round(model.beta)) > 1e-9:
+        raise ValueError(f"rate recursion needs integer beta, got {model.beta!r}")
     beta, gamma = tail_constants(model)
     if denominator == "beta_plus_one":
         coeff = gamma / (beta + 1.0)
@@ -263,21 +265,4 @@ def informativeness_delta(model: BeliefModel, schedule: FlipSchedule, denominato
         coeff = gamma if beta == 0 else gamma / beta
     else:
         raise ValueError(f"denominator must be beta_plus_one or beta, got {denominator!r}")
-    return lambda ks: coeff * target_informativeness(schedule, ks)
-
-
-def rate_recursion(
-    model: BeliefModel,
-    schedule: FlipSchedule,
-    initial: float,
-    denominator: str = "beta_plus_one",
-) -> RecursionSpec:
-    """Recursion spec for a belief chain: exponent beta + 1, channel-driven delta."""
-    beta = model.beta
-    if abs(beta - round(beta)) > 1e-9:
-        raise ValueError(f"rate recursion needs integer beta, got {beta!r}")
-    return RecursionSpec(
-        initial=initial,
-        exponent=int(round(beta)) + 1,
-        delta=informativeness_delta(model, schedule, denominator),
-    )
+    return RecursionSpec(initial, int(round(beta)) + 1, lambda ks: coeff * target_informativeness(schedule, ks))

@@ -123,7 +123,7 @@ class TestCdfGeneral:
             )
 
     @pytest.mark.parametrize("hypothesis", [0, 1])
-    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0, 3.0, 509.0])
     def test_integer_beta_bit_identical_to_plain_binomial_sum(self, beta, hypothesis):
         """The shortcut terms must round exactly as the plain sum does,
         because the exact recursion and the Monte Carlo decisions are
@@ -143,6 +143,20 @@ class TestCdfGeneral:
         # a float rounds as its element in an array does (a 0-d plain sum
         # would take libm's pow for (1 - r)**e on a numpy scalar)
         assert cdf(model, hypothesis, 0.3) == plain_sum(model, hypothesis, np.array([0.3]))[0]
+
+    @pytest.mark.parametrize("beta", [510.0, 514.0, 600.0])
+    def test_integer_beta_past_float_coefficients_reads_betainc(self, beta):
+        """Past beta = 509 some C(2k, j), k = beta + 1, passes the float
+        range: cdf, cdfs and cdf_pair once raised OverflowError there."""
+        model = BeliefModel(beta)
+        r = np.linspace(0.45, 0.55, 21)
+        pair = cdf_pair(model)
+        for h, (a, b) in enumerate([(beta + 1.0, beta + 2.0), (beta + 2.0, beta + 1.0)]):
+            want = special.betainc(a, b, r)
+            np.testing.assert_allclose(cdf(model, h, r), want, rtol=1e-12)
+            np.testing.assert_allclose(cdfs(model, r)[h], want, rtol=1e-12)
+            np.testing.assert_allclose([pair(x)[h] for x in r.tolist()], want, rtol=1e-12)
+        assert model.norm_constant == math.inf
 
     @pytest.mark.parametrize("hypothesis", [0, 1])
     @pytest.mark.parametrize("beta", [0.5, 1.5, 2.25])

@@ -17,7 +17,6 @@ from noisycast.channels import (
     ErasureSchedule,
     FlipSchedule,
     erasure_levels,
-    flip_prob,
     flip_probs,
     informativeness,
     target_informativeness,
@@ -33,14 +32,14 @@ class TestInformativeness:
 
     def test_inversion_frozen(self):
         # Q_1 = scale under the reciprocal family, inverted by flip_probs
-        assert flip_prob(FlipSchedule("reciprocal", scale=8.0 / 9.0), 1) == pytest.approx(0.1)
-        assert flip_prob(FlipSchedule("reciprocal"), 1) == 0.0
-        assert flip_prob(FlipSchedule("reciprocal"), 10**9) == pytest.approx(0.5)
+        assert flip_probs(FlipSchedule("reciprocal", scale=8.0 / 9.0), [1])[0] == pytest.approx(0.1)
+        assert flip_probs(FlipSchedule("reciprocal"), [1])[0] == 0.0
+        assert flip_probs(FlipSchedule("reciprocal"), [10**9])[0] == pytest.approx(0.5)
 
     @given(q=st.floats(min_value=0.0, max_value=0.5, allow_nan=False))
     def test_roundtrip(self, q):
         # the constant family maps q to Q and flip_probs maps it back
-        assert flip_prob(FlipSchedule("constant", q=q), 3) == pytest.approx(q, abs=1e-12)
+        assert flip_probs(FlipSchedule("constant", q=q), [3])[0] == pytest.approx(q, abs=1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -51,7 +50,7 @@ class TestFlipScheduleValidation:
     def test_constant_folds_above_half(self):
         with pytest.warns(UserWarning):
             sched = FlipSchedule("constant", q=0.7)
-        assert flip_prob(sched, 1) == pytest.approx(0.3)
+        assert flip_probs(sched, [1])[0] == pytest.approx(0.3)
 
     def test_constant_range(self):
         with pytest.raises(ValueError):
@@ -85,9 +84,9 @@ class TestFlipFamilies:
         np.testing.assert_allclose(qs, 0.2)
 
     def test_single_stage_lookup(self):
-        assert flip_prob(FlipSchedule("constant", q=0.2), 3) == pytest.approx(0.2)
+        assert flip_probs(FlipSchedule("constant", q=0.2), [3])[0] == pytest.approx(0.2)
         with pytest.raises(ValueError):
-            flip_prob(FlipSchedule("constant", q=0.2), 0)
+            flip_probs(FlipSchedule("constant", q=0.2), [0])[0]
 
     def test_power_informativeness(self):
         sched = FlipSchedule("power", p=0.4)

@@ -414,6 +414,23 @@ class TestConfigErrors:
         self._expect_2(tmp_path, capsys, task="simulate", channel={"kind": "flip", "q": 0.1}, memory=memory)
         assert not (tmp_path / "o").exists()
 
+    def test_exact_config_past_the_closed_form_beta_runs(self, tmp_path):
+        """beta = 520 reads scipy's betainc; its binomial sums once overflowed (exit 1)."""
+        cfg = _write_config(tmp_path / "c.json", beta=520)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    def test_exact_config_past_the_window_cap_is_a_config_error(self, tmp_path, capsys):
+        """The same window in a simulate config exits 2; exact once ran into the engine's refusal (exit 1)."""
+        self._expect_2(tmp_path, capsys, memory={"family": "bounded", "capacity": 13})
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("doc", [{"beta": 0.5}, {"recursion": {"initial": 1.5}}], ids=["beta", "initial"])
+    def test_recursion_config_the_engine_refuses_is_a_config_error(self, tmp_path, capsys, doc):
+        """rate_recursion refuses a non-integer beta and an initial value
+        outside (0, 1); both once exited 1, from the run."""
+        self._expect_2(tmp_path, capsys, task="recursion", channel={"kind": "flip", "q": 0.1}, memory=None, **doc)
+        assert not (tmp_path / "o").exists()
+
     def test_herding_k0_fraction_outside_the_unit_interval_is_a_config_error(self, tmp_path, capsys):
         """herding_stats refuses it too, but only once the trials have run."""
         self._expect_2(tmp_path, capsys, task="herding", channel={"kind": "flip", "q": 0.1},

@@ -777,6 +777,23 @@ class TestKernelAllocations:
         assert clamps.tolist() == [0, 0] and len(peaks) == 200
         assert max(peaks) < 4096
 
+    def test_a_scan_run_keeps_nothing(self):
+        """The scan's (2, 2K + 2) table, 0.32 MB at K = 10 000, lives only as
+        long as its run: a process-wide cache once kept up to 8 of them.
+        The warm-up at another stage count makes what any run makes once.
+        K stays at 10 000 because tracing slows the kernel about tenfold."""
+        channel, memory = ErasureSchedule("constant", level=0.9), MemorySchedule("full")
+        estimate_error_series(ExperimentConfig(MODEL, channel, memory, stages=500, trials=2, seed=1))
+        config = ExperimentConfig(MODEL, channel, memory, stages=10_000, trials=2, seed=1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            estimate_error_series(config)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held < 32_000  # a tenth of the table; about 1 KB is held
+
 
 class TestSeriesShape:
     def test_meta_and_ci(self):

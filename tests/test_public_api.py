@@ -4,12 +4,15 @@ A name in noisycast.__all__ passes when its home module loads it outside
 the def or class that defines it, when another package module (not
 __init__) imports it, or when a perfbench script imports it or reaches it
 as an attribute.  A parameter or local that happens to share the name does
-not count, so only these three forms are read.
+not count, so only these three forms are read.  An exported function or
+constant needs a caller outside its home module: another package module,
+perfbench, or a tracer.WRAPS entry naming a module that holds it.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import noisycast
@@ -51,19 +54,44 @@ def _attribute_names(tree: ast.AST) -> set[str]:
     return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
+def _wrapped_names(tracer: ast.Module) -> set[str]:
+    """The attributes tracer.WRAPS wraps, each where its module holds it."""
+    (wraps,) = [node.value for node in tracer.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "WRAPS" for t in node.targets)]
+    entries = [(entry.elts[0].value, entry.elts[1].value) for entry in wraps.elts]
+    return {attr for module, attr in entries if hasattr(importlib.import_module(f"noisycast.{module}"), attr)}
+
+
+MODULES = {path.stem: _tree(path) for path in PACKAGE.glob("*.py") if path.stem != "__init__"}
+BENCH = {path.stem: _tree(path) for path in sorted(PERFBENCH.glob("*.py"))}
+BENCH_REACH = set().union(*(_imported_names(t) | _attribute_names(t) for t in BENCH.values()))
+
+
+def _called_elsewhere(name: str, home: str) -> bool:
+    """Imported by another package module, or imported or reached as an attribute by perfbench."""
+    return name in BENCH_REACH or any(name in _imported_names(tree) for stem, tree in MODULES.items() if stem != home)
+
+
 def test_every_exported_name_has_a_caller():
     homes = _home_modules()
     assert set(homes) == set(noisycast.__all__)
-    modules = {path.stem: _tree(path) for path in PACKAGE.glob("*.py") if path.stem != "__init__"}
-    imported_by = {stem: _imported_names(tree) for stem, tree in modules.items()}
-    bench = [_tree(path) for path in sorted(PERFBENCH.glob("*.py"))]
-    bench_reach = set().union(*(_imported_names(t) | _attribute_names(t) for t in bench))
     uncalled = [
         name
         for name, home in sorted(homes.items())
-        if not _loaded_outside_own_definition(modules[home], name)
-        and not any(name in names for stem, names in imported_by.items() if stem != home)
-        and name not in bench_reach
+        if not _loaded_outside_own_definition(MODULES[home], name) and not _called_elsewhere(name, home)
+    ]
+    assert uncalled == []
+
+
+def test_every_exported_function_or_constant_has_a_caller_outside_its_module():
+    """A class keeps the rule above: the result and error types of public
+    functions are public too."""
+    wrapped = _wrapped_names(BENCH["tracer"])
+    uncalled = [
+        name
+        for name, home in sorted(_home_modules().items())
+        if not isinstance(getattr(noisycast, name), type) and not _called_elsewhere(name, home)
+        and name not in wrapped
     ]
     assert uncalled == []
 

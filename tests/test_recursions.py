@@ -19,7 +19,6 @@ from noisycast.channels import FlipSchedule
 from noisycast.recursions import (
     RecursionSpec,
     StepSizeError,
-    informativeness_delta,
     iterate_recursion,
     lemma3_sandwich,
     lemma4_classify,
@@ -502,22 +501,22 @@ class TestRateBridge:
         np.testing.assert_allclose(bound.values, [6e-3, 7.5e-4])
 
     def test_informativeness_delta_constant(self):
-        delta = informativeness_delta(BeliefModel(0.0), FlipSchedule("constant", q=0.1))
+        delta = rate_recursion(BeliefModel(0.0), FlipSchedule("constant", q=0.1), 0.5).delta
         np.testing.assert_allclose(delta(np.array([1, 5, 9])), 16.0 / 9.0)
 
     def test_informativeness_delta_power(self):
-        delta = informativeness_delta(BeliefModel(0.0), FlipSchedule("power", p=0.4))
+        delta = rate_recursion(BeliefModel(0.0), FlipSchedule("power", p=0.4), 0.5).delta
         assert delta(np.array([4]))[0] == pytest.approx(2.0 * 4.0 ** (-0.6))
 
     def test_denominator_variants(self):
         model = BeliefModel(1.0)
         sched = FlipSchedule("constant", q=0.0)
-        tight = informativeness_delta(model, sched, "beta_plus_one")
-        loose = informativeness_delta(model, sched, "beta")
+        tight = rate_recursion(model, sched, 0.5, "beta_plus_one").delta
+        loose = rate_recursion(model, sched, 0.5, "beta").delta
         assert tight(np.array([1]))[0] == pytest.approx(6.0)
         assert loose(np.array([1]))[0] == pytest.approx(12.0)
         with pytest.raises(ValueError):
-            informativeness_delta(model, sched, "half")
+            rate_recursion(model, sched, 0.5, "half")
 
     def test_rate_recursion_spec(self):
         spec = rate_recursion(BeliefModel(0.0), FlipSchedule("constant", q=0.1), initial=0.5)
