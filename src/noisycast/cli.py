@@ -26,7 +26,7 @@ from .channels import Channel, ErasureSchedule, FlipSchedule
 from .exact_dp import MAX_MARTINGALE_DEPTH
 from .montecarlo import ExperimentConfig
 from .presets import PRESET_INFO, Overrides, Preset, PresetError, config_preset, list_presets, run_preset
-from .recursions import rate_recursion
+from .recursions import StepSizeError, rate_recursion
 from .topology import MemorySchedule
 
 _TASKS = ("simulate", "exact", "recursion", "martingale", "herding")
@@ -207,15 +207,15 @@ def _run_fit(ns) -> int:
     series = series_from_csv(ns.series, column=ns.column)
     if ns.reciprocal:
         series = SeriesResult(series.stages, 1.0 / series.values)
-    k_min = ns.k_min
+    k_min = {} if ns.k_min is None else {"k_min": ns.k_min}  # each fit has its own default
     if ns.kind == "power":
-        fit = fit_power(series, k_min=k_min or 1)
+        fit = fit_power(series, **k_min)
         coeff = math.exp(fit.intercept)
     elif ns.kind == "reciprocal_log":
-        fit = fit_reciprocal_log(series, ns.transform, k_min=k_min or 2, q=ns.log_exponent)
+        fit = fit_reciprocal_log(series, ns.transform, q=ns.log_exponent, **k_min)
         coeff = fit.slope
     else:
-        fit = fit_power_of_log(series, k_min=k_min or 3)
+        fit = fit_power_of_log(series, **k_min)
         coeff = math.exp(fit.intercept)
     verdicts = []
     if ns.target_slope is not None:
@@ -326,6 +326,8 @@ def main(argv: list[str] | None = None) -> int:
         if ns.command == "list":
             return _print_preset_list()
         if ns.command == "fit":
+            if ns.kind == "reciprocal_log" and ns.transform == "log_pow" and ns.log_exponent is None:
+                parser.error("--transform log_pow needs --log-exponent")
             return _run_fit(ns)
         ov = _overrides(parser, ns)
         if ns.command == "preset":
@@ -334,7 +336,10 @@ def main(argv: list[str] | None = None) -> int:
         _check_depth(cfg, ov)
         for note in cfg.warnings:
             print(f"note: {note}", file=sys.stderr)
-        return _run(config_preset(cfg), f"{cfg.task} config", ns.out or Path("runs") / cfg.task, ov)
+        try:
+            return _run(config_preset(cfg), f"{cfg.task} config", ns.out or Path("runs") / cfg.task, ov)
+        except StepSizeError as exc:  # the config and its overrides alone fix the recursion that failed
+            raise ConfigError(f"{ns.config}: {exc}") from exc
     except SystemExit as exc:
         code = exc.code
         return 0 if code is None else int(code)

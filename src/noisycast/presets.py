@@ -34,7 +34,6 @@ import numpy as np
 from . import __version__
 from .analysis import (
     SeriesResult,
-    _sorted_union,
     check_count,
     config_hash,
     default_grid,
@@ -50,8 +49,6 @@ from .exact_dp import MartingaleReport, exact_error_series, martingale_check, sc
 from .montecarlo import ExperimentConfig, estimate_error_series, herding_stats
 from .recursions import (
     RecursionSpec,
-    _classify_limit,
-    _limit_checkpoints,
     iterate_recursion,
     lemma3_sandwich,
     lemma4_classify,
@@ -323,20 +320,14 @@ def _rate_law(p: Overrides, *, beta: int, initial: float, belief: tuple, bound: 
 
 def _plateau(p: Overrides) -> Outcome:
     spec = rate_recursion(BeliefModel(0.0), FlipSchedule("log_power", p=2.0), initial=0.3)
-    # one pass serves both the lemma4 checkpoints and the default-grid series
-    tol = 5e-3
-    cps, grid = _limit_checkpoints(p.stages, tol), default_grid(p.stages)
-    run = iterate_recursion(spec, p.stages, grid=_sorted_union(grid, cps))
-    # grid, cps and run.stages are each sorted and distinct: searchsorted finds each stage
-    cls = _classify_limit(cps, run.values[np.searchsorted(run.stages, cps)], spec.initial, tol)
+    cls = lemma4_classify(spec, p.stages, tol=5e-3)
     checks = [
         _check("label", cls.label, "positive_limit", "=="),
         _check("plateau_above_tenth_of_start", cls.estimate, 0.1 * 0.3, ">"),
     ]
-    cols = _recursion_columns(SeriesResult(grid, run.values[np.searchsorted(run.stages, grid)]))
     info = {"checkpoints": list(cls.checkpoints), "checkpoint_values": list(cls.values)}
     payload = {"family": "log_power", "p": 2.0, "stages": p.stages}
-    return Outcome({"series.csv": ("recursion", cols)}, checks, payload, info)
+    return Outcome({"series.csv": ("recursion", _recursion_columns(cls.series))}, checks, payload, info)
 
 
 def _slowing(p: Overrides, *, sched: FlipSchedule, checks: Callable, info: dict = {}) -> Outcome:

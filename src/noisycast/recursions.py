@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import SeriesResult, check_count, check_grid, default_grid, store_floats
+from .analysis import SeriesResult, _sorted_union, check_count, check_grid, default_grid, store_floats
 from .belief_model import BeliefModel, tail_constants
 from .channels import FlipSchedule, target_informativeness
 
@@ -195,25 +195,7 @@ class LimitClassification:
     checkpoints: tuple
     values: tuple
     relative_changes: tuple
-
-
-def _limit_checkpoints(stages: int, tol: float) -> list:
-    if stages < 8 or not 0.0 < tol < 1.0:
-        raise ValueError(f"classification needs stages >= 8 and tol in (0, 1), got {stages!r}, {tol!r}")
-    return [stages // 8, stages // 4, stages // 2, stages]
-
-
-def _classify_limit(checkpoints, v, initial: float, tol: float) -> LimitClassification:
-    """The label rule of lemma4_classify on the values v at the checkpoints."""
-    rel = tuple(float(abs(v[i + 1] - v[i]) / v[i]) for i in range(3))
-    estimate = float(v[-1])
-    if rel[-1] < tol and estimate > 1e-12:
-        label = "positive_limit"
-    elif estimate < tol * initial or min(rel) >= tol:
-        label = "converges_to_zero"
-    else:
-        label = "inconclusive"
-    return LimitClassification(label, estimate, tuple(checkpoints), tuple(float(x) for x in v), rel)
+    series: SeriesResult = field(compare=False)
 
 
 def lemma4_classify(spec: RecursionSpec, stages: int, tol: float = 1e-3) -> LimitClassification:
@@ -224,11 +206,25 @@ def lemma4_classify(spec: RecursionSpec, stages: int, tol: float = 1e-3) -> Limi
     iterate that has collapsed below tol * initial, or that keeps moving by
     at least tol across every doubling, reads as convergence to zero.  tol
     sets the plateau resolution: limits smaller than roughly tol * initial
-    cannot be told apart from zero at the given horizon.
+    cannot be told apart from zero at the given horizon.  The same pass
+    records the iterates on default_grid(stages) as the series.
     """
-    cps = _limit_checkpoints(stages, tol)
-    series = iterate_recursion(spec, stages, grid=cps)
-    return _classify_limit(cps, series.values, spec.initial, tol)
+    if stages < 8 or not 0.0 < tol < 1.0:
+        raise ValueError(f"classification needs stages >= 8 and tol in (0, 1), got {stages!r}, {tol!r}")
+    cps, grid = [stages // 8, stages // 4, stages // 2, stages], default_grid(stages)
+    run = iterate_recursion(spec, stages, grid=_sorted_union(grid, cps))
+    # grid, cps and run.stages are each sorted and distinct: searchsorted finds each stage
+    v = run.values[np.searchsorted(run.stages, cps)]
+    rel = tuple(float(abs(v[i + 1] - v[i]) / v[i]) for i in range(3))
+    estimate = float(v[-1])
+    if rel[-1] < tol and estimate > 1e-12:
+        label = "positive_limit"
+    elif estimate < tol * spec.initial or min(rel) >= tol:
+        label = "converges_to_zero"
+    else:
+        label = "inconclusive"
+    series = _series(spec, stages, grid, run.values[np.searchsorted(run.stages, grid)])
+    return LimitClassification(label, estimate, tuple(cps), tuple(float(x) for x in v), rel, series)
 
 
 def type1_lower_bound(series: SeriesResult, model: BeliefModel) -> SeriesResult:

@@ -424,10 +424,12 @@ class TestConfigErrors:
         self._expect_2(tmp_path, capsys, memory={"family": "bounded", "capacity": 13})
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("doc", [{"beta": 0.5}, {"recursion": {"initial": 1.5}}], ids=["beta", "initial"])
+    @pytest.mark.parametrize("doc", [{"beta": 0.5}, {"recursion": {"initial": 1.5}}, {"beta": 1}],
+                             ids=["beta", "initial", "step"])
     def test_recursion_config_the_engine_refuses_is_a_config_error(self, tmp_path, capsys, doc):
         """rate_recursion refuses a non-integer beta and an initial value
-        outside (0, 1); both once exited 1, from the run."""
+        outside (0, 1); at beta = 1 and q = 0.1 the first step from 1/2
+        leaves (0, 1).  All three once exited 1, from the run."""
         self._expect_2(tmp_path, capsys, task="recursion", channel={"kind": "flip", "q": 0.1}, memory=None, **doc)
         assert not (tmp_path / "o").exists()
 
@@ -623,6 +625,26 @@ class TestFit:
 
     def test_missing_series(self, tmp_path):
         assert main(["fit", "--series", str(tmp_path / "absent.csv")]) == 2
+
+    @pytest.mark.parametrize("name", ["s.csv", "absent.csv"])
+    def test_log_pow_without_log_exponent_is_a_usage_error(self, tmp_path, capsys, name):
+        """Refused before the CSV is read; the fit once failed on it (exit 1)."""
+        self._power_csv(tmp_path / "s.csv")
+        argv = ["fit", "--series", str(tmp_path / name), "--kind", "reciprocal_log", "--transform", "log_pow"]
+        assert main(argv) == 2
+        assert "--log-exponent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["power", "reciprocal_log", "power_of_log"])
+    def test_k_min_zero_reads_the_fits_own_default(self, tmp_path, capsys, kind):
+        """Each fit floors k_min at the first stage its regressor takes, so
+        --k-min 0 reports what no --k-min does."""
+        csv = tmp_path / "s.csv"
+        self._power_csv(csv)
+        reports = []
+        for extra in ([], ["--k-min", "0"]):
+            assert main(["fit", "--series", str(csv), "--kind", kind, *extra]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0] == reports[1]
 
 
 class TestUsage:

@@ -6,7 +6,9 @@ __init__) imports it, or when a perfbench script imports it or reaches it
 as an attribute.  A parameter or local that happens to share the name does
 not count, so only these three forms are read.  An exported function or
 constant needs a caller outside its home module: another package module,
-perfbench, or a tracer.WRAPS entry naming a module that holds it.
+perfbench, or a tracer.WRAPS entry naming a module that holds it.  The
+front layers, presets and cli, import no _-prefixed name from another
+package module.
 """
 
 from __future__ import annotations
@@ -94,6 +96,20 @@ def test_every_exported_function_or_constant_has_a_caller_outside_its_module():
         and name not in wrapped
     ]
     assert uncalled == []
+
+
+def _private_imports(tree: ast.AST) -> list[str]:
+    """The _-prefixed names, dunders aside, that a module imports from another package module."""
+    return sorted(alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1
+                  for alias in node.names if alias.name.startswith("_") and not alias.name.startswith("__"))
+
+
+def test_the_front_layers_import_no_engine_internals():
+    """presets and cli state each claim through the engines' public calls;
+    engines may still share helpers among themselves."""
+    assert {stem: _private_imports(MODULES[stem]) for stem in ("presets", "cli")} == {"presets": [], "cli": []}
+    assert _private_imports(ast.parse("from .analysis import _sorted_union, check_count\nfrom . import __version__\n")) \
+        == ["_sorted_union"]
 
 
 def test_preset_names_load_from_presets():

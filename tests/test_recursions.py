@@ -15,7 +15,7 @@ import pytest
 
 from noisycast import recursions
 from noisycast.belief_model import BeliefModel
-from noisycast.channels import FlipSchedule
+from noisycast.channels import FlipSchedule, flip_probs
 from noisycast.recursions import (
     RecursionSpec,
     StepSizeError,
@@ -25,7 +25,8 @@ from noisycast.recursions import (
     rate_recursion,
     type1_lower_bound,
 )
-from noisycast.analysis import SeriesResult
+from noisycast.analysis import SeriesResult, default_grid
+from noisycast.strategy import clamp_belief, conditional_decision_probs, public_belief_step
 
 
 def _replay(initial, exponent, delta_fn, stages):
@@ -206,6 +207,19 @@ class TestClassify:
         assert isinstance(res.estimate, float)
         assert all(isinstance(v, float) for v in res.values)
         assert all(isinstance(c, int) for c in res.checkpoints)
+
+    @pytest.mark.parametrize("exponent", [1, 2, 3])
+    def test_series_is_the_default_grid_iterate(self, exponent):
+        """The classifying pass also records the series iterate_recursion
+        gives on the default grid, bit for bit, and the checkpoint values
+        iterate_recursion gives on the checkpoints."""
+        spec = RecursionSpec(initial=0.6, exponent=exponent, delta=_wavy(0.4))
+        res = lemma4_classify(spec, 5000)
+        ref = iterate_recursion(spec, 5000, grid=default_grid(5000))
+        np.testing.assert_array_equal(res.series.stages, ref.stages)
+        assert res.series.values.tobytes() == ref.values.tobytes()
+        assert res.series.meta == ref.meta
+        assert res.values == tuple(iterate_recursion(spec, 5000, grid=res.checkpoints).values.tolist())
 
 
 def _wavy(scale):
@@ -528,6 +542,21 @@ class TestRateBridge:
     def test_rate_recursion_needs_integer_beta(self):
         with pytest.raises(ValueError):
             rate_recursion(BeliefModel(0.5), FlipSchedule("constant", q=0.1), initial=0.5)
+
+    def test_recursion_tracks_the_all_correct_path(self):
+        """At beta = 0 and constant q = 0.1 the recursion from 1/2 follows the
+        public belief on the path where every broadcast reads 0: their ratio
+        goes to 1 (0.98635 at k = 10^3, 0.99836 at 10^4)."""
+        model, sched = BeliefModel(0.0), FlipSchedule("constant", q=0.1)
+        c = iterate_recursion(rate_recursion(model, sched, initial=0.5), 10**4, grid=[10**3, 10**4]).values
+        b, path = 0.5, [0.5]  # path[k - 1] is the public belief entering stage k
+        for q in flip_probs(sched, np.arange(1, 10**4)).tolist():
+            b = float(clamp_belief(public_belief_step(b, q, 0, conditional_decision_probs(b, model))))
+            path.append(b)
+        ratio = c / np.array([path[10**3 - 1], path[10**4 - 1]])
+        assert 0.98 < ratio[0] < 1.0
+        assert 0.998 < ratio[1] < 1.0
+        assert 1.0 - ratio[1] <= (1.0 - ratio[0]) / 5.0
 
     def test_constant_channel_decay_rate(self):
         # frozen from a million-step run: log-log slope -1 for n = 1
