@@ -17,16 +17,16 @@ and how the broadcast is absorbed; each is a step function of the skeleton:
 * bounded memory (flip or erasure): the exact window recursion, the
   strategy's own oracle, runs in lockstep and yields each stage's table of
   P(decide 0 | hypothesis, window state), so no cdf is evaluated per trial;
+  the broadcasts are read against the channel law the recursion steps with;
 * erasure channel, unbounded memory: nearest-unerased evidence, coded as
   2 * stage + value with codes 0 and 1 meaning none.  A (2, 2K + 2) table
   holds P(decide 0 | hypothesis, evidence); exact_dp.scan_error_series
   builds it from the exact law of the evidence, once per run; trials carry
   their flat positions in it.
 
-The flip and scan steps make no array and give numpy no broadcast (2, 1) or
+A step makes no array per stage and gives numpy no broadcast (2, 1) or
 strided (2, m) operand, which it buffers, nor a where= mask, slower than
-putmask: a block steps every trial its draws cover, an even-aligned run of
-trials, and reads only its own.
+putmask.  A block draws and steps exactly its own trials.
 
 Random stream.  Every job of a config draws from the same two streams,
 PCG64DXSM(SeedSequence(seed, spawn_key=(0, h))) for hypothesis h (O'Neill,
@@ -65,11 +65,10 @@ import numpy as np
 from .analysis import SeriesResult, check_count, check_grid, config_hash, default_grid
 from .belief_model import BeliefModel
 from .channels import Channel, ErasureSchedule, FlipSchedule, erasure_levels, flip_probs
-from .exact_dp import MAX_CAPACITY, scan_error_series, window_alphabet, window_stages
+from .exact_dp import MAX_CAPACITY, _channel_laws, scan_error_series, window_alphabet, window_stages
 from .strategy import BELIEF_CEIL, BELIEF_FLOOR, clamp_belief, conditional_decision_probs, public_belief_step
 from .topology import MemorySchedule, memory_size
 
-_PHASE_MEASURE = 0
 # (phi - 1) * 2**128 outputs, the step of numpy's PCG64DXSM.jumped: stage k's row starts k - 1 steps in
 _STAGE_JUMP = 210306068529402873165736369884012333109
 
@@ -118,12 +117,11 @@ class TrialRecord:
 
 def _run_block(config: ExperimentConfig, lo: int, hi: int, make_step, slot=None, collect=False):
     """Advance trials lo..hi-1 of both hypotheses in lockstep through every
-    stage.  make_step(config, width) builds the step for the trials the
-    stage rows are drawn for, the even-aligned run around lo..hi-1, so the
-    (2, width) views u and v are never strided; only lo..hi-1 are read.
-    step(k, u, v) returns the (2, width) boolean decisions of stage k and
-    either None or the mask of public beliefs clamped by the stage; the
-    skeleton reads both before the next call.
+    stage.  make_step(config, m) builds the step for the block's m = hi - lo
+    trials.  step(k, u, v) takes their (2, m) draws of stage k and returns
+    the (2, m) boolean decisions and either None or the mask of public
+    beliefs clamped by the stage; the skeleton reads both before the next
+    call.
 
     Returns the per-hypothesis error counts on the grid slots, each trial's
     last erring stage (0 when none) without a slot map and None with one,
@@ -131,26 +129,22 @@ def _run_block(config: ExperimentConfig, lo: int, hi: int, make_step, slot=None,
     decision paths.
     """
     m = hi - lo
-    first = lo // 2
-    off = lo - 2 * first
-    width = 2 * ((hi + 1) // 2 - first)
-    keep = slice(off, off + m)
-    # row r of buf[h] is trial 2 * first + r: its u in column 0, its v in column 1
-    buf = np.empty((2, width, 2))
+    # row r of buf[h] is trial lo + r: its u in column 0, its v in column 1
+    buf = np.empty((2, m, 2))
     streams = []
     for h in (0, 1):
-        bits = np.random.PCG64DXSM(np.random.SeedSequence(config.seed, spawn_key=(_PHASE_MEASURE, h)))
-        bits.advance(4 * first)  # trial 2 * first's u is output 4 * first of each stage row
+        bits = np.random.PCG64DXSM(np.random.SeedSequence(config.seed, spawn_key=(0, h)))
+        bits.advance(2 * lo)  # trial lo's u is output 2 * lo of each stage row
         streams.append((bits, np.random.Generator(bits), buf[h]))
-    skip = _STAGE_JUMP - 2 * width  # from the end of this stage's draws to the next row's
+    skip = _STAGE_JUMP - 2 * m  # from the end of this stage's draws to the next row's
     u, v = buf.transpose(2, 0, 1)
-    step = make_step(config, width)
+    step = make_step(config, m)
     counts = np.zeros((2, 0 if slot is None else int(slot.max()) + 1), dtype=np.int64)
-    last = np.zeros((2, width), dtype=np.int64) if slot is None else None
-    wrong = np.empty((2, width), dtype=bool)
-    is_h1 = np.repeat([[False], [True]], width, axis=1)  # row h of a (2, width) array is hypothesis h
+    last = np.zeros((2, m), dtype=np.int64) if slot is None else None
+    wrong = np.empty((2, m), dtype=bool)
+    is_h1 = np.repeat([[False], [True]], m, axis=1)  # row h of a (2, m) array is hypothesis h
     clamps = np.zeros(2, dtype=np.int64)
-    dec = np.zeros((2, width, config.stages), dtype=np.int8) if collect else None
+    dec = np.zeros((2, m, config.stages), dtype=np.int8) if collect else None
     for k in range(1, config.stages + 1):
         for bits, gen, out in streams:
             gen.random(out=out)
@@ -161,10 +155,10 @@ def _run_block(config: ExperimentConfig, lo: int, hi: int, make_step, slot=None,
         if slot is None:
             np.putmask(last, np.not_equal(d, is_h1, out=wrong), k)
         elif slot[k] >= 0:  # the errors: decisions 1 under h = 0, 0 under h = 1
-            counts[0, slot[k]], counts[1, slot[k]] = np.count_nonzero(d[0, keep]), m - np.count_nonzero(d[1, keep])
+            counts[0, slot[k]], counts[1, slot[k]] = np.count_nonzero(d[0]), m - np.count_nonzero(d[1])
         if clamped is not None:
-            clamps += np.count_nonzero(clamped[:, keep], axis=1)
-    return counts, None if last is None else last[:, keep], clamps, None if dec is None else dec[:, keep]
+            clamps += np.count_nonzero(clamped, axis=1)
+    return counts, last, clamps, dec
 
 
 def _flip_full_step(config: ExperimentConfig, m: int):
@@ -195,47 +189,40 @@ def _flip_full_step(config: ExperimentConfig, m: int):
 
 
 def _window_step(config: ExperimentConfig, m: int):
-    """States code symbols as exact_dp does.  ring[(k - 1) % C] holds stage
-    k's digit, so at capacity the oldest digit is taken off the state there
-    before the slot is overwritten.  Buffers are made once per block."""
-    # this block's own exact recursion, one stage's table live at a time
+    """States code symbols as exact_dp does, digit 0 the newest, and v is
+    read against the law the exact recursion steps with: law[0][1] is the
+    chance that a 0 is flipped or erased, law[1][A - 2] that a 1 is.  The
+    oldest digit, state // A**(C - 1), is 0 until the window fills.
+    Buffers are made once per block."""
+    # this block's own exact recursion, one stage's table live at a time, with each stage's law
     tables = window_stages(config.model, config.channel, config.memory.capacity, config.stages)
-    flip = isinstance(config.channel, FlipSchedule)
+    stages = zip(tables, _channel_laws(config.channel, np.arange(1, config.stages + 1)))
     a_size = window_alphabet(config.channel)
-    ks = np.arange(1, config.stages + 1)
-    if flip:
-        qs = flip_probs(config.channel, ks)
-    else:
-        lv0s, lv1s = erasure_levels(config.channel, ks)
-    cap = config.memory.capacity
-    state, drop = np.zeros((2, 2, m), dtype=np.int64)
-    ring = np.zeros((cap, 2, m), dtype=np.uint8)
+    top = a_size ** (config.memory.capacity - 1)  # the place of the oldest digit
+    state, digit = np.zeros((2, 2, m), dtype=np.int64)
     f = np.empty((2, m))
     d, hit, other = np.empty((3, 2, m), dtype=bool)
 
     def step(k, u, v):
-        dec0 = next(tables).decide0
+        errs, law = next(stages)
+        t0, t1 = law[0][1], law[1][a_size - 2]
         for h in (0, 1):
-            np.take(dec0[h], state[h], out=f[h], mode="clip")  # states are in range by construction
+            np.take(errs.decide0[h], state[h], out=f[h], mode="clip")  # states are in range by construction
         np.greater(u, f, out=d)
-        # a ufunc that casts between the uint8 digits and bool or int64 fills a
-        # cast buffer of its own each call; copyto casts without one
-        digit = ring[(k - 1) % cap]
-        if k > cap:
-            np.copyto(drop, digit)
-            np.subtract(state, np.multiply(drop, a_size ** (cap - 1), out=drop), out=state)
-        if flip:
-            np.copyto(digit, np.not_equal(d, np.less(v, qs[k - 1], out=hit), out=hit))
+        np.floor_divide(state, top, out=digit)
+        np.subtract(state, np.multiply(digit, top, out=digit), out=state)
+        # a ufunc that casts bool to int64 fills a cast buffer of its own each call; copyto casts without one
+        if a_size == 2:  # the broadcast is d, flipped where v < q
+            np.copyto(digit, np.not_equal(d, np.less(v, t0, out=hit), out=hit))
         else:  # digit 1 where erased, else 2 * d
-            np.less(v, lv0s[k - 1], out=hit)
-            if lv1s[k - 1] != lv0s[k - 1]:
-                np.putmask(hit, d, np.less(v, lv1s[k - 1], out=other))
+            np.less(v, t0, out=hit)
+            if t1 != t0:
+                np.putmask(hit, d, np.less(v, t1, out=other))
             np.copyto(digit, d)
             np.add(digit, digit, out=digit)
             np.putmask(digit, hit, 1)
         np.multiply(state, a_size, out=state)
-        np.copyto(drop, digit)
-        np.add(state, drop, out=state)
+        np.add(state, digit, out=state)
         return d, None
 
     return step

@@ -55,7 +55,7 @@ from .recursions import (
     rate_recursion,
     type1_lower_bound,
 )
-from .topology import MemorySchedule, backward_search_depth, chain_success_probability
+from .topology import MemorySchedule, backward_search_depth, chain_success_probability, memory_size
 
 
 class PresetError(ValueError):
@@ -391,11 +391,23 @@ def _depths(schedule: MemorySchedule, stages: int) -> SeriesResult:
     return SeriesResult(grid, np.asarray([backward_search_depth(schedule, int(k)) for k in grid], dtype=float))
 
 
+def _depth_by_definition(schedule: MemorySchedule, k: int) -> int:
+    """backward_search_depth's definition by exhaustion: the largest n with
+    n * n <= k - 1 and memory_size >= n at every node k - n * n + n .. k."""
+    return max(
+        n for n in range(k)
+        if n * n <= k - 1 and all(memory_size(schedule, j) >= n for j in range(k - n * n + n, k + 1))
+    )
+
+
 def _depth_full(p: Overrides) -> Outcome:
+    """The closed form backward_search_depth gives full memory, isqrt(k - 1),
+    is checked against the definition at every k up to 400."""
     schedule = MemorySchedule("full")
-    exact = all(backward_search_depth(schedule, k) == math.isqrt(k - 1) for k in range(1, p.stages + 1))
+    ks = range(1, min(p.stages, 400) + 1)
+    exact = all(backward_search_depth(schedule, k) == _depth_by_definition(schedule, k) for k in ks)
     series = _depths(schedule, p.stages)
-    checks = [_check("depth_is_isqrt_everywhere", exact, True, "==")]
+    checks = [_check("depth_matches_definition", exact, True, "==")]
     payload = {"family": "full", "stages": p.stages}
     return Outcome({"series.csv": ("depth", {"k": series.stages, "depth": series.values})}, checks, payload)
 

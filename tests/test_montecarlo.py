@@ -321,13 +321,13 @@ def _recording_step(seen: list):
     """A step factory that keeps every (u, v) it is given, row r of the
     block's draws at [stage - 1, h, r], and decides 0 throughout."""
 
-    def make_step(config, width):
-        draws = np.zeros((config.stages, 2, width, 2))
+    def make_step(config, m):
+        draws = np.zeros((config.stages, 2, m, 2))
         seen.append(draws)
 
         def step(k, u, v):
             draws[k - 1, ..., 0], draws[k - 1, ..., 1] = u, v
-            return np.zeros((2, width), dtype=bool), None
+            return np.zeros((2, m), dtype=bool), None
 
         return step
 
@@ -356,9 +356,8 @@ class TestStream:
         seen = []
         for lo, hi in bounds:
             mc._run_block(config, lo, hi, _recording_step(seen))
-        for (lo, _), draws in zip(bounds, seen):  # row r of a block's draws is trial 2 * (lo // 2) + r
-            first = 2 * (lo // 2)
-            np.testing.assert_array_equal(draws, rows[:, :, first:first + draws.shape[2]])
+        for (lo, hi), draws in zip(bounds, seen):  # row r of a block's draws is trial lo + r
+            np.testing.assert_array_equal(draws, rows[:, :, lo:hi])
 
     def test_fewer_trials_are_a_prefix(self):
         """The last erring stages of T trials are those of the first T of 2T."""
@@ -745,17 +744,17 @@ class TestKernelAllocations:
         ids=["flip", "scan", "window"],
     )
     def test_odd_block_bounds(self, channel, memory, lo, hi):
-        """A block that starts at an odd trial or holds an odd count still
-        gives its step contiguous (2, width) draws.  Each whole warm stage of
-        _run_block (the step, the count bookkeeping and the next draws) is
-        traced from one step call to the next; a strided u or v would cost a
-        64 KB iteration buffer per ufunc."""
+        """A block that starts at an odd trial or holds an odd count gives
+        its step the (2, m) draws of exactly its own trials.  Each whole warm
+        stage of _run_block (the step, the count bookkeeping and the next
+        draws) is traced from one step call to the next; a strided u or v
+        would cost a 64 KB iteration buffer per ufunc."""
         config = ExperimentConfig(MODEL, channel, memory, stages=self.WARM + 200, trials=self.M, seed=1)
         make_step = mc._step_for(config)
         peaks, base = [], 0
 
-        def traced(config, width):
-            step = make_step(config, width)
+        def traced(config, m):
+            step = make_step(config, m)
 
             def stage(k, u, v):
                 nonlocal base

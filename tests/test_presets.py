@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import noisycast
+from noisycast import presets
 from noisycast.analysis import SeriesResult
 from noisycast.belief_model import BeliefModel
 from noisycast.channels import FlipSchedule
@@ -147,6 +148,15 @@ class TestRunPreset:
         verdict = run_preset("lemma3_n1", tmp_path, Overrides(stages=20_000))
         assert verdict["seed"] == 0
         assert (tmp_path / "series.csv").read_text().splitlines()[0].endswith("seed=0")
+
+    def test_depth_gate_fails_an_off_by_one_depth(self, tmp_path, monkeypatch):
+        """prop1_full checks backward_search_depth against its definition, so
+        a depth one short from k = 5 on fails the verdict."""
+        depth = presets.backward_search_depth
+        monkeypatch.setattr(presets, "backward_search_depth", lambda s, k: depth(s, k) - (k >= 5))
+        verdict = run_preset("prop1_full", tmp_path)
+        assert verdict["passed"] is False
+        assert [c["name"] for c in verdict["checks"] if not c["passed"]] == ["depth_matches_definition"]
 
     def test_monte_carlo_verdict_records_clamp_events(self, tmp_path):
         verdict = run_preset("thm_flip_learning", tmp_path, Overrides(trials=200, stages=30))
